@@ -235,18 +235,7 @@ def pattern_of(p: Placement) -> str:
     """
     if len(p.blocks) > 26:
         raise InvalidPlacement("patterns support at most 26 blocks")
-    owner: dict[int, int] = {}
-    for j, block in enumerate(p.blocks):
-        for coord in block:
-            owner[coord] = j
-    labels: dict[int, str] = {}
-    out = []
-    for coord in sorted(owner):
-        j = owner[coord]
-        if j not in labels:
-            labels[j] = chr(ord("A") + len(labels))
-        out.append(labels[j])
-    return "".join(out)
+    return _pattern_of_blocks(p.blocks)
 
 
 def blockset_points(p: Placement, t: Template) -> set[Word]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,14 +62,12 @@ class Colouring:
     def colour_id(self, w: Word) -> int:
         raise NotImplementedError
 
-    def dense_table(self, n: int, m: int) -> Optional[np.ndarray]:
-        """Colour ids for all of [m]^n indexed by packed word index, or None.
+    def dense_table(self, n: int, m: int) -> np.ndarray:
+        """Colour ids for all of [m]^n indexed by packed word index.
 
-        Subclasses may override with a faster construction; the generic path
-        walks every word.
+        Raises when a word of [m]^n has no colour.  Subclasses may override
+        with a faster construction; the generic path walks every word.
         """
-        if self.colour_count > 2**62 or m**n > 4_000_000:
-            return None
         table = np.empty(m**n, dtype=np.int64)
         for w in all_words(n, m):
             table[w.index] = self.colour_id(w)
@@ -115,6 +113,18 @@ class ModularCountColouring(Colouring):
 
     def colour_id(self, w: Word) -> int:
         return sum(1 for s in w.symbols if s == self.symbol) % self.modulus
+
+    def dense_table(self, n: int, m: int) -> np.ndarray:
+        """Incremental table over packed indices.
+
+        Each new (most significant) coordinate adds m contiguous index
+        blocks, one per symbol; the block for `symbol` has its count bumped.
+        """
+        table = np.zeros(1, dtype=np.int64)
+        for _ in range(n):
+            bumped = (table + 1) % self.modulus
+            table = np.concatenate([bumped if s == self.symbol else table for s in range(1, m + 1)])
+        return table
 
 
 def contribution_colour(x: Word, modulus: int, length: int) -> tuple[int, ...]:
@@ -166,15 +176,15 @@ class ContributionColouring(Colouring):
     def colour_id(self, w: Word) -> int:
         return vector_to_id(self.vector(w), self.modulus)
 
-    def dense_table(self, n: int, m: int) -> Optional[np.ndarray]:
+    def dense_table(self, n: int, m: int) -> np.ndarray:
         """Incremental table over packed indices.
 
         Appending a symbol at the next (most significant) coordinate updates
         the colour from the prefix colour and the prefix's count of 1s-and-2s;
         the three symbol choices become three contiguous index blocks.
         """
-        if m != 3 or 3**n > 50_000_000 or self.colour_count > 2**62:
-            return None
+        if m != 3:
+            raise InvalidSymbol(f"contribution colouring needs alphabet [3], got [{m}]")
         mod, length = self.modulus, self.length
         table = np.zeros(1, dtype=np.int64)
         count12 = np.zeros(1, dtype=np.int64)
@@ -215,19 +225,13 @@ class TableColouring(Colouring):
         except KeyError:
             raise DomainError(f"word {w} outside table domain") from None
 
-    def dense_table(self, n: int, m: int) -> Optional[np.ndarray]:
-        if len(self.entries) != m**n:
-            return None
+    def dense_table(self, n: int, m: int) -> np.ndarray:
+        if len(self.entries) != m**n or any(w.n != n or w.m != m for w in self.entries):
+            raise DomainError(f"table {self.label} does not cover exactly [{m}]^{n}")
         table = np.empty(m**n, dtype=np.int64)
         for w, c in self.entries.items():
-            if w.n != n or w.m != m:
-                return None
             table[w.index] = c
         return table
-
-
-def table_colouring(entries: Mapping[Word, int], colours: Optional[int] = None) -> TableColouring:
-    return TableColouring(dict(entries), colours)
 
 
 def tabulate_colouring(c: Colouring, n: int, m: int) -> TableColouring:
@@ -339,7 +343,7 @@ def slot_word_for(positions: Sequence[int], n: int) -> Word:
 
 
 @dataclass(frozen=True)
-class InducedColouring:
+class InducedColouring(Colouring):
     """Colour a slot word by the tuple of base colours of all substitutions.
 
     Defined on words with exactly 2k+2 2s and no 1s; the colour is the tuple
@@ -354,11 +358,11 @@ class InducedColouring:
         object.__setattr__(self, "family", balanced_words(self.k))
 
     @property
-    def colour_count(self) -> int:
+    def colour_count(self) -> int:  # type: ignore[override]
         return self.base.colour_count ** self.family.size
 
     @property
-    def name(self) -> str:
+    def name(self) -> str:  # type: ignore[override]
         return f"induced:base={self.base.name},k={self.k}"
 
     def colour_tuple(self, x: Word) -> tuple[int, ...]:
@@ -371,11 +375,6 @@ class InducedColouring:
         for c in reversed(self.colour_tuple(x)):
             idx = idx * self.base.colour_count + c
         return idx
-
-
-def induced_colour(ind: InducedColouring, x: Word) -> tuple[int, ...]:
-    """The induced colour tuple of a slot word."""
-    return ind.colour_tuple(x)
 
 
 def coordinate_sum_colour(x: Sequence[int], d: int) -> int:

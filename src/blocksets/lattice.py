@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .colourings import coordinate_sum_colour
+from .search import ExtractionContradiction, map_chunks
 from .words import Word
 
 LatticePoint = tuple[int, ...]
@@ -258,8 +257,8 @@ def vectors_with_l1_norm(dimension: int, d: int) -> list[LatticePoint]:
     return out
 
 
-def _ap_scan(args: tuple) -> Optional[tuple[LatticePoint, LatticePoint]]:
-    colouring, box, directions, points = args
+def _ap_scan(shared: tuple, start: int, points: list) -> Optional[tuple[LatticePoint, LatticePoint]]:
+    colouring, box, directions = shared
     for x in points:
         cx = colouring.colour_id(x)
         for v in directions:
@@ -272,8 +271,8 @@ def _ap_scan(args: tuple) -> Optional[tuple[LatticePoint, LatticePoint]]:
     return None
 
 
-def _ball_scan(args: tuple) -> Optional[tuple[LatticePoint, GeneratorSet]]:
-    colouring, box, generator_sets, lambda_order, points = args
+def _ball_scan(shared: tuple, start: int, points: list) -> Optional[tuple[LatticePoint, GeneratorSet]]:
+    colouring, box, generator_sets, lambda_order = shared
     for centre in points:
         for g in generator_sets:
             colour = None
@@ -294,23 +293,10 @@ def _ball_scan(args: tuple) -> Optional[tuple[LatticePoint, GeneratorSet]]:
     return None
 
 
-def _first_over_chunks(scan_fn, shared: tuple, points: list, workers: int):
-    """Split the x-range into chunks, scan, and keep the earliest chunk's hit."""
-    if workers <= 1 or len(points) <= 1:
-        return scan_fn(shared + (points,))
-    size = max(1, -(-len(points) // workers))
-    chunks = [points[i : i + size] for i in range(0, len(points), size)]
-    jobs = [shared + (chunk,) for chunk in chunks]
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            results = list(pool.map(scan_fn, jobs))
-    except (OSError, PermissionError):
-        results = [scan_fn(job) for job in jobs]
-    for hit in results:
-        if hit is not None:
-            return hit
-    return None
+def _check_monochromatic(colouring: LatticeColouring, box: Box, points: Sequence[LatticePoint], what: str) -> None:
+    """Independent re-check of a reported hit: all points in the box, one colour."""
+    if not all(box.contains(p) for p in points) or len({colouring.colour_id(p) for p in points}) != 1:
+        raise ExtractionContradiction(f"reported {what} is not a monochromatic set inside {box}")
 
 
 def search_l1_ap(
@@ -328,13 +314,15 @@ def search_l1_ap(
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     directions = vectors_with_l1_norm(box.dimension, d)
-    hit = _first_over_chunks(_ap_scan, (colouring, box, directions), list(box.points()), workers)
+    hits = map_chunks(_ap_scan, (colouring, box, directions), list(box.points()), workers)
+    hit = next((h for h in hits if h is not None), None)  # the earliest chunk's hit
     if hit is not None:
         x, v = hit
-        assert l1_norm(v) == d
+        if l1_norm(v) != d:
+            raise ExtractionContradiction(f"reported direction {v} does not have l1 norm {d}")
         minus = tuple(a - b for a, b in zip(x, v))
         plus = tuple(a + b for a, b in zip(x, v))
-        assert colouring.colour_id(minus) == colouring.colour_id(x) == colouring.colour_id(plus)
+        _check_monochromatic(colouring, box, (minus, x, plus), f"progression x={x}, v={v}")
     return hit
 
 
@@ -379,9 +367,12 @@ def search_generated_ball(
         raise ValueError(f"need r, t, d >= 1, got r={r} t={t} d={d}")
     generator_sets = list(disjoint_generator_sets(box.dimension, t, d))
     lambda_order = list(_lambda_tuples(t, r))
-    return _first_over_chunks(
-        _ball_scan,
-        (colouring, box, generator_sets, lambda_order),
-        list(box.points()),
-        workers,
-    )
+    hits = map_chunks(_ball_scan, (colouring, box, generator_sets, lambda_order), list(box.points()), workers)
+    hit = next((h for h in hits if h is not None), None)  # the earliest chunk's hit
+    if hit is not None:
+        centre, g = hit
+        if g.t != t or any(l1_norm(u) != d for u in g.vectors):
+            raise ExtractionContradiction(f"reported generators {g.vectors} are not {t} vectors of l1 norm {d}")
+        ball = [_combine(centre, lambdas, g) for lambdas in lambda_order]
+        _check_monochromatic(colouring, box, ball, f"ball at {centre} with generators {g.vectors}")
+    return hit

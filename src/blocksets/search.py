@@ -18,7 +18,7 @@ import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,7 +42,12 @@ from .colourings import (
     slot_word_for,
     substitute,
 )
-from .words import Word, all_words
+from .words import CapacityExceeded, all_words
+
+R = TypeVar("R")
+
+# Largest colour table a scan builds (400 MB of int64): [3]^16 fits, [3]^17 not.
+MAX_TABLE_ENTRIES = 50_000_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -105,39 +110,39 @@ class HomogeneousSet:
 # placement scanning
 
 
-def _search_params(
-    op: str,
-    colouring: Colouring,
-    n: int,
-    t: Template,
-    sizemode: SizeMode,
-    pattern: Optional[str],
-    reference_domain: Optional[Sequence[int]],
-) -> dict:
-    return {
-        "op": op,
-        "colouring": colouring.name,
-        "n": n,
-        "template": str(t),
-        "sizemode": str(sizemode),
-        "pattern": pattern,
-        "reference_domain": list(reference_domain) if reference_domain else None,
-    }
+def map_chunks(fn: Callable[[tuple, int, list], R], shared: tuple, items: list, workers: int) -> list[R]:
+    """fn(shared, start, items[start:start + size]) over `workers` contiguous chunks.
+
+    Results come back in chunk order, so a caller that concatenates them sees
+    the items' own order whatever the worker count.  Several chunks run in
+    forked worker processes, serially when processes cannot be started.
+    """
+    size = max(1, -(-len(items) // max(workers, 1)))
+    starts = range(0, len(items), size)
+    args = ([shared] * len(starts), starts, [items[i : i + size] for i in starts])
+    if len(starts) > 1:
+        try:
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                return list(pool.map(fn, *args))
+        except OSError:
+            pass
+    return list(map(fn, *args))
 
 
-def _scan_chunk(args: tuple) -> tuple[int, list[tuple[int, int, int]]]:
-    """Scan a contiguous chunk of block families.
+def _scan_chunk(shared: tuple, start: int, families: list) -> tuple[int, list[tuple[int, int, int]]]:
+    """Scan a contiguous chunk of block families through the colour table.
 
     Returns (placements examined, hits) where each hit is
-    (global family index, reference index, colour id).  In first-only mode the
-    chunk stops at its first hit.
+    (global family index, reference index, colour id), in canonical order.
+    In first-only mode the chunk stops at its first hit.
     """
-    (colouring, n, m, t, families, start_idx, symbols, first_only) = args
+    colouring, n, t, symbols, first_only = shared
+    m = t.m
     table = colouring.dense_table(n, m)
     arrangements = list(t.arrangements())
     examined = 0
     hits: list[tuple[int, int, int]] = []
-    base = len(symbols)
     for offset, family in enumerate(families):
         in_blocks = {c for block in family for c in block}
         complement = [c for c in range(1, n + 1) if c not in in_blocks]
@@ -146,72 +151,28 @@ def _scan_chunk(args: tuple) -> tuple[int, list[tuple[int, int, int]]]:
             sum((v - 1) * bw for v, bw in zip(arr, block_weights))
             for arr in arrangements
         ]
-        ref_count = base ** len(complement)
-        examined += ref_count
-        if table is not None:
-            bases = np.zeros(1, dtype=np.int64)
-            for coord in complement:
-                offsets = np.array(
-                    [(s - 1) * m ** (coord - 1) for s in symbols], dtype=np.int64
-                )
-                bases = (bases[:, None] + offsets[None, :]).ravel()
-            first = table[bases + deltas[0]]
-            ok = np.ones(len(bases), dtype=bool)
-            for delta in deltas[1:]:
-                ok &= table[bases + delta] == first
-                if not ok.any():
-                    break
-            for ref_idx in np.nonzero(ok)[0]:
-                hits.append((start_idx + offset, int(ref_idx), int(first[ref_idx])))
-                if first_only:
-                    return examined, hits
-        else:
-            for ref_idx, ref_values in enumerate(
-                itertools.product(symbols, repeat=len(complement))
-            ):
-                word_syms = [0] * n
-                for coord, sym in zip(complement, ref_values):
-                    word_syms[coord - 1] = sym
-                colour = None
-                mono = True
-                for arr in arrangements:
-                    for block, value in zip(family, arr):
-                        for coord in block:
-                            word_syms[coord - 1] = value
-                    c = colouring.colour_id(Word(tuple(word_syms), m))
-                    if colour is None:
-                        colour = c
-                    elif c != colour:
-                        mono = False
-                        break
-                if mono and colour is not None:
-                    hits.append((start_idx + offset, ref_idx, colour))
-                    if first_only:
-                        return examined, hits
+        examined += len(symbols) ** len(complement)
+        bases = np.zeros(1, dtype=np.int64)
+        for coord in complement:
+            offsets = np.array(
+                [(s - 1) * m ** (coord - 1) for s in symbols], dtype=np.int64
+            )
+            bases = (bases[:, None] + offsets[None, :]).ravel()
+        first = table[bases + deltas[0]]
+        ok = np.ones(len(bases), dtype=bool)
+        for delta in deltas[1:]:
+            ok &= table[bases + delta] == first
+            if not ok.any():
+                break
+        for ref_idx in np.nonzero(ok)[0]:
+            hits.append((start + offset, int(ref_idx), int(first[ref_idx])))
+            if first_only:
+                return examined, hits
     return examined, hits
-
-
-def _run_jobs(jobs: list[tuple], workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
-        return [_scan_chunk(job) for job in jobs]
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            return list(pool.map(_scan_chunk, jobs))
-    except (OSError, PermissionError):
-        return [_scan_chunk(job) for job in jobs]
-
-
-def _chunked(families: list, workers: int) -> list[tuple[int, list]]:
-    if workers <= 1:
-        return [(0, families)]
-    size = max(1, -(-len(families) // workers))
-    return [(i, families[i : i + size]) for i in range(0, len(families), size)]
 
 
 def _placement_from_hit(
     n: int,
-    t: Template,
     sizemode: SizeMode,
     family: tuple[tuple[int, ...], ...],
     ref_idx: int,
@@ -230,13 +191,51 @@ def _placement_from_hit(
 
 
 def _verify_hit(p: Placement, t: Template, colouring: Colouring, colour: int) -> None:
-    points = blockset_points(p, t)
-    for w in points:
-        if colouring.colour_id(w) != colour:
+    for w in blockset_points(p, t):
+        got = colouring.colour_id(w)
+        if got != colour:
             raise ExtractionContradiction(
-                f"reported placement is not monochromatic: {w} has colour "
-                f"{colouring.colour_id(w)}, expected {colour}"
+                f"reported placement is not monochromatic: {w} has colour {got}, expected {colour}"
             )
+
+
+def _scan(
+    colouring: Colouring,
+    n: int,
+    t: Template,
+    sizemode: SizeMode,
+    pattern: Optional[str],
+    reference_domain: Optional[Sequence[int]],
+    workers: int,
+    first_only: bool,
+) -> tuple[int, list[tuple[Placement, int]]]:
+    """Placements examined and the monochromatic ones, each re-verified.
+
+    The scan evaluates every placement through one dense colour table of
+    [m]^n, so tables too large to build are refused before any work starts.
+    In first-only mode only the canonically first hit is kept.
+    """
+    if t.m**n > MAX_TABLE_ENTRIES or colouring.colour_count > 2**62:
+        raise CapacityExceeded(
+            f"a scan of [{t.m}]^{n} needs {t.m**n:,} colour-table entries holding "
+            f"{(colouring.colour_count - 1).bit_length()}-bit colour ids; "
+            f"the limits are {MAX_TABLE_ENTRIES:,} entries and 62-bit ids"
+        )
+    symbols = reference_symbols(t, reference_domain)
+    families = enumerate_block_families(n, t, sizemode, pattern)
+    examined = 0
+    hits: list[tuple[int, int, int]] = []
+    for chunk_examined, chunk_hits in map_chunks(
+        _scan_chunk, (colouring, n, t, symbols, first_only), families, workers
+    ):
+        examined += chunk_examined
+        hits.extend(chunk_hits)  # chunks arrive in order, so hits stay canonical
+    found = []
+    for family_idx, ref_idx, colour in hits[:1] if first_only else hits:
+        placement = _placement_from_hit(n, sizemode, families[family_idx], ref_idx, symbols)
+        _verify_hit(placement, t, colouring, colour)
+        found.append((placement, colour))
+    return examined, found
 
 
 def find_monochromatic(
@@ -253,25 +252,8 @@ def find_monochromatic(
     The per-placement check short-circuits on the first colour mismatch; the
     result is independent of the worker count.
     """
-    symbols = reference_symbols(t, reference_domain)
-    families = enumerate_block_families(n, t, sizemode, pattern)
-    if not families:
-        return None
-    jobs = [
-        (colouring, n, t.m, t, chunk, start, symbols, True)
-        for start, chunk in _chunked(families, workers)
-    ]
-    best: Optional[tuple[int, int, int]] = None
-    for _, hits in _run_jobs(jobs, workers):
-        for hit in hits:
-            if best is None or hit[:2] < best[:2]:
-                best = hit
-    if best is None:
-        return None
-    family_idx, ref_idx, colour = best
-    placement = _placement_from_hit(n, t, sizemode, families[family_idx], ref_idx, symbols)
-    _verify_hit(placement, t, colouring, colour)
-    return placement, colour
+    _, found = _scan(colouring, n, t, sizemode, pattern, reference_domain, workers, True)
+    return found[0] if found else None
 
 
 def placements_examined_until(
@@ -319,28 +301,18 @@ def verify_absence(
     non-empty list is re-verified point by point before being reported.
     """
     t0 = time.perf_counter()
-    symbols = reference_symbols(t, reference_domain)
-    families = enumerate_block_families(n, t, sizemode, pattern)
-    jobs = [
-        (colouring, n, t.m, t, chunk, start, symbols, False)
-        for start, chunk in _chunked(families, workers)
-    ]
-    examined = 0
-    raw_hits: list[tuple[int, int, int]] = []
-    for chunk_examined, hits in _run_jobs(jobs, workers):
-        examined += chunk_examined
-        raw_hits.extend(hits)
-    raw_hits.sort(key=lambda h: h[:2])
-    found = []
-    for family_idx, ref_idx, colour in raw_hits:
-        placement = _placement_from_hit(
-            n, t, sizemode, families[family_idx], ref_idx, symbols
-        )
-        _verify_hit(placement, t, colouring, colour)
-        found.append((placement, colour))
+    examined, found = _scan(colouring, n, t, sizemode, pattern, reference_domain, workers, False)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SearchReport(
-        params=_search_params("verify_absence", colouring, n, t, sizemode, pattern, reference_domain),
+        params={
+            "op": "verify_absence",
+            "colouring": colouring.name,
+            "n": n,
+            "template": str(t),
+            "sizemode": str(sizemode),
+            "pattern": pattern,
+            "reference_domain": list(reference_domain) if reference_domain else None,
+        },
         examined=examined,
         found=found,
         elapsed_ms=elapsed,
@@ -379,10 +351,6 @@ def witness_search(
         return None  # a one-point block set is monochromatic under every colouring
     constraints = sorted(tuple(sorted(c)) for c in constraint_sets)
     constrained = sorted({idx for c in constraints for idx in c})
-    watching: dict[int, list[int]] = {idx: [] for idx in constrained}
-    for ci, c in enumerate(constraints):
-        for idx in c:
-            watching[idx].append(ci)
 
     full_mask = (1 << k) - 1
     domain = {idx: full_mask for idx in constrained}
@@ -394,7 +362,7 @@ def witness_search(
         changed = True
         while changed:
             changed = False
-            for ci, c in enumerate(constraints):
+            for c in constraints:
                 unassigned = [idx for idx in c if idx not in colour]
                 if len(unassigned) > 1:
                     continue

@@ -19,7 +19,7 @@ class InvalidSymbol(ValueError):
 
 
 class CapacityExceeded(ValueError):
-    """Word too long for the packed 63-bit index."""
+    """Word too long for the packed 63-bit index, or a scan's colour table too large."""
 
 
 class ProfileMismatch(ValueError):
@@ -44,6 +44,9 @@ def packed_capacity(m: int) -> int:
     return n
 
 
+_PACKED_CAPACITY = {m: packed_capacity(m) for m in range(MIN_ALPHABET, MAX_ALPHABET + 1)}
+
+
 def _check_alphabet(m: int) -> None:
     if not MIN_ALPHABET <= m <= MAX_ALPHABET:
         raise InvalidSymbol(f"alphabet size must be in [{MIN_ALPHABET}, {MAX_ALPHABET}], got {m}")
@@ -61,10 +64,10 @@ class Word:
         for s in self.symbols:
             if not 1 <= s <= self.m:
                 raise InvalidSymbol(f"symbol {s} outside [1, {self.m}]")
-        if len(self.symbols) > packed_capacity(self.m):
+        if len(self.symbols) > _PACKED_CAPACITY[self.m]:
             raise CapacityExceeded(
                 f"length {len(self.symbols)} exceeds packed capacity "
-                f"{packed_capacity(self.m)} for m={self.m}"
+                f"{_PACKED_CAPACITY[self.m]} for m={self.m}"
             )
 
     @property

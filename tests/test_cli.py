@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -336,3 +337,37 @@ def test_induced_colouring_spec():
     assert isinstance(colouring, InducedColouring)
     assert isinstance(colouring.base, ContributionColouring)
     assert colouring.k == 1
+
+
+# ---------------------------------------------------------------------------
+# scans that cannot be answered exit 1 without a traceback
+
+
+def test_scan_of_induced_colouring_exits_1():
+    code, out, err = run_cli(
+        "search", "mono", "--colouring", "induced:base=contribution:m=2,l=2,k=1",
+        "--template", "123", "--n", "6", "--size-mode", "equal:1", "--workers", "1",
+    )
+    assert code == 1 and out == ""
+    assert "does not have exactly 4 2s and no 1s" in err
+
+
+def test_scan_of_partial_table_exits_1(tmp_path):
+    path = tmp_path / "partial.json"
+    # every point the only 123 placement in [3]^3 generates, and nothing else
+    path.write_text(json.dumps({w: 0 for w in ("123", "132", "213", "231", "312", "321")}))
+    code, out, err = run_cli(
+        "search", "mono", "--colouring", f"table:@{path}",
+        "--template", "123", "--n", "3", "--size-mode", "equal:1", "--workers", "1",
+    )
+    assert code == 1 and out == ""
+    assert f"table table:@{path} does not cover exactly [3]^3" in err
+
+
+def test_scan_past_the_table_limit_exits_1_at_once():
+    t0 = time.perf_counter()
+    code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "17", "--workers", "1")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1 and out == ""
+    assert "a scan of [3]^17 needs 129,140,163 colour-table entries" in err
+    assert "the limits are 50,000,000 entries" in err

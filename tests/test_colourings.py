@@ -22,16 +22,14 @@ from blocksets.colourings import (
     coordinate_sum_colour,
     flipped_block_word,
     id_to_vector,
-    induced_colour,
     product_colouring,
     random_table_colouring,
     slot_word_for,
     substitute,
-    table_colouring,
     tabulate_colouring,
     vector_to_id,
 )
-from blocksets.words import Word, all_words, encode_word, profile
+from blocksets.words import InvalidSymbol, Word, all_words, encode_word, profile
 
 
 def w3(text):
@@ -84,6 +82,24 @@ def test_dense_table_matches_per_word(mod, length, n):
     table = c.dense_table(n, 3)
     for w in all_words(n, 3):
         assert table[w.index] == c.colour_id(w)
+
+
+@pytest.mark.parametrize(
+    "m,s,k,n", [(2, 1, 2, 7), (2, 2, 3, 5), (3, 1, 3, 6), (3, 3, 2, 5), (4, 2, 4, 4), (4, 4, 1, 3)]
+)
+def test_modular_count_dense_table_matches_per_word(m, s, k, n):
+    c = ModularCountColouring(s, k)
+    table = c.dense_table(n, m)
+    assert table.shape == (m**n,)
+    for w in all_words(n, m):
+        assert table[w.index] == c.colour_id(w)
+
+
+def test_dense_table_raises_outside_the_domain():
+    with pytest.raises(InvalidSymbol):
+        ContributionColouring(2, 2).dense_table(3, 2)
+    with pytest.raises(DomainError):
+        TableColouring({w3("11"): 0, w3("12"): 1}).dense_table(2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +208,7 @@ def test_induced_agrees_with_explicit_composition():
     for positions in itertools.combinations(range(1, 9), 4):
         x = slot_word_for(positions, 8)
         expected = tuple(base.colour_id(substitute(x, w)) for w in ind.family.members)
-        assert induced_colour(ind, x) == expected
+        assert ind.colour_tuple(x) == expected
 
 
 def test_induced_rejects_non_slot_words():
@@ -257,7 +273,7 @@ def test_table_reproduces_contribution_on_all_words():
 
 
 def test_table_domain_error():
-    t = table_colouring({w3("11"): 0})
+    t = TableColouring({w3("11"): 0})
     with pytest.raises(DomainError):
         t.colour_id(w3("12"))
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksets import lattice
 from blocksets.lattice import (
     Box,
     ConstantLatticeColouring,
@@ -24,6 +25,7 @@ from blocksets.lattice import (
     vectors_with_l1_norm,
     word_to_lattice,
 )
+from blocksets.search import ExtractionContradiction
 from blocksets.words import encode_word
 
 
@@ -258,6 +260,24 @@ def test_ball_search_identical_across_worker_counts():
     colouring = random_lattice_colouring(box, 2, 9)
     hits = [search_generated_ball(colouring, box, 1, 1, 1, workers=w) for w in (1, 2, 8)]
     assert hits[0] == hits[1] == hits[2]
+
+
+@pytest.mark.parametrize(
+    "colouring,x",
+    [
+        (CoordinateSumColouring(1), (1, 1)),  # x-v, x, x+v alternate in colour
+        (ConstantLatticeColouring(), (0, 0)),  # x-v leaves the box
+    ],
+)
+def test_lattice_hits_are_rechecked(monkeypatch, colouring, x):
+    box = cube(0, 3, 2)
+    v = (0, 1)
+    monkeypatch.setattr(lattice, "_ap_scan", lambda shared, start, points: (x, v))
+    monkeypatch.setattr(lattice, "_ball_scan", lambda shared, start, points: (x, GeneratorSet((v,))))
+    with pytest.raises(ExtractionContradiction):
+        search_l1_ap(colouring, box, 1)
+    with pytest.raises(ExtractionContradiction):
+        search_generated_ball(colouring, box, 1, 1, 1)
 
 
 def test_generator_set_enumeration_is_canonical():

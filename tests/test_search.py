@@ -15,6 +15,7 @@ from blocksets.blocks import (
     template_from_word,
 )
 from blocksets.colourings import (
+    Colouring,
     ConstantColouring,
     ContributionColouring,
     ModularCountColouring,
@@ -46,10 +47,9 @@ T1233 = template_from_word("1233")
 
 
 class UntabulatedColouring(ModularCountColouring):
-    """Forces the per-word scan path (and stays picklable for worker tests)."""
+    """Builds its table by the generic per-word walk (and stays picklable for worker tests)."""
 
-    def dense_table(self, n, m):
-        return None
+    dense_table = Colouring.dense_table
 
 
 def naive_find(colouring, n, t, sizemode):
@@ -233,21 +233,37 @@ def test_find_identical_across_worker_counts():
     assert hits[0] is not None  # 2 colours on 90 placements: a hit is expected here
 
 
+def test_find_keeps_the_first_chunks_hit():
+    # every placement is monochromatic, so every worker's chunk reports a hit
+    colouring = ConstantColouring(0, 1)
+    expected = naive_find(colouring, 5, T123, MixedSize(1))
+    hits = [find_monochromatic(colouring, 5, T123, MixedSize(1), workers=w) for w in (1, 2, 8)]
+    assert hits == [expected] * 3
+
+
 def test_pure_python_path_agrees_with_dense_path():
     dense = ModularCountColouring(1, 3)
     slow = UntabulatedColouring(1, 3)
-    assert find_monochromatic(dense, 4, T123, MixedSize(1)) == find_monochromatic(
-        slow, 4, T123, MixedSize(1)
-    )
+    expected = naive_find(dense, 4, T123, MixedSize(1))
+    assert expected is not None
+    assert find_monochromatic(dense, 4, T123, MixedSize(1)) == expected
+    assert find_monochromatic(slow, 4, T123, MixedSize(1)) == expected
     a = verify_absence(dense, 4, T123, MixedSize(1))
     b = verify_absence(slow, 4, T123, MixedSize(1))
     assert a.found == b.found and a.examined == b.examined
+    assert a.found[0] == expected
 
 
 def test_pure_python_path_identical_across_worker_counts():
     slow = UntabulatedColouring(1, 3)
     reports = [verify_absence(slow, 5, T123, MixedSize(1), workers=w) for w in (1, 2, 8)]
     assert _stable(reports[0]) == _stable(reports[1]) == _stable(reports[2])
+    assert reports[0].found[0] == naive_find(slow, 5, T123, MixedSize(1))
+    assert [p for p, _ in reports[0].found] == [
+        p
+        for p in enumerate_placements(5, T123, MixedSize(1))
+        if len({slow.colour_id(w) for w in blockset_points(p, T123)}) == 1
+    ]
 
 
 # ---------------------------------------------------------------------------
