@@ -47,8 +47,8 @@ def main():
             f"n={n:3d}  examined={report.examined:>10}  found={len(report.found):>3}"
             f"  {report.elapsed_ms:8.1f} ms"
         )
-        for placement, colour in report.found:
-            print("      " + json.dumps({"placement": placement.to_json_dict(), "colour": colour}))
+        for entry in report.to_json_dict()["found"]:
+            print("      " + json.dumps(entry))
         total_found += len(report.found)
     print(f"total monochromatic placements: {total_found}")
     return 0

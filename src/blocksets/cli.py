@@ -418,46 +418,14 @@ def _reference_domain(cfg: RunConfig) -> Optional[list[int]]:
     return [int(ch) for ch in text]
 
 
-def _found_entries(found, colouring) -> list[dict]:
-    """Found-placement entries; vector-valued colourings report both forms."""
-    entries = []
-    for placement, colour in found:
-        entry = {"placement": placement.to_json_dict(), "colour": colour}
-        if isinstance(colouring, colourings.ContributionColouring):
-            entry["vector"] = list(
-                colourings.id_to_vector(colour, colouring.modulus, colouring.length)
-            )
-        entries.append(entry)
-    return entries
-
-
 def _run_search_mono(cfg: RunConfig) -> dict:
     t = cfg.template
     assert t is not None and cfg.sizemode is not None
     colouring = parse_word_colouring(cfg.extra["colouring"], cfg.seed, cfg.n, t.m)
-    domain = _reference_domain(cfg)
-    t0 = time.perf_counter()
-    hit = search.find_monochromatic(
-        colouring, cfg.n, t, cfg.sizemode, cfg.pattern, domain, cfg.workers
-    )
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    found = _found_entries([] if hit is None else [hit], colouring)
-    examined = search.placements_examined_until(cfg.n, t, cfg.sizemode, cfg.pattern, domain, hit)
-    return {
-        "params": {
-            "op": "find_monochromatic",
-            "colouring": colouring.name,
-            "n": cfg.n,
-            "template": str(t),
-            "sizemode": str(cfg.sizemode),
-            "pattern": cfg.pattern,
-        },
-        "examined": examined,
-        "found": found,
-        "elapsed_ms": round(elapsed, 3),
-        "workers": cfg.workers,
-        "budget_exhausted": False,
-    }
+    return search.verify_absence(
+        colouring, cfg.n, t, cfg.sizemode, cfg.pattern, _reference_domain(cfg), cfg.workers,
+        first_only=True,
+    ).to_json_dict()
 
 
 def _run_search_witness(cfg: RunConfig) -> tuple[dict, int]:
@@ -539,10 +507,7 @@ def _run_verify_thm2(cfg: RunConfig) -> dict:
     if size < 1:
         raise UsageError(f"--max-size must be >= 1, got {size}")
     sizemode = blocks.EqualSize(size) if cfg.extra.get("equal_size") else blocks.MixedSize(size)
-    report = search.verify_absence(colouring, cfg.n, t, sizemode, workers=cfg.workers)
-    body = report.to_json_dict(stable=cfg.stable)
-    body["found"] = _found_entries(report.found, colouring)
-    return body
+    return search.verify_absence(colouring, cfg.n, t, sizemode, workers=cfg.workers).to_json_dict()
 
 
 def _run_extract_thm3(cfg: RunConfig) -> dict:

@@ -81,6 +81,10 @@ class ConstantColouring(Colouring):
     value: int = 0
     colours: int = 1
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.value < self.colours:
+            raise ValueError(f"need 0 <= value < colours, got {self}")
+
     @property
     def colour_count(self) -> int:  # type: ignore[override]
         return self.colours
@@ -102,6 +106,10 @@ class ModularCountColouring(Colouring):
 
     symbol: int
     modulus: int
+
+    def __post_init__(self) -> None:
+        if self.modulus < 1:
+            raise ValueError(f"need modulus >= 1, got {self}")
 
     @property
     def colour_count(self) -> int:  # type: ignore[override]

@@ -17,7 +17,7 @@ import itertools
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -36,9 +36,11 @@ from .blocks import (
 )
 from .colourings import (
     Colouring,
+    ContributionColouring,
     InducedColouring,
     TableColouring,
     flipped_block_word,
+    id_to_vector,
     slot_word_for,
     substitute,
 )
@@ -76,14 +78,18 @@ class SearchReport:
     elapsed_ms: float
     workers: int
     budget_exhausted: bool = False
+    colouring: Optional[Colouring] = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self, stable: bool = False) -> dict:
+        found = [{"placement": p.to_json_dict(), "colour": c} for p, c in self.found]
+        if isinstance(self.colouring, ContributionColouring):  # vector-valued: report both forms
+            mod, length = self.colouring.modulus, self.colouring.length
+            for entry in found:
+                entry["vector"] = list(id_to_vector(entry["colour"], mod, length))
         return {
             "params": self.params,
             "examined": self.examined,
-            "found": [
-                {"placement": p.to_json_dict(), "colour": c} for p, c in self.found
-            ],
+            "found": found,
             "elapsed_ms": 0.0 if stable else round(self.elapsed_ms, 3),
             "workers": self.workers,
             "budget_exhausted": self.budget_exhausted,
@@ -135,7 +141,8 @@ def _scan_chunk(shared: tuple, start: int, families: list) -> tuple[int, list[tu
 
     Returns (placements examined, hits) where each hit is
     (global family index, reference index, colour id), in canonical order.
-    In first-only mode the chunk stops at its first hit.
+    In first-only mode the chunk stops at its first hit and counts the
+    placements up to and including it.
     """
     colouring, n, t, symbols, first_only = shared
     m = t.m
@@ -167,7 +174,7 @@ def _scan_chunk(shared: tuple, start: int, families: list) -> tuple[int, list[tu
         for ref_idx in np.nonzero(ok)[0]:
             hits.append((start + offset, int(ref_idx), int(first[ref_idx])))
             if first_only:
-                return examined, hits
+                return examined - len(bases) + int(ref_idx) + 1, hits
     return examined, hits
 
 
@@ -199,45 +206,6 @@ def _verify_hit(p: Placement, t: Template, colouring: Colouring, colour: int) ->
             )
 
 
-def _scan(
-    colouring: Colouring,
-    n: int,
-    t: Template,
-    sizemode: SizeMode,
-    pattern: Optional[str],
-    reference_domain: Optional[Sequence[int]],
-    workers: int,
-    first_only: bool,
-) -> tuple[int, list[tuple[Placement, int]]]:
-    """Placements examined and the monochromatic ones, each re-verified.
-
-    The scan evaluates every placement through one dense colour table of
-    [m]^n, so tables too large to build are refused before any work starts.
-    In first-only mode only the canonically first hit is kept.
-    """
-    if t.m**n > MAX_TABLE_ENTRIES or colouring.colour_count > 2**62:
-        raise CapacityExceeded(
-            f"a scan of [{t.m}]^{n} needs {t.m**n:,} colour-table entries holding "
-            f"{(colouring.colour_count - 1).bit_length()}-bit colour ids; "
-            f"the limits are {MAX_TABLE_ENTRIES:,} entries and 62-bit ids"
-        )
-    symbols = reference_symbols(t, reference_domain)
-    families = enumerate_block_families(n, t, sizemode, pattern)
-    examined = 0
-    hits: list[tuple[int, int, int]] = []
-    for chunk_examined, chunk_hits in map_chunks(
-        _scan_chunk, (colouring, n, t, symbols, first_only), families, workers
-    ):
-        examined += chunk_examined
-        hits.extend(chunk_hits)  # chunks arrive in order, so hits stay canonical
-    found = []
-    for family_idx, ref_idx, colour in hits[:1] if first_only else hits:
-        placement = _placement_from_hit(n, sizemode, families[family_idx], ref_idx, symbols)
-        _verify_hit(placement, t, colouring, colour)
-        found.append((placement, colour))
-    return examined, found
-
-
 def find_monochromatic(
     colouring: Colouring,
     n: int,
@@ -252,8 +220,8 @@ def find_monochromatic(
     The per-placement check short-circuits on the first colour mismatch; the
     result is independent of the worker count.
     """
-    _, found = _scan(colouring, n, t, sizemode, pattern, reference_domain, workers, True)
-    return found[0] if found else None
+    report = verify_absence(colouring, n, t, sizemode, pattern, reference_domain, workers, first_only=True)
+    return report.found[0] if report.found else None
 
 
 def placements_examined_until(
@@ -266,7 +234,8 @@ def placements_examined_until(
 ) -> int:
     """Placements scanned, in canonical order, up to and including a hit.
 
-    With hit=None this is the full placement count for the parameters.
+    With hit=None this is the full placement count for the parameters.  It
+    recounts from the family list what `verify_absence` counts in its scan.
     """
     symbols = reference_symbols(t, reference_domain)
     families = enumerate_block_families(n, t, sizemode, pattern)
@@ -294,18 +263,45 @@ def verify_absence(
     pattern: Optional[str] = None,
     reference_domain: Optional[Sequence[int]] = None,
     workers: int = 1,
+    first_only: bool = False,
 ) -> SearchReport:
-    """Examine every placement and report all monochromatic ones.
+    """Examine the placements in canonical order and report the monochromatic ones.
 
+    The scan evaluates every placement through one dense colour table of
+    [m]^n, so tables too large to build are refused before any work starts.
     For the adversarial colourings the expected found-list is empty; a
     non-empty list is re-verified point by point before being reported.
+    With first_only the scan stops at the canonically first hit, and
+    `examined` counts the placements up to and including it (all of them
+    when there is none).
     """
     t0 = time.perf_counter()
-    examined, found = _scan(colouring, n, t, sizemode, pattern, reference_domain, workers, False)
+    if t.m**n > MAX_TABLE_ENTRIES or colouring.colour_count > 2**62:
+        raise CapacityExceeded(
+            f"a scan of [{t.m}]^{n} needs {t.m**n:,} colour-table entries holding "
+            f"{(colouring.colour_count - 1).bit_length()}-bit colour ids; "
+            f"the limits are {MAX_TABLE_ENTRIES:,} entries and 62-bit ids"
+        )
+    symbols = reference_symbols(t, reference_domain)
+    families = enumerate_block_families(n, t, sizemode, pattern)
+    examined = 0
+    hits: list[tuple[int, int, int]] = []
+    for chunk_examined, chunk_hits in map_chunks(
+        _scan_chunk, (colouring, n, t, symbols, first_only), families, workers
+    ):
+        examined += chunk_examined
+        hits.extend(chunk_hits)  # chunks arrive in order, so hits stay canonical
+        if first_only and hits:
+            break
+    found = []
+    for family_idx, ref_idx, colour in hits:
+        placement = _placement_from_hit(n, sizemode, families[family_idx], ref_idx, symbols)
+        _verify_hit(placement, t, colouring, colour)
+        found.append((placement, colour))
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SearchReport(
         params={
-            "op": "verify_absence",
+            "op": "find_monochromatic" if first_only else "verify_absence",
             "colouring": colouring.name,
             "n": n,
             "template": str(t),
@@ -317,6 +313,7 @@ def verify_absence(
         found=found,
         elapsed_ms=elapsed,
         workers=workers,
+        colouring=colouring,
     )
 
 

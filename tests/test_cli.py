@@ -4,8 +4,10 @@ import time
 
 import pytest
 
+from blocksets.blocks import MixedSize, template_from_word
 from blocksets.cli import parse_and_dispatch, parse_word_colouring, degree_setup
 from blocksets.colourings import ContributionColouring, InducedColouring, TableColouring
+from blocksets.search import find_monochromatic, placements_examined_until, verify_absence
 
 
 def run_cli(*argv):
@@ -111,6 +113,47 @@ def test_verify_thm2_both_size_thresholds():
     )
     assert reduced["found"] == []
     assert reduced["params"]["sizemode"] == "mixed:1"
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "8"])
+@pytest.mark.parametrize(
+    "n, size, pattern, domain",
+    [(6, 1, None, "12"), (8, 2, "ABCCBA", None)],
+)
+def test_search_mono_examined_matches_the_recount(n, size, pattern, domain, workers):
+    argv = ["search", "mono", "--colouring", "random:k=2", "--seed", "3", "--template", "123",
+            "--n", str(n), "--size-mode", f"mixed:{size}", "--workers", workers]
+    argv += ["--pattern", pattern] if pattern else ["--reference-domain", domain]
+    report = run_json(*argv)
+    t, sizemode = template_from_word("123"), MixedSize(size)
+    ref_domain = [int(ch) for ch in domain] if domain else None
+    colouring = parse_word_colouring("random:k=2", 3, n, 3)
+    hit = find_monochromatic(colouring, n, t, sizemode, pattern, ref_domain)
+    assert hit is not None and len(report["found"]) == 1
+    assert report["found"][0]["placement"] == hit[0].to_json_dict()
+    assert report["examined"] == placements_examined_until(n, t, sizemode, pattern, ref_domain, hit)
+    assert report["params"]["op"] == "find_monochromatic"
+    assert report["params"]["pattern"] == pattern and report["params"]["reference_domain"] == ref_domain
+
+
+def test_scan_verbs_share_one_report_schema():
+    mono = run_json(
+        "search", "mono", "--colouring", "contribution:m=3,l=3", "--template", "1233", "--n", "9",
+        "--size-mode", "mixed:2", "--workers", "1",
+    )
+    thm2 = run_json("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "9", "--workers", "1")
+    assert mono.keys() == thm2.keys()
+    assert mono["params"].keys() == thm2["params"].keys()
+    assert (mono["params"]["op"], thm2["params"]["op"]) == ("find_monochromatic", "verify_absence")
+    assert mono["found"][0] == thm2["found"][0]
+
+
+def test_library_report_equals_cli_stable_json():
+    template, colouring = degree_setup(2, (1, 2))
+    library = verify_absence(colouring, 9, template, MixedSize(2), workers=1).to_json_dict(stable=True)
+    cli = run_json("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "9", "--stable", "--workers", "1")
+    assert library == cli
+    assert [len(entry["vector"]) for entry in cli["found"]] == [3, 3]
 
 
 def test_search_witness_status_and_exit():
@@ -362,6 +405,28 @@ def test_scan_of_partial_table_exits_1(tmp_path):
     )
     assert code == 1 and out == ""
     assert f"table table:@{path} does not cover exactly [3]^3" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("search", "mono", "--colouring", "countmod:s=1,k=0", "--template", "123", "--n", "4",
+          "--size-mode", "equal:1", "--workers", "1"), "need modulus >= 1"),
+        (("search", "mono", "--colouring", "countmod:s=1,k=-2", "--template", "123", "--n", "4",
+          "--size-mode", "equal:1", "--workers", "1"), "need modulus >= 1"),
+        (("colour", "eval", "--colouring", "countmod:s=1,k=0", "--word", "123"), "need modulus >= 1"),
+        (("colour", "eval", "--colouring", "constant:c=5,k=1", "--word", "123"), "need 0 <= value < colours"),
+        (("colour", "eval", "--colouring", "constant:c=0,k=0", "--word", "123"), "need 0 <= value < colours"),
+        (("colour", "eval", "--colouring", "constant:c=-1,k=2", "--word", "123"), "need 0 <= value < colours"),
+        (("search", "mono", "--colouring", "constant:c=5,k=1", "--template", "123", "--n", "3",
+          "--size-mode", "equal:1", "--workers", "1"), "need 0 <= value < colours"),
+    ],
+)
+def test_bad_colour_bounds_exit_1(argv, message):
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert err.startswith("blocksets: error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_scan_past_the_table_limit_exits_1_at_once():

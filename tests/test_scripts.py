@@ -1,0 +1,26 @@
+"""Smoke runs of the experiment scripts, from the repository root, with tiny arguments."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args, expect",
+    [
+        ("scan_absence.py", ["--d", "2", "--pq", "1,2", "--n-max", "9"], "total monochromatic placements: 2"),
+        ("witness_experiments.py", ["--n-max", "3", "--k-max", "2"], "outcome"),
+        ("explore_lattice.py", ["--box", "0..3^2", "--ball"], "ball r=1 t=1"),
+    ],
+)
+def test_script_runs(script, args, expect):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert expect in result.stdout

@@ -8,6 +8,7 @@ from blocksets.blocks import (
     EqualSize,
     MixedSize,
     blockset_points,
+    enumerate_block_families,
     enumerate_placements,
     make_placement,
     pattern_of,
@@ -208,6 +209,37 @@ def test_placements_examined_until_matches_stream_position():
     assert stream[examined - 1] == hit[0]
     total = placements_examined_until(3, T12, EqualSize(1), None, None, None)
     assert total == len(stream)
+
+
+# (colouring, n, sizemode, pattern, reference domain, family index of the first hit or None)
+FIRST_ONLY_CASES = [
+    (random_table_colouring(6, 3, 3, seed=1), 6, MixedSize(1), None, None, 12),
+    (random_table_colouring(6, 3, 3, seed=9), 6, MixedSize(1), None, None, 10),
+    (random_table_colouring(6, 3, 3, seed=11), 6, MixedSize(1), None, None, 15),
+    (random_table_colouring(6, 3, 3, seed=6), 6, MixedSize(1), None, (1, 2), 10),
+    (random_table_colouring(8, 3, 2, seed=3), 8, MixedSize(2), "ABCCBA", None, 20),
+    (ContributionColouring(2, 2), 7, MixedSize(1), None, None, None),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize(
+    "colouring, n, sizemode, pattern, domain, family_idx",
+    FIRST_ONLY_CASES,
+    ids=["seed1", "seed9", "seed11", "domain12-seed6", "pattern-seed3", "no-hit"],
+)
+def test_first_only_examined_matches_the_recount(colouring, n, sizemode, pattern, domain, family_idx, workers):
+    report = verify_absence(colouring, n, T123, sizemode, pattern, domain, workers, first_only=True)
+    hit = report.found[0] if report.found else None
+    assert report.params["op"] == "find_monochromatic"
+    assert hit == find_monochromatic(colouring, n, T123, sizemode, pattern, domain, workers)
+    assert report.examined == placements_examined_until(n, T123, sizemode, pattern, domain, hit)
+    families = enumerate_block_families(n, T123, sizemode, pattern)
+    if family_idx is None:
+        assert hit is None
+    else:
+        # the hit lies past the first chunk whenever the families are split
+        assert families.index(hit[0].blocks) == family_idx >= len(families) // 2
 
 
 # ---------------------------------------------------------------------------
