@@ -1,5 +1,9 @@
 import itertools
+import os
+import tracemalloc
+from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,7 @@ from blocksets.colourings import (
     random_table_colouring,
     slot_word_for,
 )
+from blocksets import search
 from blocksets.search import (
     BudgetExceeded,
     ExtractionContradiction,
@@ -240,6 +245,123 @@ def test_first_only_examined_matches_the_recount(colouring, n, sizemode, pattern
     else:
         # the hit lies past the first chunk whenever the families are split
         assert families.index(hit[0].blocks) == family_idx >= len(families) // 2
+
+
+# ---------------------------------------------------------------------------
+# slab scan
+
+
+def naive_monochromatic(colouring, n, t, sizemode, pattern=None, domain=None):
+    """Oracle: every placement whose full point set is one colour, in canonical order."""
+    found = []
+    for p in enumerate_placements(n, t, sizemode, pattern, domain):
+        colours = {colouring.colour_id(w) for w in blockset_points(p, t)}
+        if len(colours) == 1:
+            found.append((p, colours.pop()))
+    return found
+
+
+# (colouring, n, template, sizemode, pattern, reference domain)
+SLAB_CASES = [
+    (random_table_colouring(6, 3, 2, seed=5), 6, T123, MixedSize(1), None, (1, 3)),
+    (random_table_colouring(8, 3, 2, seed=3), 8, T123, MixedSize(2), "ABCCBA", None),
+    (random_table_colouring(7, 3, 2, seed=8), 7, T123, EqualSize(2), None, None),
+    # families of three 2-blocks cover [6]: an empty complement next to k = 1..3
+    (random_table_colouring(6, 3, 2, seed=2), 6, T123, MixedSize(2), None, None),
+    # one arrangement: every placement is a single point, so every one is a hit
+    (random_table_colouring(5, 2, 3, seed=4), 5, template_from_word("11"), MixedSize(2), None, None),
+    (ContributionColouring(2, 2), 6, T123, MixedSize(1), None, None),
+    # the first hit is in family 15 of 20, past the first slab at budgets 1 and 64
+    (random_table_colouring(6, 3, 3, seed=11), 6, T123, MixedSize(1), None, None),
+]
+SLAB_IDS = ["domain13", "pattern", "equal2", "empty-complement", "template11", "no-hit", "later-slab"]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("budget", [1, 64, 10**9], ids=["family-per-slab", "small-slabs", "one-slab"])
+@pytest.mark.parametrize("colouring, n, t, sizemode, pattern, domain", SLAB_CASES, ids=SLAB_IDS)
+def test_slab_scan_matches_the_naive_scan(monkeypatch, colouring, n, t, sizemode, pattern, domain, budget, workers):
+    monkeypatch.setattr(search, "SLAB_ENTRIES", budget)
+    expected = naive_monochromatic(colouring, n, t, sizemode, pattern, domain)
+    report = verify_absence(colouring, n, t, sizemode, pattern, domain, workers)
+    assert report.found == expected
+    assert report.examined == placements_examined_until(n, t, sizemode, pattern, domain, None)
+    first = verify_absence(colouring, n, t, sizemode, pattern, domain, workers, first_only=True)
+    hit = expected[0] if expected else None
+    assert first.found == expected[:1]
+    assert first.examined == placements_examined_until(n, t, sizemode, pattern, domain, hit)
+
+
+@dataclass(frozen=True)
+class ParentOnlyTable(ModularCountColouring):
+    """Builds its dense table only in the process that created it."""
+
+    owner: int = field(default_factory=os.getpid)
+
+    def dense_table(self, n, m):
+        if os.getpid() != self.owner:
+            raise RuntimeError("dense_table called in a worker process")
+        return super().dense_table(n, m)
+
+
+def test_colour_table_is_built_once_in_the_calling_process(monkeypatch):
+    monkeypatch.setattr(search, "SLAB_ENTRIES", 1)  # many slabs, so both workers get some
+    colouring = ParentOnlyTable(1, 3)
+    one = verify_absence(colouring, 6, T123, MixedSize(1), workers=1)
+    two = verify_absence(colouring, 6, T123, MixedSize(1), workers=2)
+    assert _stable(one) == _stable(two)
+    assert one.found == naive_monochromatic(colouring, 6, T123, MixedSize(1))
+
+
+@dataclass(frozen=True)
+class PrebuiltTable(ContributionColouring):
+    """Returns a copy of a table built in advance, so a scan allocates exactly one table."""
+
+    table: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def dense_table(self, n, m):
+        return self.table.copy()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _degree2_prebuilt():
+    from blocksets.cli import degree_setup
+
+    t, base = degree_setup(2)
+    return PrebuiltTable(base.modulus, base.length, base.dense_table(13, 3)), 13, t, MixedSize(2), False
+
+
+def _constant_first_only():
+    return ConstantColouring(0, 1), 12, template_from_word("1233333"), MixedSize(1), True
+
+
+@pytest.mark.parametrize("case", [_degree2_prebuilt, _constant_first_only], ids=["degree2-n13", "all-hits-first-only"])
+def test_scan_working_set_is_bounded_by_the_slab_budget(case):
+    """Beyond its table and its family list, a scan allocates a few slab budgets.
+
+    At d=2, n=13 each family covers about 1.8 placements but needs 495
+    arrangement deltas, so a budget that counted placements only would put
+    all 3,081 families in one slab (about 26 MB of working set here).  Its
+    table is built before tracing starts: the incremental contribution build
+    alone peaks near four tables, which would hide the scan.  Under a
+    constant colouring every placement survives every arrangement, so the
+    compare arrays are as large as the slab's placements.
+    """
+    colouring, n, t, sizemode, first_only = case()
+    table_bytes = colouring.dense_table(n, t.m).nbytes
+    _, enumeration_peak = _traced_peak(lambda: enumerate_block_families(n, t, sizemode))
+    report, peak = _traced_peak(lambda: verify_absence(colouring, n, t, sizemode, first_only=first_only))
+    assert report.examined == placements_examined_until(n, t, sizemode, None, None, report.found[0] if report.found else None)
+    budget_bytes = search.SLAB_ENTRIES * np.dtype(np.int64).itemsize
+    assert peak - table_bytes < enumeration_peak + 16 * budget_bytes
 
 
 # ---------------------------------------------------------------------------
