@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .words import InvalidSymbol, Profile, Word, enumerate_with_profile, multinomial
+import numpy as np
+
+from .words import CapacityExceeded, InvalidSymbol, Profile, Word, enumerate_with_profile
 
 
 class EmptyTemplate(ValueError):
@@ -53,22 +56,16 @@ class Template:
         """Template length (number of blocks a placement must provide)."""
         return sum(self.counts)
 
-    def word(self) -> Word:
-        syms: list[int] = []
-        for symbol, count in enumerate(self.counts, start=1):
-            syms.extend([symbol] * count)
-        return Word(tuple(syms), self.m)
+    @cached_property
+    def _arrangements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(w.symbols for w in enumerate_with_profile(self.s, self.m, Profile(self.counts)))
 
     def arrangements(self) -> Iterator[tuple[int, ...]]:
         """Distinct permutations of the template letters, lexicographically."""
-        for w in enumerate_with_profile(self.s, self.m, Profile(self.counts)):
-            yield w.symbols
-
-    def arrangement_count(self) -> int:
-        return multinomial(self.counts)
+        return iter(self._arrangements)
 
     def __str__(self) -> str:
-        return str(self.word())
+        return "".join(str(symbol) * count for symbol, count in enumerate(self.counts, start=1))
 
 
 def template_from_counts(m: int, counts: Sequence[int]) -> Template:
@@ -107,9 +104,6 @@ class EqualSize:
     def min_size(self) -> int:
         return self.d
 
-    def allows(self, size: int) -> bool:
-        return size == self.d
-
     def size_range(self) -> range:
         return range(self.d, self.d + 1)
 
@@ -130,9 +124,6 @@ class MixedSize:
     @property
     def min_size(self) -> int:
         return 1
-
-    def allows(self, size: int) -> bool:
-        return 1 <= size <= self.d_max
 
     def size_range(self) -> range:
         return range(1, self.d_max + 1)
@@ -178,7 +169,7 @@ class Placement:
                 raise InvalidPlacement("empty block")
             if tuple(sorted(block)) != block:
                 raise InvalidPlacement(f"block {block} not sorted")
-            if not self.sizemode.allows(len(block)):
+            if len(block) not in self.sizemode.size_range():
                 raise InvalidPlacement(f"block {block} violates size mode {self.sizemode}")
             for coord in block:
                 if not 1 <= coord <= self.n:
@@ -198,13 +189,6 @@ class Placement:
         for _, symbol in self.reference:
             if symbol < 1:
                 raise InvalidSymbol(f"reference symbol {symbol} < 1")
-
-    @property
-    def block_coordinates(self) -> tuple[int, ...]:
-        return tuple(sorted(c for block in self.blocks for c in block))
-
-    def reference_map(self) -> dict[int, int]:
-        return dict(self.reference)
 
     def to_json_dict(self) -> dict:
         return {
@@ -262,42 +246,81 @@ def blockset_points(p: Placement, t: Template) -> set[Word]:
     return points
 
 
-def _size_multisets(s: int, sizemode: SizeMode, n: int) -> list[tuple[int, ...]]:
-    sizes = [
-        combo
-        for combo in itertools.combinations_with_replacement(sizemode.size_range(), s)
-        if sum(combo) <= n
-    ]
-    sizes.sort()
-    return sizes
-
-
-def _families_for_sizes(n: int, sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All unordered families of disjoint blocks with the given size multiset.
-
-    Blocks of equal size are produced with increasing minimum elements, so each
-    unordered family appears exactly once.
-    """
-
-    def rec(idx: int, available: tuple[int, ...], prev_min: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if idx == len(sizes):
-            yield ()
-            return
-        size = sizes[idx]
-        same_as_prev = idx > 0 and sizes[idx - 1] == size
-        for block in itertools.combinations(available, size):
-            if same_as_prev and block[0] < prev_min:
-                continue
-            rest = tuple(c for c in available if c not in block)
-            for tail in rec(idx + 1, rest, block[0]):
-                yield (block,) + tail
-
-    yield from rec(0, tuple(range(1, n + 1)), 0)
-
-
 def family_sort_key(blocks: Sequence[tuple[int, ...]]) -> tuple:
     """Deterministic enumeration key: blocks compared by (size, elements)."""
     return tuple(sorted((len(b), b) for b in blocks))
+
+
+# Working-set budget of the family enumeration, in (prefix, candidate block)
+# pairs tested at once; its temporaries stay within a small multiple of it.
+FAMILY_BATCH = 1 << 16
+
+
+class BlockFamilies(NamedTuple):
+    """Block families as arrays, in canonical order: see `block_families`."""
+
+    blocks: tuple[tuple[int, ...], ...]
+    ids: np.ndarray
+    masks: np.ndarray
+    totals: np.ndarray
+
+
+def block_families(n: int, t: Template, sizemode: SizeMode, pattern: Optional[str] = None) -> BlockFamilies:
+    """Every block family of (n, template, size mode) as arrays, in canonical order.
+
+    Candidate blocks are numbered in (size, elements) order; `blocks[i]` is
+    block i.  Row f of `ids` is family f as a strictly increasing row of
+    pairwise disjoint block ids, so lexicographic row order is
+    `family_sort_key` order.  `masks[f]` has bit c-1 set for each coordinate
+    c in the family's blocks, and `totals[f]` counts those coordinates.
+
+    Rows grow one block at a time: a prefix's children append a larger id
+    whose block misses the prefix's coordinates and leaves room for the
+    blocks still to come, none of them smaller.  Prefixes are expanded depth
+    first, in batches of at most FAMILY_BATCH (prefix, block) pairs, so rows
+    come out sorted and the candidate arrays stay small.  With a pattern, only
+    the families whose `pattern_of` it is are kept.
+    """
+    s = t.s
+    if n < s * sizemode.min_size:
+        raise AmbientTooSmall(f"n={n} cannot hold {s} disjoint blocks of size >= {sizemode.min_size}")
+    if n > 62:
+        raise CapacityExceeded(f"block families are enumerated for n <= 62, got n={n}")
+    blocks = tuple(b for d in sizemode.size_range() for b in itertools.combinations(range(1, n + 1), d))
+    size = np.array([len(b) for b in blocks], np.int64)
+    bits = np.array([sum(1 << (c - 1) for c in b) for b in blocks], np.int64)
+    above = np.array([(1 << n) - (1 << b[0]) for b in blocks], np.int64)  # coordinates past each minimum
+    dtype = np.min_scalar_type(len(blocks))
+    step = max(1, FAMILY_BATCH // len(blocks))
+    out = []
+
+    def expand(ids: np.ndarray, masks: np.ndarray, totals: np.ndarray) -> None:
+        rest = s - ids.shape[1]
+        if not rest:
+            out.append((ids, masks, totals))
+            return
+        for lo in range(0, len(ids), step):
+            p_ids, p_masks, p_totals = ids[lo : lo + step], masks[lo : lo + step], totals[lo : lo + step]
+            first = int(p_ids[:, -1].min()) + 1 if p_ids.shape[1] else 0
+            fits = (p_masks[:, None] & bits[first:]) == 0
+            fits &= p_totals[:, None] + rest * size[first:] <= n
+            if p_ids.shape[1]:
+                fits &= p_ids[:, -1:] < np.arange(first, len(blocks))
+            row, col = np.nonzero(fits)
+            col += first
+            c_masks, c_totals, c_size = p_masks[row] | bits[col], p_totals[row] + size[col], size[col]
+            # later blocks of the child's size lie above its minimum; each other one is larger
+            same = np.where(c_size == size[-1], rest - 1, np.maximum(0, (rest - 1) * (c_size + 1) + c_totals - n))
+            live = same * c_size <= np.bitwise_count(above[col] & ~c_masks)
+            expand(np.column_stack([p_ids[row], col.astype(dtype)])[live], c_masks[live], c_totals[live])
+
+    expand(np.zeros((1, 0), dtype), np.zeros(1, np.int64), np.zeros(1, np.int64))
+    ids, masks, totals = (np.concatenate(column) for column in zip(*out))
+    if pattern is not None:
+        rows = zip(ids.tolist(), totals.tolist())
+        keep = [total == len(pattern) and _pattern_of_blocks([blocks[i] for i in r]) == pattern for r, total in rows]
+        ids, masks, totals = ids[keep], masks[keep], totals[keep]
+    return BlockFamilies(blocks, ids, masks, totals)
 
 
 def enumerate_block_families(
@@ -308,23 +331,11 @@ def enumerate_block_families(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All block families for (n, template, size mode), in canonical order.
 
-    Families are unordered; each is returned as a tuple of blocks sorted by
-    minimum element.  The list order follows `family_sort_key`.
+    A decode of `block_families`: each family is a tuple of blocks sorted by
+    minimum element, and the list order follows `family_sort_key`.
     """
-    s = t.s
-    if n < s * sizemode.min_size:
-        raise AmbientTooSmall(
-            f"n={n} cannot hold {s} disjoint blocks of size >= {sizemode.min_size}"
-        )
-    families = []
-    for sizes in _size_multisets(s, sizemode, n):
-        for family in _families_for_sizes(n, sizes):
-            canon = tuple(sorted(family, key=lambda b: b[0]))
-            families.append(canon)
-    families.sort(key=family_sort_key)
-    if pattern is not None:
-        families = [fam for fam in families if _pattern_of_blocks(fam) == pattern]
-    return families
+    blocks, ids, _, _ = block_families(n, t, sizemode, pattern)
+    return [tuple(sorted(blocks[i] for i in row)) for row in ids.tolist()]
 
 
 def _pattern_of_blocks(blocks: tuple[tuple[int, ...], ...]) -> str:

@@ -188,22 +188,27 @@ class ContributionColouring(Colouring):
         """Incremental table over packed indices.
 
         Appending a symbol at the next (most significant) coordinate updates
-        the colour from the prefix colour and the prefix's count of 1s-and-2s;
-        the three symbol choices become three contiguous index blocks.
+        the colour from the prefix colour and the prefix's count of 1s-and-2s
+        (mod `length`); the three symbol choices become three contiguous index
+        blocks, filled in place in one preallocated table.
         """
         if m != 3:
             raise InvalidSymbol(f"contribution colouring needs alphabet [3], got [{m}]")
         mod, length = self.modulus, self.length
-        table = np.zeros(1, dtype=np.int64)
-        count12 = np.zeros(1, dtype=np.int64)
-        for _ in range(n):
-            a = count12 % length
-            power = np.int64(mod) ** a
-            digit = (table // power) % mod
-            with_one = table - digit * power + ((digit + 1) % mod) * power
-            table = np.concatenate([with_one, table, table])
-            bumped = count12 + 1
-            count12 = np.concatenate([bumped, bumped, count12])
+        table = np.zeros(3**n, dtype=np.int64)
+        count12 = np.zeros(3**n, dtype=np.min_scalar_type(length))
+        for size in (3**i for i in range(n)):
+            prefix, two, three = table[:size], table[size : 2 * size], table[2 * size : 3 * size]
+            two[:], three[:] = prefix, prefix
+            power = np.power(mod, count12[:size], dtype=np.int64)
+            np.floor_divide(prefix, power, out=three)  # borrowed as a buffer: the digit that a 1 bumps
+            np.remainder(three, mod, out=three)
+            np.multiply(power, 1 - mod, out=power, where=three == mod - 1)  # it wraps to 0
+            prefix += power
+            three[:] = two
+            count12[2 * size : 3 * size] = count12[:size]
+            count12[size : 2 * size] = (count12[:size] + 1) % length
+            count12[:size] = count12[size : 2 * size]
         return table
 
 

@@ -27,6 +27,7 @@ from .blocks import (
     Placement,
     SizeMode,
     Template,
+    block_families,
     blockset_points,
     enumerate_block_families,
     enumerate_placements,
@@ -52,7 +53,7 @@ R = TypeVar("R")
 MAX_TABLE_ENTRIES = 50_000_000
 
 # Working-set budget of one scan slab, in int64 entries: each family counts
-# its placements, its arrangement deltas and its row of the coordinate mask.
+# its placements, its block weights and its row of the coordinate mask.
 # The scan's temporaries stay within a small multiple of it.
 SLAB_ENTRIES = 1 << 14
 
@@ -144,13 +145,17 @@ def map_chunks(fn: Callable[[tuple, int, list], R], shared: tuple, items: list, 
 def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, list[tuple[int, int, int]]]:
     """Scan contiguous slabs of block families through the colour table.
 
-    Each slab is (global index of its first family, families).  A slab's
-    arrangement deltas are one matrix product, block weights (F x s) by
-    arrangement digits (s x A).  Its families are grouped by complement size
-    k, and a group's reference offsets are another, complement weights
-    (G x k) by the digit matrix of all |symbols|^k references.  Row 0 of
-    `arrangements` is gathered and row 1 compared for every (family,
-    reference) pair at once; later rows are compared only on the pairs still
+    Each slab is (global index of its first family, id rows, coordinate
+    masks, block totals), cut from `block_families`' arrays.  A block's
+    weight sums m^(c-1) over its coordinates c, and a family's weights are
+    taken in id order: the rows of `arrangements` run over every permutation
+    of the template, so the order in which they meet the blocks does not
+    change which placements are monochromatic.  Families are grouped by
+    complement size k, and a group's reference offsets are one matrix
+    product, complement weights (G x k) by the digit matrix of all |symbols|^k
+    references.  Row 0 of `arrangements` is gathered and row 1 compared for
+    every (family, reference) pair at once; each later row's deltas are
+    computed, and compared, only for the families with pairs still
     monochromatic.
 
     Returns (placements examined, hits) where each hit is
@@ -158,66 +163,45 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, list[tupl
     In first-only mode the chunk stops after the first slab with a hit and
     counts the placements up to and including that slab's first hit.
     """
-    table, n, m, symbols, arrangements, first_only = shared
-    count, s = arrangements.shape
+    table, n, m, symbols, arrangements, weight, first_only = shared
+    count = len(arrangements)
     powers = np.int64(m) ** np.arange(n, dtype=np.int64)
     digit_matrices: dict[int, np.ndarray] = {}
     examined = 0
     hits: list[tuple[int, int, int]] = []
-    for lo, slab in slabs:
-        blocks = list(itertools.chain.from_iterable(slab))
-        lens = np.fromiter(map(len, blocks), np.int64, len(blocks))
-        coords = np.fromiter(itertools.chain.from_iterable(blocks), np.int64, int(lens.sum())) - 1
-        sizes = lens.reshape(-1, s).sum(axis=1)
-        deltas = np.add.reduceat(powers[coords], np.cumsum(lens) - lens).reshape(-1, s) @ arrangements.T
-        in_blocks = np.zeros((len(slab), n), dtype=bool)
-        in_blocks[np.repeat(np.arange(len(slab)), sizes), coords] = True
+    for lo, ids, masks, totals in slabs:
+        weights = weight[ids]
+        # a one-arrangement template compares arrangement 0 with itself
+        deltas = weights @ arrangements[[0, min(1, count - 1)]].T
+        in_blocks = (masks[:, None] >> np.arange(n)) & 1 == 1
         slab_hits = []
-        for k in sorted(set((n - sizes).tolist())):
-            fams = np.flatnonzero(sizes == n - k)
+        for k in sorted(set((n - totals).tolist())):
+            fams = np.flatnonzero(totals == n - k)
             if k not in digit_matrices:  # column r spells reference r, first coordinate most significant
                 digits = list(itertools.product([sym - 1 for sym in symbols], repeat=k))
-                digit_matrices[k] = np.array(digits, dtype=np.int64).reshape(len(digits), k).T
+                digit_matrices[k] = np.array(digits, dtype=np.float64).reshape(len(digits), k).T
             complement = np.nonzero(~in_blocks[fams])[1].reshape(len(fams), k)
-            bases = powers[complement] @ digit_matrices[k]
-            group = deltas[fams]
-            colour = table[bases + group[:, :1]]
-            # a one-arrangement template compares arrangement 0 with itself
-            fi, ri = np.nonzero(table[bases + group[:, min(1, count - 1), None]] == colour)
+            # a float product is exact here (every index is below 2^53) and much faster
+            bases = (powers[complement].astype(np.float64) @ digit_matrices[k]).astype(np.int64)
+            colour = table[bases + deltas[fams, :1]]
+            fi, ri = np.nonzero(table[bases + deltas[fams, 1:]] == colour)
+            first = np.diff(fi, prepend=-1) > 0  # fi is sorted: each live family's first pair
+            live, live_weights = np.cumsum(first) - 1, weights[fams[fi[first]]]
             for a in range(2, count):
                 if not len(fi):
                     break
-                keep = table[bases[fi, ri] + group[fi, a]] == colour[fi, ri]
-                fi, ri = fi[keep], ri[keep]
+                keep = table[bases[fi, ri] + (live_weights @ arrangements[a])[live]] == colour[fi, ri]
+                fi, ri, live = fi[keep], ri[keep], live[keep]
             slab_hits.append((fams[fi], ri, colour[fi, ri]))
         fam_idx, ref_idx, colours = (np.concatenate(column) for column in zip(*slab_hits))
         order = np.lexsort((ref_idx, fam_idx))
-        refs = len(symbols) ** (n - sizes)
+        refs = len(symbols) ** (n - totals)
         if first_only and len(order):
             f, r = int(fam_idx[order[0]]), int(ref_idx[order[0]])
             return examined + int(refs[:f].sum()) + r + 1, [(lo + f, r, int(colours[order[0]]))]
         examined += int(refs.sum())
         hits.extend(zip((lo + fam_idx[order]).tolist(), ref_idx[order].tolist(), colours[order].tolist()))
     return examined, hits
-
-
-def _placement_from_hit(
-    n: int,
-    sizemode: SizeMode,
-    family: tuple[tuple[int, ...], ...],
-    ref_idx: int,
-    symbols: tuple[int, ...],
-) -> Placement:
-    in_blocks = {c for block in family for c in block}
-    complement = [c for c in range(1, n + 1) if c not in in_blocks]
-    digits = []
-    rem = ref_idx
-    for _ in complement:
-        digits.append(rem % len(symbols))
-        rem //= len(symbols)
-    digits.reverse()  # reference index counts with the first coordinate most significant
-    reference = tuple((coord, symbols[d]) for coord, d in zip(complement, digits))
-    return Placement(n, family, reference, sizemode)
 
 
 def _verify_hit(p: Placement, t: Template, colouring: Colouring, colour: int) -> None:
@@ -262,20 +246,15 @@ def placements_examined_until(
     """
     symbols = reference_symbols(t, reference_domain)
     families = enumerate_block_families(n, t, sizemode, pattern)
-    total = 0
-    for family in families:
-        block_size = sum(len(b) for b in family)
-        ref_count = len(symbols) ** (n - block_size)
-        if hit is not None and family == hit[0].blocks:
-            ref_word = tuple(sym for _, sym in hit[0].reference)
-            rank = 0
-            for sym in ref_word:
-                rank = rank * len(symbols) + symbols.index(sym)
-            return total + rank + 1
-        total += ref_count
-    if hit is not None:
+    refs = [len(symbols) ** (n - sum(map(len, family))) for family in families]
+    if hit is None:
+        return sum(refs)
+    if hit[0].blocks not in families:
         raise ValueError("hit placement not in the enumerated space")
-    return total
+    rank = 0
+    for _, sym in hit[0].reference:
+        rank = rank * len(symbols) + symbols.index(sym)
+    return sum(refs[: families.index(hit[0].blocks)]) + rank + 1
 
 
 def verify_absence(
@@ -292,9 +271,11 @@ def verify_absence(
 
     The scan evaluates every placement through one dense colour table of
     [m]^n, built once here, so tables too large to build are refused before
-    any work starts.  The families are cut into slabs of about SLAB_ENTRIES
+    any work starts.  The families come as `block_families` id rows, already
+    in canonical order, and are cut into slabs of about SLAB_ENTRIES
     working-set entries each (at least one family); workers take equal
-    numbers of slabs, so their shares cost about the same.
+    numbers of slabs, so their shares cost about the same.  A hit's placement
+    is decoded from its family's id row.
     For the adversarial colourings the expected found-list is empty; a
     non-empty list is re-verified point by point before being reported.
     With first_only the scan stops at the canonically first hit, and
@@ -309,30 +290,35 @@ def verify_absence(
             f"the limits are {MAX_TABLE_ENTRIES:,} entries and 62-bit ids"
         )
     symbols = reference_symbols(t, reference_domain)
-    families = enumerate_block_families(n, t, sizemode, pattern)
+    families = block_families(n, t, sizemode, pattern)
     table = colouring.dense_table(n, t.m)
     arrangements = np.array(list(t.arrangements()), dtype=np.int64) - 1
     # compare the template reversed first: it moves every letter, so it breaks
-    # the most placements (9% survive it at pq12 n=10 and 7% at d=2 n=13,
-    # against 51% and 93% for arrangement 1)
+    # the most placements (6% survive it at pq12 n=10 and 2.5% at d=2 n=13,
+    # against 45% and 14% for arrangement 1)
     arrangements = np.concatenate([arrangements[:1], arrangements[:0:-1]])
+    weight = np.array([sum(t.m ** (c - 1) for c in block) for block in families.blocks], np.int64)
     # a slab takes the families whose working set starts within one budget
-    sizes = np.fromiter((sum(map(len, family)) for family in families), np.int64, len(families))
-    costs = len(symbols) ** (n - sizes) + len(arrangements) + n
+    costs = len(symbols) ** (n - families.totals) + t.s + n
     starts = np.flatnonzero(np.diff((np.cumsum(costs) - costs) // SLAB_ENTRIES, prepend=-1)).tolist()
-    slabs = [(lo, families[lo:hi]) for lo, hi in zip(starts, starts[1:] + [len(families)])]
+    columns = (families.ids, families.masks, families.totals)
+    slabs = [(lo, *(c[lo:hi] for c in columns)) for lo, hi in zip(starts, starts[1:] + [len(costs)])]
     examined = 0
     hits: list[tuple[int, int, int]] = []
-    for chunk_examined, chunk_hits in map_chunks(
-        _scan_chunk, (table, n, t.m, symbols, arrangements, first_only), slabs, workers
-    ):
+    shared = (table, n, t.m, symbols, arrangements, weight, first_only)
+    for chunk_examined, chunk_hits in map_chunks(_scan_chunk, shared, slabs, workers):
         examined += chunk_examined
         hits.extend(chunk_hits)  # chunks arrive in order, so hits stay canonical
         if first_only and hits:
             break
     found = []
     for family_idx, ref_idx, colour in hits:
-        placement = _placement_from_hit(n, sizemode, families[family_idx], ref_idx, symbols)
+        family = tuple(sorted(families.blocks[i] for i in families.ids[family_idx].tolist()))
+        mask = int(families.masks[family_idx])
+        complement = [c for c in range(1, n + 1) if not mask >> (c - 1) & 1]
+        # the reference index counts with the first coordinate most significant
+        digits = np.unravel_index(ref_idx, (len(symbols),) * len(complement))
+        placement = Placement(n, family, tuple((c, symbols[d]) for c, d in zip(complement, digits)), sizemode)
         _verify_hit(placement, t, colouring, colour)
         found.append((placement, colour))
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -373,7 +359,9 @@ def witness_search(
     limit is hit first; that outcome is never conflated with proven-None.
 
     Propagation: when all but one point of some placement already share a
-    colour, that colour is removed from the last point's domain.
+    colour, that colour is removed from the last point's domain.  Points are
+    assigned in index order from an explicit stack, so the depth of the search
+    is not bounded by Python's recursion limit.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -416,28 +404,29 @@ def witness_search(
                     changed = True
         return True
 
-    def solve(pos: int) -> bool:
-        nonlocal nodes
-        if pos == len(constrained):
-            return True
+    trails: list[list[tuple[int, int]]] = []  # the domain removals of each assigned point
+    pos = c = 0
+    while pos < len(constrained):
         idx = constrained[pos]
-        for c in range(k):
-            if not domain[idx] & (1 << c):
-                continue
+        while c < k and not domain[idx] & (1 << c):
+            c += 1
+        if c < k:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(nodes)
             colour[idx] = c
-            trail: list[tuple[int, int]] = []
-            if propagate(trail) and solve(pos + 1):
-                return True
-            del colour[idx]
-            for widx, bit in trail:
-                domain[widx] |= bit
-        return False
-
-    if not solve(0):
-        return None
+            trails.append([])
+            if propagate(trails[-1]):
+                pos, c = pos + 1, 0
+                continue
+        elif pos == 0:
+            return None
+        else:  # every colour of this point failed: go back to the previous one
+            pos -= 1
+            idx = constrained[pos]
+        c = colour.pop(idx) + 1  # undo the colour and its propagation, then try the next
+        for widx, bit in trails.pop():
+            domain[widx] |= bit
     entries = {
         w: colour.get(w.index, 0) for w in all_words(n, m)
     }

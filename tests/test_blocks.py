@@ -1,10 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksets import blocks
 from blocksets.blocks import (
     AmbientTooSmall,
     ArityMismatch,
@@ -13,6 +15,7 @@ from blocksets.blocks import (
     InvalidPlacement,
     MixedSize,
     Placement,
+    block_families,
     blockset_points,
     enumerate_block_families,
     enumerate_placements,
@@ -41,6 +44,17 @@ def test_template_from_word_round_trip():
     t = template_from_word("11223")
     assert t.counts == (2, 2, 1)
     assert t.s == 5
+
+
+def test_arrangements_are_enumerated_once_per_template(monkeypatch):
+    calls = []
+    enumerate_once = blocks.enumerate_with_profile
+    monkeypatch.setattr(blocks, "enumerate_with_profile", lambda *args: calls.append(args) or enumerate_once(*args))
+    t = template_from_word("1233")
+    expected = sorted(set(itertools.permutations((1, 2, 3, 3))))
+    assert list(t.arrangements()) == expected
+    assert list(t.arrangements()) == expected
+    assert len(calls) == 1
 
 
 def test_blockset_points_11223_has_30_points():
@@ -186,6 +200,95 @@ def test_enumeration_family_order_is_monotone():
     families = enumerate_block_families(5, t, MixedSize(2))
     keys = [family_sort_key(f) for f in families]
     assert keys == sorted(keys)
+
+
+def recursive_families(n, t, sizemode):
+    """Oracle: families per size multiset by recursion, then one global `family_sort_key` sort."""
+    families = []
+    for sizes in itertools.combinations_with_replacement(sizemode.size_range(), t.s):
+
+        def rec(idx, available, prev_min):
+            if idx == len(sizes):
+                yield ()
+                return
+            for block in itertools.combinations(available, sizes[idx]):
+                if idx > 0 and sizes[idx - 1] == sizes[idx] and block[0] < prev_min:
+                    continue  # blocks of one size come with increasing minima
+                rest = tuple(c for c in available if c not in block)
+                for tail in rec(idx + 1, rest, block[0]):
+                    yield (block,) + tail
+
+        if sum(sizes) <= n:
+            families.extend(tuple(sorted(f)) for f in rec(0, tuple(range(1, n + 1)), 0))
+    families.sort(key=family_sort_key)
+    return families
+
+
+def family_pattern(family):
+    """Oracle: the block index of each block coordinate in order, blocks numbered by minimum (A first)."""
+    label = {c: chr(ord("A") + j) for j, block in enumerate(sorted(family)) for c in block}
+    return "".join(label[c] for c in sorted(label))
+
+
+def _array_cases():
+    for text in ("11", "123", "1233"):
+        for mode in ("equal:1", "equal:2", "equal:3", "mixed:1", "mixed:2", "mixed:3"):
+            sizemode = parse_sizemode(mode)
+            for n in range(len(text) * sizemode.min_size, 11):
+                yield text, sizemode, n
+    for n in (11, 12, 13):
+        yield "12233333333", MixedSize(2), n
+    yield "12233333333", EqualSize(1), 12
+
+
+ARRAY_CASES = list(_array_cases())
+
+
+@pytest.mark.parametrize("text", ["11", "123", "1233", "12233333333"])
+def test_array_families_match_the_recursion_in_order(text):
+    for case_text, sizemode, n in ARRAY_CASES:
+        if case_text != text:
+            continue
+        t = template_from_word(text)
+        expected = recursive_families(n, t, sizemode)
+        assert enumerate_block_families(n, t, sizemode) == expected, (n, sizemode)
+        arrays = block_families(n, t, sizemode)
+        assert arrays.masks.tolist() == [sum(1 << (c - 1) for block in f for c in block) for f in expected]
+        assert arrays.totals.tolist() == [sum(map(len, f)) for f in expected]
+        # a pattern some family has, and one no family has
+        patterns = [family_pattern(f) for f in expected]
+        for pattern in (patterns[len(expected) // 2], "BA"):
+            got = enumerate_block_families(n, t, sizemode, pattern)
+            assert got == [f for f, p in zip(expected, patterns) if p == pattern], (n, sizemode, pattern)
+            assert bool(got) == (pattern != "BA")
+
+
+@pytest.mark.parametrize(
+    "text, sizemode, n, pattern",
+    [("1233", MixedSize(2), 9, None), ("123", MixedSize(3), 9, "ABCCBA"), ("12233333333", MixedSize(2), 12, None)],
+)
+def test_array_families_do_not_depend_on_the_batch_size(monkeypatch, text, sizemode, n, pattern):
+    t = template_from_word(text)
+    expected = enumerate_block_families(n, t, sizemode, pattern)
+    monkeypatch.setattr(blocks, "FAMILY_BATCH", 1)
+    assert enumerate_block_families(n, t, sizemode, pattern) == expected
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_array_enumeration_working_set_is_bounded_by_the_batch_budget(n):
+    """Beyond its output (held twice while the batches are joined), the enumeration keeps a few batches.
+
+    Expanding a whole level at once would hold every prefix's candidate row:
+    at n=14 that peaks at about 70 MB against 4.5 MB here.
+    """
+    tracemalloc.start()
+    try:
+        arrays = block_families(n, template_from_word("12233333333"), MixedSize(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = arrays.ids.nbytes + arrays.masks.nbytes + arrays.totals.nbytes
+    assert peak < 2 * output + 32 * blocks.FAMILY_BATCH
 
 
 def test_construction_blocks_have_palindromic_pattern():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -179,6 +180,34 @@ def test_search_witness_budget_exit_code_2():
     )
     assert code == 2
     assert json.loads(out)["status"] == "budget_exceeded"
+
+
+def test_search_witness_deep_search_ends_in_budget_exceeded():
+    """At n=7 the search assigns about 1,000 points in a row, past Python's recursion limit."""
+    code, out, err = run_cli(
+        "search", "witness", "--template", "123", "--n", "7", "--size-mode", "mixed:1",
+        "--k", "3", "--budget", "1000", "--stable",
+    )
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert (report["status"], report["nodes"], report["budget_exhausted"]) == ("budget_exceeded", 1001, True)
+
+
+# sha256 of the `--stable` reports of the recursive search
+WITNESS_N6_DIGESTS = {
+    2: "075ab89b2998dc41cf2efcb4c02ffc242739f1a2bd6ff428099004e755373470",
+    3: "c03c5eccf2eb3b5982e35f7766496bf244dc4d0571e45fae5e07e6fc7813f110",
+    4: "72088cf81b533c641e4b2700a14e8314775402d85073ce7578bfdc1d5b213f99",
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_search_witness_n6_reports_are_unchanged(k):
+    code, out, _ = run_cli(
+        "search", "witness", "--template", "123", "--n", "6", "--size-mode", "mixed:1", "--k", str(k), "--stable"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_N6_DIGESTS[k]
 
 
 # ---------------------------------------------------------------------------

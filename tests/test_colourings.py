@@ -1,6 +1,8 @@
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +84,25 @@ def test_dense_table_matches_per_word(mod, length, n):
     table = c.dense_table(n, 3)
     for w in all_words(n, 3):
         assert table[w.index] == c.colour_id(w)
+
+
+@pytest.mark.parametrize("mod,length", [(3, 5), (2, 3), (5, 2)])
+def test_dense_table_matches_per_word_over_3_to_the_8(mod, length):
+    c = ContributionColouring(mod, length)
+    table = c.dense_table(8, 3)
+    assert table.dtype == np.int64 and table.shape == (3**8,)
+    assert all(table[w.index] == c.colour_id(w) for w in all_words(8, 3))
+
+
+def test_dense_table_is_built_in_one_table():
+    """The degree-2 colour table of [3]^13 (12.8 MB) is filled in place, not concatenated level by level."""
+    tracemalloc.start()
+    try:
+        table = ContributionColouring(3, 5).dense_table(13, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.nbytes
 
 
 @pytest.mark.parametrize(

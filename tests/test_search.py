@@ -462,6 +462,19 @@ def test_witness_at_n3_matches_all_colourings_oracle(k):
         assert verify_absence(got, 3, T123, MixedSize(1)).found == []
 
 
+# (n, template, k, nodes, witness found): total nodes of the recursive search, found by bisecting its budget
+WITNESS_NODES = [(5, "123", 4, 150, True), (6, "123", 2, 540, True), (3, "12", 2, 4, False), (4, "12", 3, 405, False)]
+
+
+@pytest.mark.parametrize("n, text, k, nodes, found", WITNESS_NODES)
+def test_witness_search_visits_the_nodes_of_the_recursive_search(n, text, k, nodes, found):
+    t = template_from_word(text, m=3)
+    with pytest.raises(BudgetExceeded) as info:
+        witness_search(n, t, MixedSize(1), k, budget=nodes - 1)
+    assert info.value.nodes == nodes
+    assert (witness_search(n, t, MixedSize(1), k, budget=nodes) is not None) == found
+
+
 def test_witness_proven_impossible_beyond_one_colour():
     """Two colours cannot avoid a monochromatic size-1 copy of 12 in [3]^3."""
     t = template_from_word("12", m=3)
