@@ -8,7 +8,6 @@ vectors or tuples expose both forms, with a fixed mixed-radix bijection
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -247,45 +246,12 @@ class TableColouring(Colouring):
         return table
 
 
-def tabulate_colouring(c: Colouring, n: int, m: int) -> TableColouring:
-    """Freeze a colouring into an explicit table over all of [m]^n."""
-    return TableColouring({w: c.colour_id(w) for w in all_words(n, m)}, c.colour_count, c.name)
-
-
 def random_table_colouring(n: int, m: int, k: int, seed: int) -> TableColouring:
     """Seeded uniform random k-colouring of [m]^n (reproducible across runs)."""
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, k, size=m**n)
     entries = {w: int(ids[w.index]) for w in all_words(n, m)}
     return TableColouring(entries, k, f"random:k={k},seed={seed}")
-
-
-@dataclass(frozen=True)
-class ProductColouring(Colouring):
-    """Tuple of component colours, encoded mixed-radix (component 0 least significant)."""
-
-    components: tuple[Colouring, ...]
-
-    @property
-    def colour_count(self) -> int:  # type: ignore[override]
-        return math.prod(c.colour_count for c in self.components)
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return "product(" + ",".join(c.name for c in self.components) + ")"
-
-    def colour_tuple(self, w: Word) -> tuple[int, ...]:
-        return tuple(c.colour_id(w) for c in self.components)
-
-    def colour_id(self, w: Word) -> int:
-        idx = 0
-        for comp in reversed(self.components):
-            idx = idx * comp.colour_count + comp.colour_id(w)
-        return idx
-
-
-def product_colouring(components: Sequence[Colouring]) -> ProductColouring:
-    return ProductColouring(tuple(components))
 
 
 def substitute(x: Word, w: Word) -> Word:

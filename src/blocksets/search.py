@@ -122,31 +122,46 @@ class HomogeneousSet:
 # placement scanning
 
 
+_chunk_job: tuple = ()  # (fn, shared) of the pool a forked worker belongs to
+
+
+def _set_chunk_job(fn: Callable, shared: tuple) -> None:
+    global _chunk_job
+    _chunk_job = (fn, shared)
+
+
+def _run_chunk(start: int, items: list):
+    fn, shared = _chunk_job
+    return fn(shared, start, items)
+
+
 def map_chunks(fn: Callable[[tuple, int, list], R], shared: tuple, items: list, workers: int) -> list[R]:
     """fn(shared, start, items[start:start + size]) over `workers` contiguous chunks.
 
     Results come back in chunk order, so a caller that concatenates them sees
     the items' own order whatever the worker count.  Several chunks run in
-    forked worker processes, serially when processes cannot be started.
+    forked worker processes, serially when processes cannot be started.  The
+    workers inherit fn and shared through the fork; only chunks and results
+    are pickled.
     """
     size = max(1, -(-len(items) // max(workers, 1)))
     starts = range(0, len(items), size)
-    args = ([shared] * len(starts), starts, [items[i : i + size] for i in starts])
+    chunks = [items[i : i + size] for i in starts]
     if len(starts) > 1:
         try:
             ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                return list(pool.map(fn, *args))
+            with ProcessPoolExecutor(workers, ctx, initializer=_set_chunk_job, initargs=(fn, shared)) as pool:
+                return list(pool.map(_run_chunk, starts, chunks))
         except OSError:
             pass
-    return list(map(fn, *args))
+    return [fn(shared, start, chunk) for start, chunk in zip(starts, chunks)]
 
 
 def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, list[tuple[int, int, int]]]:
     """Scan contiguous slabs of block families through the colour table.
 
-    Each slab is (global index of its first family, id rows, coordinate
-    masks, block totals), cut from `block_families`' arrays.  A block's
+    Each slab is a (lo, hi) range of `block_families`' arrays: the id rows,
+    coordinate masks and block totals of families lo..hi-1.  A block's
     weight sums m^(c-1) over its coordinates c, and a family's weights are
     taken in id order: the rows of `arrangements` run over every permutation
     of the template, so the order in which they meet the blocks does not
@@ -163,13 +178,14 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, list[tupl
     In first-only mode the chunk stops after the first slab with a hit and
     counts the placements up to and including that slab's first hit.
     """
-    table, n, m, symbols, arrangements, weight, first_only = shared
+    table, n, m, symbols, arrangements, weight, families, first_only = shared
     count = len(arrangements)
     powers = np.int64(m) ** np.arange(n, dtype=np.int64)
     digit_matrices: dict[int, np.ndarray] = {}
     examined = 0
     hits: list[tuple[int, int, int]] = []
-    for lo, ids, masks, totals in slabs:
+    for lo, hi in slabs:
+        ids, masks, totals = families.ids[lo:hi], families.masks[lo:hi], families.totals[lo:hi]
         weights = weight[ids]
         # a one-arrangement template compares arrangement 0 with itself
         deltas = weights @ arrangements[[0, min(1, count - 1)]].T
@@ -301,11 +317,10 @@ def verify_absence(
     # a slab takes the families whose working set starts within one budget
     costs = len(symbols) ** (n - families.totals) + t.s + n
     starts = np.flatnonzero(np.diff((np.cumsum(costs) - costs) // SLAB_ENTRIES, prepend=-1)).tolist()
-    columns = (families.ids, families.masks, families.totals)
-    slabs = [(lo, *(c[lo:hi] for c in columns)) for lo, hi in zip(starts, starts[1:] + [len(costs)])]
+    slabs = list(zip(starts, starts[1:] + [len(costs)]))
     examined = 0
     hits: list[tuple[int, int, int]] = []
-    shared = (table, n, t.m, symbols, arrangements, weight, first_only)
+    shared = (table, n, t.m, symbols, arrangements, weight, families, first_only)
     for chunk_examined, chunk_hits in map_chunks(_scan_chunk, shared, slabs, workers):
         examined += chunk_examined
         hits.extend(chunk_hits)  # chunks arrive in order, so hits stay canonical
@@ -361,50 +376,26 @@ def witness_search(
     Propagation: when all but one point of some placement already share a
     colour, that colour is removed from the last point's domain.  Points are
     assigned in index order from an explicit stack, so the depth of the search
-    is not bounded by Python's recursion limit.
+    is not bounded by Python's recursion limit.  Colouring a point checks only
+    the block sets through it: propagation never colours a point, so any other
+    set is as its own last coloured point left it.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    m = t.m
-    constraint_sets: set[frozenset[int]] = set()
-    for p in enumerate_placements(n, t, sizemode, None, reference_domain):
-        constraint_sets.add(frozenset(w.index for w in blockset_points(p, t)))
-    if any(len(c) <= 1 for c in constraint_sets):
+    placements = enumerate_placements(n, t, sizemode, None, reference_domain)
+    constraints = sorted({tuple(sorted({w.index for w in blockset_points(p, t)})) for p in placements})
+    if any(len(c) <= 1 for c in constraints):
         return None  # a one-point block set is monochromatic under every colouring
-    constraints = sorted(tuple(sorted(c)) for c in constraint_sets)
-    constrained = sorted({idx for c in constraints for idx in c})
+    through: dict[int, list[tuple[int, ...]]] = {}  # each point's block sets, in sorted order
+    for cset in constraints:
+        for idx in cset:
+            through.setdefault(idx, []).append(cset)
+    constrained = sorted(through)
 
-    full_mask = (1 << k) - 1
-    domain = {idx: full_mask for idx in constrained}
+    domain = {idx: (1 << k) - 1 for idx in constrained}
     colour: dict[int, int] = {}
     nodes = 0
-
-    def propagate(trail: list[tuple[int, int]]) -> bool:
-        """Propagate almost-complete placements; record domain removals for undo."""
-        changed = True
-        while changed:
-            changed = False
-            for c in constraints:
-                unassigned = [idx for idx in c if idx not in colour]
-                if len(unassigned) > 1:
-                    continue
-                assigned_colours = {colour[idx] for idx in c if idx in colour}
-                if len(assigned_colours) != 1:
-                    continue
-                (mono,) = assigned_colours
-                if not unassigned:
-                    return False
-                idx = unassigned[0]
-                bit = 1 << mono
-                if domain[idx] & bit:
-                    domain[idx] &= ~bit
-                    trail.append((idx, bit))
-                    if domain[idx] == 0:
-                        return False
-                    changed = True
-        return True
-
-    trails: list[list[tuple[int, int]]] = []  # the domain removals of each assigned point
+    trails: list[list[int]] = []  # the points that lost the colour of each assigned point
     pos = c = 0
     while pos < len(constrained):
         idx = constrained[pos]
@@ -416,7 +407,16 @@ def witness_search(
                 raise BudgetExceeded(nodes)
             colour[idx] = c
             trails.append([])
-            if propagate(trails[-1]):
+            for cset in through[idx]:  # c is the only colour its coloured points can share
+                free = [w for w in cset if w not in colour]
+                if len(free) > 1 or any(colour[w] != c for w in cset if w in colour):
+                    continue
+                if not free or domain[free[0]] == 1 << c:
+                    break  # the set is monochromatic, or its last point has no colour left
+                if domain[free[0]] & (1 << c):
+                    domain[free[0]] ^= 1 << c
+                    trails[-1].append(free[0])
+            else:
                 pos, c = pos + 1, 0
                 continue
         elif pos == 0:
@@ -424,12 +424,11 @@ def witness_search(
         else:  # every colour of this point failed: go back to the previous one
             pos -= 1
             idx = constrained[pos]
-        c = colour.pop(idx) + 1  # undo the colour and its propagation, then try the next
-        for widx, bit in trails.pop():
-            domain[widx] |= bit
-    entries = {
-        w: colour.get(w.index, 0) for w in all_words(n, m)
-    }
+        c = colour.pop(idx)  # undo the colour and its propagation, then try the next
+        for w in trails.pop():
+            domain[w] |= 1 << c
+        c += 1
+    entries = {w: colour.get(w.index, 0) for w in all_words(n, t.m)}
     witness = TableColouring(entries, k, f"witness:n={n},t={t},k={k}")
     check = find_monochromatic(witness, n, t, sizemode, None, reference_domain)
     if check is not None:

@@ -210,6 +210,33 @@ def test_search_witness_n6_reports_are_unchanged(k):
     assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_N6_DIGESTS[k]
 
 
+# sha256 of the `--stable` n=7 reports of the search that rescanned every block set at each node
+WITNESS_N7_DIGESTS = {
+    2: "1db25daf5e3155d42cbc36d087eac50df2307dc003e51439d466ce1534ee32ef",
+    3: "d8f6f82b3fd9eb48ae866d851c4570e03a349df0398b3d4d4a8f960fbf081a77",
+    4: "4355c80bc43fbcef9bc7fc92f0bd001ce3915bfd9b39db909657b15177979366",
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_search_witness_n7_reports_are_unchanged(k):
+    code, out, _ = run_cli(
+        "search", "witness", "--template", "123", "--n", "7", "--size-mode", "mixed:1", "--k", str(k), "--stable"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_N7_DIGESTS[k]
+
+
+def test_search_witness_mixed2_budget_ends_after_the_last_node():
+    code, out, err = run_cli(
+        "search", "witness", "--template", "123", "--n", "6", "--size-mode", "mixed:2",
+        "--k", "2", "--budget", "3000", "--stable",
+    )
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert (report["status"], report["nodes"], report["budget_exhausted"]) == ("budget_exceeded", 3001, True)
+
+
 # ---------------------------------------------------------------------------
 # extract
 

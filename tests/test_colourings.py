@@ -16,7 +16,6 @@ from blocksets.colourings import (
     IndexOutOfRange,
     ModularCountColouring,
     NotSlotWord,
-    ProductColouring,
     SubstitutionMismatch,
     TableColouring,
     balanced_words,
@@ -24,11 +23,9 @@ from blocksets.colourings import (
     coordinate_sum_colour,
     flipped_block_word,
     id_to_vector,
-    product_colouring,
     random_table_colouring,
     slot_word_for,
     substitute,
-    tabulate_colouring,
     vector_to_id,
 )
 from blocksets.words import InvalidSymbol, Word, all_words, encode_word, profile
@@ -281,44 +278,13 @@ def test_coordinate_sum_flips_when_d_unit_steps_added():
 
 
 # ---------------------------------------------------------------------------
-# table and product colourings
-
-
-def test_table_reproduces_contribution_on_all_words():
-    c = ContributionColouring(2, 2)
-    frozen = tabulate_colouring(c, 5, 3)
-    words = list(all_words(5, 3))
-    assert len(words) == 243
-    for w in words:
-        assert frozen.colour_id(w) == c.colour_id(w)
+# table colourings
 
 
 def test_table_domain_error():
     t = TableColouring({w3("11"): 0})
     with pytest.raises(DomainError):
         t.colour_id(w3("12"))
-
-
-def test_product_of_single_colouring_is_identity_on_ids():
-    c = ContributionColouring(2, 2)
-    p = product_colouring([c])
-    for w in all_words(4, 3):
-        assert p.colour_id(w) == c.colour_id(w)
-
-
-def test_product_of_constants_is_constant():
-    p = product_colouring([ConstantColouring(1, 3), ConstantColouring(0, 2)])
-    ids = {p.colour_id(w) for w in all_words(3, 3)}
-    assert len(ids) == 1
-    assert p.colour_count == 6
-
-
-def test_product_tuple_encoding_is_injective():
-    a = ModularCountColouring(1, 2)
-    b = ModularCountColouring(2, 3)
-    p = ProductColouring((a, b))
-    for w in all_words(4, 3):
-        assert p.colour_id(w) == a.colour_id(w) + 2 * b.colour_id(w)
 
 
 def test_random_table_colouring_is_seeded():

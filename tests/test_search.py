@@ -387,6 +387,17 @@ def test_find_identical_across_worker_counts():
     assert hits[0] is not None  # 2 colours on 90 placements: a hit is expected here
 
 
+def _chunk_sum(shared, start, items):
+    (scale,) = shared
+    return start, [scale(x) for x in items]
+
+
+def test_map_chunks_does_not_pickle_shared_state():
+    """A lambda cannot be pickled, so this fails if the workers are sent `shared`."""
+    chunks = search.map_chunks(_chunk_sum, (lambda x: 3 * x,), list(range(7)), workers=2)
+    assert chunks == [(0, [0, 3, 6, 9]), (4, [12, 15, 18])]
+
+
 def test_find_keeps_the_first_chunks_hit():
     # every placement is monochromatic, so every worker's chunk reports a hit
     colouring = ConstantColouring(0, 1)
@@ -464,6 +475,8 @@ def test_witness_at_n3_matches_all_colourings_oracle(k):
 
 # (n, template, k, nodes, witness found): total nodes of the recursive search, found by bisecting its budget
 WITNESS_NODES = [(5, "123", 4, 150, True), (6, "123", 2, 540, True), (3, "12", 2, 4, False), (4, "12", 3, 405, False)]
+# n=7 is past the recursion limit: nodes of the explicit-stack search, confirmed by the same bisection
+WITNESS_NODES += [(7, "123", 2, 1806, True), (7, "123", 3, 1806, True)]
 
 
 @pytest.mark.parametrize("n, text, k, nodes, found", WITNESS_NODES)
@@ -473,6 +486,13 @@ def test_witness_search_visits_the_nodes_of_the_recursive_search(n, text, k, nod
         witness_search(n, t, MixedSize(1), k, budget=nodes - 1)
     assert info.value.nodes == nodes
     assert (witness_search(n, t, MixedSize(1), k, budget=nodes) is not None) == found
+
+
+def test_witness_at_n8_passes_the_absence_scan():
+    w = witness_search(8, T123, MixedSize(1), k=2)
+    assert w is not None
+    report = verify_absence(w, 8, T123, MixedSize(1))
+    assert (report.examined, report.found) == (placements_examined_until(8, T123, MixedSize(1), None, None, None), [])
 
 
 def test_witness_proven_impossible_beyond_one_colour():
