@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Exploratory monochromatic-progression searches on coloured boxes of Z^n.
 
-Sweeps the x-v, x, x+v search (and optionally the generated-ball search) over
-the requested colouring and box for each norm d.  These are exploration
+Sweeps the x-v, x, x+v search over the requested colouring and box for each
+norm d.  That search is the r = t = 1 generated-ball search; run `blocksets
+lattice ball` for other radii and generator counts.  These are exploration
 harnesses: a None simply means the box held no configuration, never a proof.
 """
 
@@ -12,7 +13,7 @@ import sys
 sys.path.insert(0, "src")
 
 from blocksets.cli import parse_lattice_colouring
-from blocksets.lattice import parse_box, search_generated_ball, search_l1_ap
+from blocksets.lattice import parse_box, search_l1_ap
 
 
 def main():
@@ -21,7 +22,6 @@ def main():
     parser.add_argument("--box", default="0..4^3")
     parser.add_argument("--d-max", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ball", action="store_true", help="also run the r=1, t=1 ball search")
     args = parser.parse_args()
 
     box = parse_box(args.box)
@@ -34,12 +34,6 @@ def main():
         else:
             x, v = hit
             print(f"d={d}: x={x} v={v} colour={colouring.colour_id(x)}")
-        if args.ball:
-            ball_hit = search_generated_ball(colouring, box, 1, 1, d)
-            if ball_hit is None:
-                print(f"      ball r=1 t=1: none")
-            else:
-                print(f"      ball r=1 t=1: centre={ball_hit[0]} u={ball_hit[1].vectors[0]}")
     return 0
 
 

@@ -268,14 +268,15 @@ def build_parser() -> _Parser:
     common(p, workers=False)
 
     latticep = top.add_parser("lattice").add_subparsers(dest="subcommand", required=True)
+    box_help = 'lo..hi^n with n >= 1, e.g. "0..3^2"; a negative lo needs the = form, --box=-2..2^3'
     p = latticep.add_parser("ap", help="monochromatic x-v, x, x+v search")
     p.add_argument("--colouring", required=True)
-    p.add_argument("--box", required=True, help='e.g. "0..3^2"')
+    p.add_argument("--box", required=True, help=box_help)
     p.add_argument("--d", type=int, required=True)
     common(p)
     p = latticep.add_parser("ball", help="monochromatic generated-ball search")
     p.add_argument("--colouring", required=True)
-    p.add_argument("--box", required=True)
+    p.add_argument("--box", required=True, help=box_help)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)

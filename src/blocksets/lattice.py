@@ -3,8 +3,10 @@
 Words with a fixed number of 1s map to points of Z^t recording how the 1s
 moved relative to a reference word.  On top of that sit exploratory searches
 for monochromatic x-v, x, x+v progressions and for monochromatic translates
-of l1 balls generated by disjointly-supported vectors.  Colourings of Z^n are
-evaluated on explicit bounded boxes; candidates leaving the box are skipped.
+of l1 balls generated by disjointly-supported vectors, the progressions being
+the radius-1 balls of one generator.  Colourings of Z^n are evaluated once per
+point of an explicit bounded box into a dense table; candidates leaving the
+box are skipped.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .colourings import coordinate_sum_colour
-from .search import ExtractionContradiction, map_chunks
-from .words import Word
+from .search import MAX_TABLE_ENTRIES, ExtractionContradiction, map_chunks
+from .words import CapacityExceeded, Word
 
 LatticePoint = tuple[int, ...]
 
@@ -137,9 +141,11 @@ class Box:
         return all(l <= x <= h for x, l, h in zip(p, self.lo, self.hi))
 
     def points(self) -> Iterator[LatticePoint]:
-        """All points in lexicographic order."""
-        ranges = [range(l, h + 1) for l, h in zip(self.lo, self.hi)]
-        yield from itertools.product(*ranges)
+        """All points in lexicographic order; every caller tabulates them, so a
+        box past the colour-table limit raises CapacityExceeded instead."""
+        if self.size() > MAX_TABLE_ENTRIES:
+            raise CapacityExceeded(f"the box {self} has {self.size():,} points; the limit is {MAX_TABLE_ENTRIES:,}")
+        return itertools.product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
 
     def size(self) -> int:
         out = 1
@@ -158,13 +164,15 @@ def cube(lo: int, hi: int, dimension: int) -> Box:
 
 
 def parse_box(text: str) -> Box:
-    """Parse the "lo..hi^n" syntax, e.g. "0..3^2" or "-2..2^3"."""
+    """Parse the "lo..hi^n" syntax with n >= 1, e.g. "0..3^2" or "-2..2^3"."""
     try:
         bounds, _, dim = text.partition("^")
         lo_s, _, hi_s = bounds.partition("..")
+        if int(dim) < 1:
+            raise ValueError
         return cube(int(lo_s), int(hi_s), int(dim))
     except ValueError:
-        raise ValueError(f"bad box spec {text!r} (expected lo..hi^n)") from None
+        raise ValueError(f"bad box spec {text!r} (expected lo..hi^n with n >= 1)") from None
 
 
 class LatticeColouring:
@@ -238,8 +246,6 @@ class LatticeTableColouring(LatticeColouring):
 
 def random_lattice_colouring(box: Box, k: int, seed: int) -> LatticeTableColouring:
     """Seeded uniform random k-colouring of a box."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     pts = list(box.points())
     ids = rng.integers(0, k, size=len(pts))
@@ -252,78 +258,7 @@ def random_lattice_colouring(box: Box, k: int, seed: int) -> LatticeTableColouri
 
 def vectors_with_l1_norm(dimension: int, d: int) -> list[LatticePoint]:
     """All v in Z^dimension with l1 norm exactly d, in lexicographic order."""
-    out = [v for v in _lambda_tuples(dimension, d) if l1_norm(v) == d]
-    out.sort()
-    return out
-
-
-def _ap_scan(shared: tuple, start: int, points: list) -> Optional[tuple[LatticePoint, LatticePoint]]:
-    colouring, box, directions = shared
-    for x in points:
-        cx = colouring.colour_id(x)
-        for v in directions:
-            minus = tuple(a - b for a, b in zip(x, v))
-            plus = tuple(a + b for a, b in zip(x, v))
-            if not (box.contains(minus) and box.contains(plus)):
-                continue
-            if colouring.colour_id(minus) == cx == colouring.colour_id(plus):
-                return x, v
-    return None
-
-
-def _ball_scan(shared: tuple, start: int, points: list) -> Optional[tuple[LatticePoint, GeneratorSet]]:
-    colouring, box, generator_sets, lambda_order = shared
-    for centre in points:
-        for g in generator_sets:
-            colour = None
-            ok = True
-            for lambdas in lambda_order:
-                p = _combine(centre, lambdas, g)
-                if not box.contains(p):
-                    ok = False
-                    break
-                c = colouring.colour_id(p)
-                if colour is None:
-                    colour = c
-                elif c != colour:
-                    ok = False
-                    break
-            if ok:
-                return centre, g
-    return None
-
-
-def _check_monochromatic(colouring: LatticeColouring, box: Box, points: Sequence[LatticePoint], what: str) -> None:
-    """Independent re-check of a reported hit: all points in the box, one colour."""
-    if not all(box.contains(p) for p in points) or len({colouring.colour_id(p) for p in points}) != 1:
-        raise ExtractionContradiction(f"reported {what} is not a monochromatic set inside {box}")
-
-
-def search_l1_ap(
-    colouring: LatticeColouring,
-    box: Box,
-    d: int,
-    workers: int = 1,
-) -> Optional[tuple[LatticePoint, LatticePoint]]:
-    """Canonically-first (x, v) with ||v||_1 = d and x-v, x, x+v one colour.
-
-    x runs over the box in lexicographic order, v over the norm-d vectors in
-    lexicographic order; candidates with x-v or x+v outside the box are
-    skipped.  Returns None on exhaustion.
-    """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    directions = vectors_with_l1_norm(box.dimension, d)
-    hits = map_chunks(_ap_scan, (colouring, box, directions), list(box.points()), workers)
-    hit = next((h for h in hits if h is not None), None)  # the earliest chunk's hit
-    if hit is not None:
-        x, v = hit
-        if l1_norm(v) != d:
-            raise ExtractionContradiction(f"reported direction {v} does not have l1 norm {d}")
-        minus = tuple(a - b for a, b in zip(x, v))
-        plus = tuple(a + b for a, b in zip(x, v))
-        _check_monochromatic(colouring, box, (minus, x, plus), f"progression x={x}, v={v}")
-    return hit
+    return [v for v in _lambda_tuples(dimension, d) if l1_norm(v) == d]
 
 
 def disjoint_generator_sets(dimension: int, t: int, d: int) -> Iterator[GeneratorSet]:
@@ -348,6 +283,44 @@ def disjoint_generator_sets(dimension: int, t: int, d: int) -> Iterator[Generato
     yield from rec((), set(), 0)
 
 
+def _box_table(colouring: LatticeColouring, box: Box) -> np.ndarray:
+    """Colour classes (ids numbered by first appearance) shaped like the box."""
+    classes: dict[int, int] = {}
+    ids = (classes.setdefault(colouring.colour_id(p), len(classes)) for p in box.points())
+    return np.fromiter(ids, np.int64, box.size()).reshape([h - l + 1 for l, h in zip(box.lo, box.hi)])
+
+
+def _ball_scan(shared: tuple, _start: int, generator_sets: list) -> Optional[tuple[LatticePoint, GeneratorSet]]:
+    """Least (centre, vectors) of a monochromatic ball among a chunk of generator sets.
+
+    A set's centres are the sub-box keeping every ball offset inside the box;
+    a centre's ball is monochromatic where the table window at each offset
+    equals the window at the first, and C order is lexicographic order.
+    """
+    table, lo, lambda_order = shared
+    best = None
+    for g in generator_sets:
+        offsets = lambda_order @ np.array(g.vectors)
+        first = -offsets.min(axis=0)
+        stop = np.array(table.shape) - offsets.max(axis=0)
+        if np.any(first >= stop):
+            continue
+        windows = (table[tuple(slice(a + o, b + o) for a, b, o in zip(first, stop, off))] for off in offsets)
+        base = next(windows)
+        mono = np.ones(base.shape, dtype=bool)
+        for window in windows:
+            mono &= window == base
+            if not mono.any():
+                break
+        cells = np.flatnonzero(mono)
+        if cells.size:
+            index = np.unravel_index(cells[0], mono.shape)
+            centre = tuple(int(i + a + l) for i, a, l in zip(index, first, lo))
+            if best is None or (centre, g.vectors) < (best[0], best[1].vectors):
+                best = (centre, g)
+    return best
+
+
 def search_generated_ball(
     colouring: LatticeColouring,
     box: Box,
@@ -360,19 +333,42 @@ def search_generated_ball(
 
     Looks for a centre and t disjointly-supported vectors of 1-norm d whose
     radius-r generated ball, translated to the centre, stays inside the box
-    and is monochromatic.  With r = t = 1 this asks exactly the x-v, x, x+v
-    question and agrees with search_l1_ap.
+    and is monochromatic; the hit is the least (centre, vectors) pair.  The
+    colouring is evaluated once per box point into a dense table, the
+    generator sets are split across the workers, and the hit is re-checked
+    against the colouring itself.
     """
     if r < 1 or t < 1 or d < 1:
         raise ValueError(f"need r, t, d >= 1, got r={r} t={t} d={d}")
     generator_sets = list(disjoint_generator_sets(box.dimension, t, d))
     lambda_order = list(_lambda_tuples(t, r))
-    hits = map_chunks(_ball_scan, (colouring, box, generator_sets, lambda_order), list(box.points()), workers)
-    hit = next((h for h in hits if h is not None), None)  # the earliest chunk's hit
-    if hit is not None:
-        centre, g = hit
-        if g.t != t or any(l1_norm(u) != d for u in g.vectors):
-            raise ExtractionContradiction(f"reported generators {g.vectors} are not {t} vectors of l1 norm {d}")
-        ball = [_combine(centre, lambdas, g) for lambdas in lambda_order]
-        _check_monochromatic(colouring, box, ball, f"ball at {centre} with generators {g.vectors}")
-    return hit
+    shared = (_box_table(colouring, box), box.lo, np.array(lambda_order))
+    hits = [h for h in map_chunks(_ball_scan, shared, generator_sets, workers) if h is not None]
+    if not hits:
+        return None
+    centre, g = min(hits, key=lambda h: (h[0], h[1].vectors))
+    if g.t != t or any(l1_norm(u) != d for u in g.vectors):
+        raise ExtractionContradiction(f"reported generators {g.vectors} are not {t} vectors of l1 norm {d}")
+    ball = [_combine(centre, lambdas, g) for lambdas in lambda_order]
+    if not all(box.contains(p) for p in ball) or len({colouring.colour_id(p) for p in ball}) != 1:
+        raise ExtractionContradiction(f"ball at {centre} with generators {g.vectors} is not one colour in {box}")
+    return centre, g
+
+
+def search_l1_ap(
+    colouring: LatticeColouring,
+    box: Box,
+    d: int,
+    workers: int = 1,
+) -> Optional[tuple[LatticePoint, LatticePoint]]:
+    """Canonically-first (x, v) with ||v||_1 = d and x-v, x, x+v one colour.
+
+    x runs over the box in lexicographic order, v over the norm-d vectors in
+    lexicographic order; candidates with x-v or x+v outside the box are
+    skipped.  Returns None on exhaustion.  This is the r = t = 1 generated-ball
+    search, whose single-generator ball is x-v, x, x+v.
+    """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    hit = search_generated_ball(colouring, box, 1, 1, d, workers)
+    return None if hit is None else (hit[0], hit[1].vectors[0])

@@ -347,6 +347,34 @@ def test_lattice_ap_seeded_random_is_reproducible():
     assert out1 == out2
 
 
+@pytest.mark.parametrize("verb", [("ap",), ("ball", "--r", "1", "--t", "1")])
+@pytest.mark.parametrize("colouring", ["coordsum:d=2", "random:k=2"])
+def test_lattice_box_past_the_table_limit_exits_1_at_once(verb, colouring):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        "lattice", *verb, "--colouring", colouring, "--box", "0..99^9", "--d", "1", "--workers", "1",
+    )
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1 and out == ""
+    assert "the box 0..99^9 has 1,000,000,000,000,000,000 points" in err
+    assert "the limit is 50,000,000" in err
+
+
+def test_lattice_box_dimension_below_1_exits_1():
+    code, out, err = run_cli("lattice", "ap", "--colouring", "coordsum:d=2", "--box", "0..3^-1", "--d", "1")
+    assert code == 1 and out == ""
+    assert "bad box spec '0..3^-1'" in err
+
+
+def test_lattice_negative_box_bound_needs_the_equals_form():
+    report = run_json(
+        "lattice", "ap", "--colouring", "coordsum:d=2", "--box=-2..2^3", "--d", "2", "--workers", "1",
+    )
+    assert report["params"]["box"] == "-2..2^3"
+    code, out, err = run_cli("lattice", "ap", "--colouring", "coordsum:d=2", "--box", "-2..2^3", "--d", "2")
+    assert code == 1 and out == "" and "--box" in err
+
+
 # ---------------------------------------------------------------------------
 # formats, errors, exit codes
 

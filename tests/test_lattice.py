@@ -13,6 +13,7 @@ from blocksets.lattice import (
     GeneratorSet,
     InvalidGenerator,
     SupportOverlap,
+    _combine,
     _lambda_tuples,
     cube,
     disjoint_generator_sets,
@@ -26,6 +27,7 @@ from blocksets.lattice import (
     word_to_lattice,
 )
 from blocksets.search import ExtractionContradiction
+from blocksets.words import CapacityExceeded
 from blocksets.words import encode_word
 
 
@@ -144,6 +146,24 @@ def test_parse_box():
         parse_box("nope")
 
 
+@pytest.mark.parametrize("text", ["0..3^0", "0..3^-1", "-2..2^-3"])
+def test_parse_box_rejects_dimension_below_1(text):
+    with pytest.raises(ValueError, match="n >= 1"):
+        parse_box(text)
+
+
+def test_box_past_the_table_limit_is_refused_before_any_colour():
+    class Unevaluable(lattice.LatticeColouring):
+        def colour_id(self, p):
+            raise AssertionError("colour evaluated")
+
+    box = cube(0, 99, 9)
+    with pytest.raises(CapacityExceeded, match="1,000,000,000,000,000,000 points"):
+        search_generated_ball(Unevaluable(), box, 1, 1, 1)
+    with pytest.raises(CapacityExceeded):
+        random_lattice_colouring(box, 2, 0)
+
+
 def test_box_points_are_lexicographic():
     pts = list(cube(0, 1, 2).points())
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -229,6 +249,59 @@ def test_ap_identical_across_worker_counts():
 # generated-ball search
 
 
+def reference_ball_search(colouring, box, r, t, d):
+    """Per-point scan: centres in lexicographic order, then generator sets in
+    canonical order; the first ball inside the box with one colour wins."""
+    generator_sets = list(disjoint_generator_sets(box.dimension, t, d))
+    lambda_order = list(_lambda_tuples(t, r))
+    for centre in box.points():
+        for g in generator_sets:
+            colour = None
+            ok = True
+            for lambdas in lambda_order:
+                p = _combine(centre, lambdas, g)
+                if not box.contains(p):
+                    ok = False
+                    break
+                c = colouring.colour_id(p)
+                if colour is None:
+                    colour = c
+                elif c != colour:
+                    ok = False
+                    break
+            if ok:
+                return centre, g
+    return None
+
+
+REFERENCE_BOXES = [cube(0, 3, 2), cube(0, 3, 3), Box((0, -1, 2), (4, 1, 4)), cube(-2, 1, 3)]
+# t = 4 exceeds every box dimension; at r = 3, d = 2 no ball fits in a side of 5 or less.
+REFERENCE_RTD = [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 1), (1, 2, 2), (1, 4, 1), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("box", REFERENCE_BOXES, ids=str)
+def test_ball_search_matches_the_per_point_scan(box, workers):
+    colourings = [random_lattice_colouring(box, k, seed) for seed, k in itertools.product(range(3), (2, 3))]
+    colourings += [CoordinateSumColouring(1), CoordinateSumColouring(2), ConstantLatticeColouring()]
+    if workers > 1:  # each multi-worker call forks a pool, so those runs take fewer colourings
+        colourings = [colourings[0], colourings[-2]]
+    for colouring in colourings:
+        for r, t, d in REFERENCE_RTD:
+            expected = reference_ball_search(colouring, box, r, t, d)
+            assert search_generated_ball(colouring, box, r, t, d, workers) == expected
+            if (r, t) == (1, 1):
+                ap = search_l1_ap(colouring, box, d, workers)
+                assert ap == (None if expected is None else (expected[0], expected[1].vectors[0]))
+
+
+def test_ball_search_handles_colour_ids_past_int64():
+    box = cube(0, 3, 3)
+    assert search_generated_ball(ConstantLatticeColouring(2**70, 2**71), box, 1, 2, 1) == search_generated_ball(
+        ConstantLatticeColouring(), box, 1, 2, 1
+    )
+
+
 def test_ball_search_constant_colouring():
     hit = search_generated_ball(ConstantLatticeColouring(), cube(0, 2, 2), 1, 1, 1)
     assert hit is not None
@@ -272,7 +345,6 @@ def test_ball_search_identical_across_worker_counts():
 def test_lattice_hits_are_rechecked(monkeypatch, colouring, x):
     box = cube(0, 3, 2)
     v = (0, 1)
-    monkeypatch.setattr(lattice, "_ap_scan", lambda shared, start, points: (x, v))
     monkeypatch.setattr(lattice, "_ball_scan", lambda shared, start, points: (x, GeneratorSet((v,))))
     with pytest.raises(ExtractionContradiction):
         search_l1_ap(colouring, box, 1)
