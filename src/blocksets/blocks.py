@@ -317,8 +317,16 @@ def block_families(n: int, t: Template, sizemode: SizeMode, pattern: Optional[st
     expand(np.zeros((1, 0), dtype), np.zeros(1, np.int64), np.zeros(1, np.int64))
     ids, masks, totals = (np.concatenate(column) for column in zip(*out))
     if pattern is not None:
-        rows = zip(ids.tolist(), totals.tolist())
-        keep = [total == len(pattern) and _pattern_of_blocks([blocks[i] for i in r]) == pattern for r, total in rows]
+        keep = totals == len(pattern)
+        ids, masks, totals = ids[keep], masks[keep], totals[keep]
+        # a block coordinate's label is the rank of its block's minimum among the family's minima
+        minima = np.array([b[0] for b in blocks], np.int64)[ids]
+        rank = np.argsort(np.argsort(minima, axis=1), axis=1)
+        coords = np.arange(n)
+        labels = sum(rank[:, j, None] * (bits[ids[:, j], None] >> coords & 1) for j in range(s))
+        in_blocks = (masks[:, None] >> coords) & 1 == 1
+        want = [ord(ch) - ord("A") for ch in pattern]
+        keep = (labels[in_blocks].reshape(len(ids), len(pattern)) == want).all(axis=1)
         ids, masks, totals = ids[keep], masks[keep], totals[keep]
     return BlockFamilies(blocks, ids, masks, totals)
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .words import InvalidSymbol, Word, all_words, profile
+from .words import MAX_ALPHABET, InvalidSymbol, Word, all_words, profile
 
 
 class DomainError(KeyError):
@@ -52,11 +52,14 @@ class Colouring:
     """Pure evaluable map Word -> colour id, with a declared colour bound.
 
     Evaluation must be deterministic and side-effect free; instances are safe
-    to share across workers.
+    to share across workers.  `neutral_symbols` holds the symbols z such that
+    deleting a coordinate holding z never changes a colour; full scans skip
+    the references that use them (see `search.verify_absence`).
     """
 
     name: str = "colouring"
     colour_count: int = 1
+    neutral_symbols: frozenset[int] = frozenset()
 
     def colour_id(self, w: Word) -> int:
         raise NotImplementedError
@@ -118,6 +121,10 @@ class ModularCountColouring(Colouring):
     def name(self) -> str:  # type: ignore[override]
         return f"countmod:s={self.symbol},k={self.modulus}"
 
+    @property
+    def neutral_symbols(self) -> frozenset[int]:  # type: ignore[override]
+        return frozenset(range(1, MAX_ALPHABET + 1)) - {self.symbol}
+
     def colour_id(self, w: Word) -> int:
         return sum(1 for s in w.symbols if s == self.symbol) % self.modulus
 
@@ -164,6 +171,7 @@ class ContributionColouring(Colouring):
 
     modulus: int
     length: int
+    neutral_symbols = frozenset({3})
 
     def __post_init__(self) -> None:
         if self.modulus < 2 or self.length < 1:

@@ -14,15 +14,17 @@ parallel runs merge worker results back into that order.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from .blocks import (
+    BlockFamilies,
     EqualSize,
     Placement,
     SizeMode,
@@ -56,6 +58,10 @@ MAX_TABLE_ENTRIES = 50_000_000
 # its placements, its block weights and its row of the coordinate mask.
 # The scan's temporaries stay within a small multiple of it.
 SLAB_ENTRIES = 1 << 14
+
+# Hits turned into Python lists at a time when their placements are decoded;
+# the lists stay small next to the list of found placements.
+DECODE_BATCH = 1 << 10
 
 
 class BudgetExceeded(RuntimeError):
@@ -157,35 +163,49 @@ def map_chunks(fn: Callable[[tuple, int, list], R], shared: tuple, items: list, 
     return [fn(shared, start, chunk) for start, chunk in zip(starts, chunks)]
 
 
-def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, list[tuple[int, int, int]]]:
+class _Level(NamedTuple):
+    """One word length n' a scan visits, and where its words lie in the table of [m]^n."""
+
+    n: int
+    offset: int  # where the words of [m]^n', padded with a neutral symbol, start
+    multiplicity: int  # placements at n behind each placement at n'
+
+
+def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, np.ndarray]:
     """Scan contiguous slabs of block families through the colour table.
 
-    Each slab is a (lo, hi) range of `block_families`' arrays: the id rows,
-    coordinate masks and block totals of families lo..hi-1.  A block's
-    weight sums m^(c-1) over its coordinates c, and a family's weights are
-    taken in id order: the rows of `arrangements` run over every permutation
-    of the template, so the order in which they meet the blocks does not
-    change which placements are monochromatic.  Families are grouped by
-    complement size k, and a group's reference offsets are one matrix
-    product, complement weights (G x k) by the digit matrix of all |symbols|^k
-    references.  Row 0 of `arrangements` is gathered and row 1 compared for
-    every (family, reference) pair at once; each later row's deltas are
-    computed, and compared, only for the families with pairs still
+    Each slab is a (level, lo, hi) range of the `block_families` arrays at
+    the full length: the families lo..hi-1 that lie inside [n'], for the
+    level's length n', are scanned as families of [n'], whose words are read
+    from the level's slice of the table.  A block's weight sums m^(c-1) over
+    its coordinates c, so it is the same at every length, and a family's
+    weights are taken in id order: the rows of `arrangements` run over every
+    permutation of the template, so the order in which they meet the blocks
+    does not change which placements are monochromatic.  Families are grouped
+    by complement size k, and a group's reference offsets are one matrix
+    product, complement weights (G x k) by the digit matrix of all
+    |symbols|^k references.  Row 0 of `arrangements` is gathered and row 1
+    compared for every (family, reference) pair at once; each later row's
+    deltas are computed, and compared, only for the families with pairs still
     monochromatic.
 
-    Returns (placements examined, hits) where each hit is
-    (global family index, reference index, colour id), in canonical order.
-    In first-only mode the chunk stops after the first slab with a hit and
-    counts the placements up to and including that slab's first hit.
+    Returns (placements examined, hits): each placement counts its level's
+    multiplicity, and a hit is a row (level, family index, reference index,
+    colour id), in canonical order within its level.  In first-only mode the
+    chunk stops after the first slab with a hit and counts the placements up
+    to and including that slab's first hit.
     """
-    table, n, m, symbols, arrangements, weight, families, first_only = shared
+    table, m, symbols, arrangements, weight, families, levels, first_only = shared
     count = len(arrangements)
-    powers = np.int64(m) ** np.arange(n, dtype=np.int64)
     digit_matrices: dict[int, np.ndarray] = {}
     examined = 0
-    hits: list[tuple[int, int, int]] = []
-    for lo, hi in slabs:
-        ids, masks, totals = families.ids[lo:hi], families.masks[lo:hi], families.totals[lo:hi]
+    hits = [np.empty((0, 4), np.int64)]
+    for level, lo, hi in slabs:
+        n, offset, multiplicity = levels[level]
+        view = table[offset : offset + m**n]
+        powers = np.int64(m) ** np.arange(n, dtype=np.int64)
+        index = lo + np.flatnonzero(families.masks[lo:hi] < 1 << n)
+        ids, masks, totals = families.ids[index], families.masks[index], families.totals[index]
         weights = weight[ids]
         # a one-arrangement template compares arrangement 0 with itself
         deltas = weights @ arrangements[[0, min(1, count - 1)]].T
@@ -199,14 +219,14 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, list[tupl
             complement = np.nonzero(~in_blocks[fams])[1].reshape(len(fams), k)
             # a float product is exact here (every index is below 2^53) and much faster
             bases = (powers[complement].astype(np.float64) @ digit_matrices[k]).astype(np.int64)
-            colour = table[bases + deltas[fams, :1]]
-            fi, ri = np.nonzero(table[bases + deltas[fams, 1:]] == colour)
+            colour = view[bases + deltas[fams, :1]]
+            fi, ri = np.nonzero(view[bases + deltas[fams, 1:]] == colour)
             first = np.diff(fi, prepend=-1) > 0  # fi is sorted: each live family's first pair
             live, live_weights = np.cumsum(first) - 1, weights[fams[fi[first]]]
             for a in range(2, count):
                 if not len(fi):
                     break
-                keep = table[bases[fi, ri] + (live_weights @ arrangements[a])[live]] == colour[fi, ri]
+                keep = view[bases[fi, ri] + (live_weights @ arrangements[a])[live]] == colour[fi, ri]
                 fi, ri, live = fi[keep], ri[keep], live[keep]
             slab_hits.append((fams[fi], ri, colour[fi, ri]))
         fam_idx, ref_idx, colours = (np.concatenate(column) for column in zip(*slab_hits))
@@ -214,10 +234,65 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, list[tupl
         refs = len(symbols) ** (n - totals)
         if first_only and len(order):
             f, r = int(fam_idx[order[0]]), int(ref_idx[order[0]])
-            return examined + int(refs[:f].sum()) + r + 1, [(lo + f, r, int(colours[order[0]]))]
-        examined += int(refs.sum())
-        hits.extend(zip((lo + fam_idx[order]).tolist(), ref_idx[order].tolist(), colours[order].tolist()))
-    return examined, hits
+            return examined + int(refs[:f].sum()) + r + 1, np.array([[level, index[f], r, colours[order[0]]]])
+        examined += multiplicity * int(refs.sum())
+        level_hits = (np.full(len(order), level), index[fam_idx[order]], ref_idx[order], colours[order])
+        hits.append(np.column_stack(level_hits))
+    return examined, np.concatenate(hits)
+
+
+def _expand_hits(
+    hits: np.ndarray, families: BlockFamilies, levels: list[_Level], symbols: tuple[int, ...], neutral: tuple[int, ...]
+):
+    """Every placement at n behind the scan's hits, in canonical order.
+
+    `levels` run from n down.  A hit at n' stands for one placement per set Z
+    of n - n' coordinates of [n] and per word of neutral symbols on Z: the
+    hit's own coordinates go, in order, to the rest of [n], so its blocks map
+    to blocks of the same sizes in the same (size, elements) order and the id
+    rows stay increasing.  Returns the id rows at n, the references as words
+    with 0 on the block coordinates, and the colour ids, sorted by (id row,
+    reference): id-row order is the canonical family order, and the
+    references of one family compare as words.
+    """
+    n, blocks, blocks_per_row = levels[0].n, families.blocks, families.ids.shape[1]
+    bits = np.array([sum(1 << (c - 1) for c in b) for b in blocks], np.int64)
+    by_bits = np.argsort(bits)
+    rows = [np.empty((0, blocks_per_row), families.ids.dtype)]
+    words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
+    for level, (k, _, _) in enumerate(levels):
+        fam, ref, colour = hits[hits[:, 0] == level, 1:].T
+        if not len(fam):
+            continue
+        # the hit's reference word at k: its free coordinates, last first, take the digits of its index
+        word, rest = np.zeros((len(fam), k), np.int8), ref.copy()
+        for c in range(k - 1, -1, -1):
+            free = families.masks[fam] >> c & 1 == 0
+            word[free, c] = np.array(symbols, np.int8)[rest[free] % len(symbols)]
+            rest[free] //= len(symbols)
+        # Z runs over the (n - k)-subsets of [n]; `kept` lists the other coordinates in order
+        r = n - k
+        zs = np.array(list(itertools.combinations(range(n), r)), np.int64).reshape(math.comb(n, r), r)
+        z_index = np.arange(len(zs))[:, None]
+        in_z = np.zeros((len(zs), n), bool)
+        in_z[z_index, zs] = True
+        kept = np.nonzero(~in_z)[1].reshape(len(zs), k)
+        fills = np.array(list(itertools.product(neutral, repeat=r)), np.int8).reshape(len(neutral) ** r, r)
+        full = np.zeros((len(fam), len(fills), len(zs), n), np.int8)  # (hit, fill, Z, coordinate)
+        full[:, :, z_index, kept] = word[:, None, None]
+        full[:, :, z_index, zs] = fills[:, None]
+        words.append(full.reshape(-1, n))
+        # the id at n of each block inside [k] under each Z
+        inside = np.flatnonzero(bits < 1 << k)
+        membership = np.array([[c in blocks[i] for c in range(1, k + 1)] for i in inside], np.int64)
+        images = np.zeros((len(zs), len(blocks)), families.ids.dtype)
+        images[:, inside] = by_bits[np.searchsorted(bits[by_bits], (np.int64(1) << kept) @ membership.T)]
+        family_rows = images[:, families.ids[fam]].transpose(1, 0, 2)[:, None]  # (hit, 1, Z, block)
+        rows.append(np.broadcast_to(family_rows, (*full.shape[:3], blocks_per_row)).reshape(-1, blocks_per_row))
+        colours.append(np.repeat(colour, len(fills) * len(zs)))
+    rows, words, colours = np.concatenate(rows), np.concatenate(words), np.concatenate(colours)
+    order = np.lexsort(np.column_stack([rows, words]).T[::-1])
+    return rows[order], words[order], colours[order]
 
 
 def _verify_hit(p: Placement, t: Template, colouring: Colouring, colour: int) -> None:
@@ -290,8 +365,20 @@ def verify_absence(
     any work starts.  The families come as `block_families` id rows, already
     in canonical order, and are cut into slabs of about SLAB_ENTRIES
     working-set entries each (at least one family); workers take equal
-    numbers of slabs, so their shares cost about the same.  A hit's placement
-    is decoded from its family's id row.
+    numbers of slabs, so their shares cost about the same.
+
+    A full scan of a colouring with neutral symbols in the reference domain
+    (N: a coordinate holding one can be deleted without changing a colour)
+    scans only the references over the other symbols D, at every length n'
+    from the smallest admissible one up to n.  Deleting the r reference
+    coordinates that hold a neutral symbol maps each placement at n, one to
+    one, onto a placement at n - r with its references in D, and keeps it
+    monochromatic or not; so `examined` is sum_r C(n, r) |N|^r E_D(n - r)
+    and each hit at n' is expanded over its position sets and neutral words.
+    The table of [m]^n' is the slice of the one table whose words hold one
+    neutral symbol on coordinates n'+1..n.  With first_only, or with no
+    neutral symbol or only neutral ones in the domain, the scan runs at n
+    over the whole domain.  A hit's placement is decoded from id rows.
     For the adversarial colourings the expected found-list is empty; a
     non-empty list is re-verified point by point before being reported.
     With first_only the scan stops at the canonically first hit, and
@@ -306,6 +393,10 @@ def verify_absence(
             f"the limits are {MAX_TABLE_ENTRIES:,} entries and 62-bit ids"
         )
     symbols = reference_symbols(t, reference_domain)
+    neutral = () if first_only else tuple(z for z in symbols if z in colouring.neutral_symbols)
+    if len(neutral) == len(symbols):
+        neutral = ()
+    scanned = tuple(z for z in symbols if z not in neutral)
     families = block_families(n, t, sizemode, pattern)
     table = colouring.dense_table(n, t.m)
     arrangements = np.array(list(t.arrangements()), dtype=np.int64) - 1
@@ -314,28 +405,36 @@ def verify_absence(
     # against 45% and 14% for arrangement 1)
     arrangements = np.concatenate([arrangements[:1], arrangements[:0:-1]])
     weight = np.array([sum(t.m ** (c - 1) for c in block) for block in families.blocks], np.int64)
-    # a slab takes the families whose working set starts within one budget
-    costs = len(symbols) ** (n - families.totals) + t.s + n
-    starts = np.flatnonzero(np.diff((np.cumsum(costs) - costs) // SLAB_ENTRIES, prepend=-1)).tolist()
-    slabs = list(zip(starts, starts[1:] + [len(costs)]))
+    levels, slabs = [], []
+    lowest = t.s * sizemode.min_size if neutral else n
+    # longest first, so that the shorter lengths' arrays fit where the longer ones' were
+    for k in range(n, lowest - 1, -1):
+        offset = (neutral[0] - 1) * (t.m**n - t.m**k) // (t.m - 1) if k < n else 0
+        # the families at k are the families at n inside [k], in the same order
+        inside = np.flatnonzero(families.masks < 1 << k)
+        # a slab starts at each family inside [k] whose working set starts a new budget
+        costs = len(scanned) ** (k - families.totals[inside]) + t.s + k
+        budgets = (np.cumsum(costs) - costs) // SLAB_ENTRIES
+        del costs  # one family-length array fewer while the diff runs
+        starts = inside[np.diff(budgets, prepend=-1) > 0].tolist()
+        slabs.extend((len(levels), lo, hi) for lo, hi in zip(starts, starts[1:] + [len(families.totals)]))
+        levels.append(_Level(k, offset, math.comb(n, k) * len(neutral) ** (n - k)))
     examined = 0
-    hits: list[tuple[int, int, int]] = []
-    shared = (table, n, t.m, symbols, arrangements, weight, families, first_only)
+    hits = [np.empty((0, 4), np.int64)]
+    shared = (table, t.m, scanned, arrangements, weight, families, levels, first_only)
     for chunk_examined, chunk_hits in map_chunks(_scan_chunk, shared, slabs, workers):
         examined += chunk_examined
-        hits.extend(chunk_hits)  # chunks arrive in order, so hits stay canonical
-        if first_only and hits:
+        hits.append(chunk_hits)
+        if first_only and len(chunk_hits):
             break
+    rows, words, colours = _expand_hits(np.concatenate(hits), families, levels, scanned, neutral)
     found = []
-    for family_idx, ref_idx, colour in hits:
-        family = tuple(sorted(families.blocks[i] for i in families.ids[family_idx].tolist()))
-        mask = int(families.masks[family_idx])
-        complement = [c for c in range(1, n + 1) if not mask >> (c - 1) & 1]
-        # the reference index counts with the first coordinate most significant
-        digits = np.unravel_index(ref_idx, (len(symbols),) * len(complement))
-        placement = Placement(n, family, tuple((c, symbols[d]) for c, d in zip(complement, digits)), sizemode)
-        _verify_hit(placement, t, colouring, colour)
-        found.append((placement, colour))
+    for lo in range(0, len(rows), DECODE_BATCH):
+        for row, word, colour in zip(*(a[lo : lo + DECODE_BATCH].tolist() for a in (rows, words, colours))):
+            family = tuple(sorted(families.blocks[i] for i in row))
+            placement = Placement(n, family, tuple((c, sym) for c, sym in enumerate(word, 1) if sym), sizemode)
+            _verify_hit(placement, t, colouring, colour)
+            found.append((placement, colour))
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SearchReport(
         params={

@@ -263,6 +263,19 @@ def test_array_families_match_the_recursion_in_order(text):
             assert bool(got) == (pattern != "BA")
 
 
+@pytest.mark.parametrize("n", [8, 9, 10, 11])
+def test_array_pattern_filter_matches_the_recursion(n):
+    """The numpy labels pick the same families as the oracle's labels, past the families of one total."""
+    t = template_from_word("1233")
+    expected = recursive_families(n, t, MixedSize(2))
+    patterns = [family_pattern(f) for f in expected]
+    # the palindromes, a pattern with one-coordinate blocks, and the middle family's pattern
+    for pattern in ("ABCDDCBA", "ABCD", "ABACDBCD", patterns[len(expected) // 2]):
+        got = enumerate_block_families(n, t, MixedSize(2), pattern)
+        assert got == [f for f, p in zip(expected, patterns) if p == pattern], pattern
+        assert got
+
+
 @pytest.mark.parametrize(
     "text, sizemode, n, pattern",
     [("1233", MixedSize(2), 9, None), ("123", MixedSize(3), 9, "ABCCBA"), ("12233333333", MixedSize(2), 12, None)],

@@ -227,6 +227,26 @@ def test_search_witness_n7_reports_are_unchanged(k):
     assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_N7_DIGESTS[k]
 
 
+# sha256 of the `--stable` `verify thm2 --d 2 --pq 1,2` reports of the scan that visits every reference
+PQ12_DIGESTS = {
+    (9, 1): "39bcf9f433adba27648ea6ac2d4d7a8a08a15978890fc41c15f04c88b230316b",
+    (9, 2): "ad79149833701a729bc0c1afe42f4ce3d44d944726def8470a384d46df523a20",
+    (10, 1): "0c7c893283ea36e8dacd214a2edec54483253c9038a1f0ac883885f656ede8d5",
+    (10, 2): "d97b07b969ee1e36beb63d3a363ffe9f7cfe83d745ce435d36bba1d29f56955a",
+    (11, 1): "03352d32b48f786ec964d7dce1ec9a7017e104f146b519a0906e026ce1a3660a",
+    (11, 2): "fd71eef7d9f25ba7ad2537227e1d9795e579bcddbe72653472b0d8e552cbbbbc",
+}
+
+
+@pytest.mark.parametrize("n, workers", sorted(PQ12_DIGESTS))
+def test_verify_thm2_pq12_reports_are_unchanged(n, workers):
+    code, out, _ = run_cli(
+        "verify", "thm2", "--d", "2", "--pq", "1,2", "--n", str(n), "--workers", str(workers), "--stable"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PQ12_DIGESTS[n, workers]
+
+
 def test_search_witness_mixed2_budget_ends_after_the_last_node():
     code, out, err = run_cli(
         "search", "witness", "--template", "123", "--n", "6", "--size-mode", "mixed:2",

@@ -113,6 +113,34 @@ def test_modular_count_dense_table_matches_per_word(m, s, k, n):
         assert table[w.index] == c.colour_id(w)
 
 
+@pytest.mark.parametrize(
+    "colouring, m",
+    [
+        (ContributionColouring(2, 2), 3),
+        (ContributionColouring(3, 3), 3),
+        (ModularCountColouring(1, 2), 3),
+        (ModularCountColouring(2, 3), 3),
+        (ModularCountColouring(3, 2), 4),
+    ],
+    ids=["contribution-2-2", "contribution-3-3", "countmod-1-2", "countmod-2-3", "countmod-3-2-m4"],
+)
+def test_deleting_a_neutral_coordinate_keeps_the_colour(colouring, m):
+    alphabet = set(range(1, m + 1))
+    neutral = colouring.neutral_symbols & alphabet
+    assert neutral == ({3} if isinstance(colouring, ContributionColouring) else alphabet - {colouring.symbol})
+    for n in range(1, 6):
+        for w in all_words(n, m):
+            for i, sym in enumerate(w.symbols):
+                if sym in neutral:
+                    shorter = Word(w.symbols[:i] + w.symbols[i + 1 :], m)
+                    assert colouring.colour_id(shorter) == colouring.colour_id(w), (w, i)
+
+
+def test_other_colourings_declare_no_neutral_symbols():
+    for colouring in (ConstantColouring(0, 1), random_table_colouring(2, 3, 2, seed=0)):
+        assert colouring.neutral_symbols == frozenset()
+
+
 def test_dense_table_raises_outside_the_domain():
     with pytest.raises(InvalidSymbol):
         ContributionColouring(2, 2).dense_table(3, 2)

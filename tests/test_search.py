@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import tracemalloc
 from dataclasses import dataclass, field
@@ -360,6 +361,94 @@ def test_scan_working_set_is_bounded_by_the_slab_budget(case):
     _, enumeration_peak = _traced_peak(lambda: enumerate_block_families(n, t, sizemode))
     report, peak = _traced_peak(lambda: verify_absence(colouring, n, t, sizemode, first_only=first_only))
     assert report.examined == placements_examined_until(n, t, sizemode, None, None, report.found[0] if report.found else None)
+    budget_bytes = search.SLAB_ENTRIES * np.dtype(np.int64).itemsize
+    assert peak - table_bytes < enumeration_peak + 16 * budget_bytes
+
+
+# ---------------------------------------------------------------------------
+# neutral-symbol reduction
+
+
+class DirectContribution(ContributionColouring):
+    """Declares no neutral symbols, so its full scans visit every reference at n."""
+
+    neutral_symbols = frozenset()
+
+
+class DirectCount(ModularCountColouring):
+    neutral_symbols = frozenset()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduced_scan_matches_the_naive_and_the_direct_scan(data):
+    if data.draw(st.booleans(), "contribution"):
+        modulus, length = data.draw(st.integers(2, 3), "modulus"), data.draw(st.integers(1, 3), "length")
+        colouring, direct = ContributionColouring(modulus, length), DirectContribution(modulus, length)
+        domains = [None, (1, 2), (1, 3), (3,)]
+    else:
+        symbol, k = data.draw(st.integers(1, 3), "symbol"), data.draw(st.integers(1, 3), "k")
+        colouring, direct = ModularCountColouring(symbol, k), DirectCount(symbol, k)
+        domains = [None, (1, 2), (1, 3), (3,), (symbol,)]
+    t = template_from_word(data.draw(st.sampled_from(["12", "123", "1233"]), "template"), m=3)
+    modes = [EqualSize(1), EqualSize(2), MixedSize(1), MixedSize(2)]
+    sizemode = data.draw(st.sampled_from([mode for mode in modes if t.s * mode.min_size <= 7]), "sizemode")
+    n = data.draw(st.integers(t.s * sizemode.min_size, 7), "n")
+    patterns = sorted({pattern_of(p) for p in enumerate_placements(n, t, sizemode, None, [1])})
+    pattern = data.draw(st.sampled_from([None] + patterns), "pattern")
+    domain = data.draw(st.sampled_from(domains), "domain")
+    workers = data.draw(st.sampled_from([1, 2]), "workers")
+    reduced = verify_absence(colouring, n, t, sizemode, pattern, domain, workers)
+    full = verify_absence(direct, n, t, sizemode, pattern, domain, workers)
+    assert reduced.found == full.found == naive_monochromatic(colouring, n, t, sizemode, pattern, domain)
+    assert reduced.examined == full.examined == len(list(enumerate_placements(n, t, sizemode, pattern, domain)))
+
+
+def test_pq12_hits_follow_the_reduced_hits():
+    """H(n) = sum_r C(n, r) H12(n - r): the hits at n over {1, 2, 3} from those over {1, 2}."""
+    colouring = ContributionColouring(3, 3)
+    reduced = {n: 0 for n in range(4, 9)}
+    for n, hits, reduced_hits in [(9, 2, 2), (10, 34, 14), (11, 316, 52), (12, 2184, 196)]:
+        report = verify_absence(colouring, n, T1233, MixedSize(2))
+        assert len(report.found) == hits
+        assert report.examined == placements_examined_until(n, T1233, MixedSize(2), None, None, None)
+        reduced[n] = len(verify_absence(colouring, n, T1233, MixedSize(2), reference_domain=(1, 2)).found)
+        assert reduced[n] == reduced_hits
+        assert hits == sum(math.comb(n, n - k) * reduced[k] for k in range(4, n + 1))
+
+
+@dataclass(frozen=True)
+class CountedTable(ContributionColouring):
+    """Records each table it builds, and builds tables only in the process that created it."""
+
+    owner: int = field(default_factory=os.getpid)
+    built: list = field(default_factory=list, compare=False, repr=False)
+
+    def dense_table(self, n, m):
+        if os.getpid() != self.owner:
+            raise RuntimeError("dense_table called in a worker process")
+        self.built.append(n)
+        return super().dense_table(n, m)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reduced_scan_builds_one_table_at_the_full_length(monkeypatch, workers):
+    monkeypatch.setattr(search, "SLAB_ENTRIES", 256)  # many slabs, so both workers get some
+    colouring = CountedTable(3, 3)
+    report = verify_absence(colouring, 10, T1233, MixedSize(2), workers=workers)
+    assert colouring.built == [10]
+    assert _stable(report) == _stable(verify_absence(DirectContribution(3, 3), 10, T1233, MixedSize(2)))
+
+
+def test_reduced_scan_working_set_is_bounded_by_the_slab_budget():
+    """The bound of the direct scan's test holds for a reduced scan, all its lengths together."""
+    n = 10
+    colouring = PrebuiltTable(3, 3, ContributionColouring(3, 3).dense_table(n, 3))
+    table_bytes = colouring.table.nbytes
+    _, enumeration_peak = _traced_peak(lambda: enumerate_block_families(n, T1233, MixedSize(2)))
+    report, peak = _traced_peak(lambda: verify_absence(colouring, n, T1233, MixedSize(2)))
+    assert len(report.found) == 34
+    assert report.examined == placements_examined_until(n, T1233, MixedSize(2), None, None, None)
     budget_bytes = search.SLAB_ENTRIES * np.dtype(np.int64).itemsize
     assert peak - table_bytes < enumeration_peak + 16 * budget_bytes
 
