@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import blocks, colourings, lattice, search
@@ -29,26 +28,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Validated inputs of one CLI invocation."""
-
-    command: str
-    subcommand: str
-    colouring_spec: Optional[str] = None
-    template: Optional[blocks.Template] = None
-    n: int = 0
-    sizemode: Optional[blocks.SizeMode] = None
-    pattern: Optional[str] = None
-    workers: int = 1
-    budget: int = 1_000_000
-    out_format: str = "json"
-    output: Optional[str] = None
-    seed: int = 0
-    stable: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 def _default_workers() -> int:
@@ -202,12 +181,12 @@ def build_parser() -> _Parser:
     top = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, workers: bool = True) -> None:
-        p.add_argument("--format", choices=["json", "csv", "text"], default=None)
+        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--output", default=None, help="write the report to this path")
         p.add_argument("--stable", action="store_true", help="zero timing fields")
         p.add_argument("--seed", type=int, default=0)
         if workers:
-            p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--workers", type=int, default=_default_workers())
 
     colour = top.add_parser("colour").add_subparsers(dest="subcommand", required=True)
     p = colour.add_parser("eval", help="evaluate a colouring on one word")
@@ -215,6 +194,7 @@ def build_parser() -> _Parser:
     p.add_argument("--word", required=True)
     p.add_argument("--m", type=int, default=3)
     common(p, workers=False)
+    p.set_defaults(format="text")
 
     blockset = top.add_parser("blockset").add_subparsers(dest="subcommand", required=True)
     p = blockset.add_parser("points", help="list the words a placement generates")
@@ -223,6 +203,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reference", default="", help="symbols for the non-block coordinates, in order")
     common(p, workers=False)
+    p.set_defaults(format="text")
     p = blockset.add_parser("enum", help="enumerate placements")
     p.add_argument("--template", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -292,62 +273,46 @@ def _parse_blocks(text: str) -> list[list[int]]:
         raise UsageError(f"bad blocks spec {text!r} (expected e.g. 1,6;2,5;3,4)") from None
 
 
-def _collect_config(args: argparse.Namespace) -> RunConfig:
-    """Validate parsed flags, aggregating every problem into one message."""
-    problems: list[str] = []
-    cfg = RunConfig(command=args.command, subcommand=args.subcommand)
-    cfg.out_format = getattr(args, "format", None) or _default_format(args)
-    cfg.output = getattr(args, "output", None)
-    cfg.stable = getattr(args, "stable", False)
-    cfg.seed = getattr(args, "seed", 0)
-    workers = getattr(args, "workers", None)
-    cfg.workers = workers if workers is not None else _default_workers()
-    if cfg.workers < 1:
-        problems.append(f"--workers must be >= 1, got {cfg.workers}")
-    cfg.budget = getattr(args, "budget", 1_000_000)
-    if cfg.budget < 1:
-        problems.append(f"--budget must be >= 1, got {cfg.budget}")
+def _check_args(args: argparse.Namespace) -> None:
+    """Validate parsed flags in place, aggregating every problem into one message.
 
+    `--template` and `--size-mode` are replaced by the objects they name.
+    """
+    problems: list[str] = []
+
+    def at_least(name: str, floor: int) -> None:
+        value = getattr(args, name, None)
+        if value is not None and value < floor:
+            problems.append(f"--{name.replace('_', '-')} must be >= {floor}, got {value}")
+
+    at_least("workers", 1)
+    at_least("budget", 1)
     if hasattr(args, "template"):
         try:
-            cfg.template = blocks.template_from_word(args.template)
+            args.template = blocks.template_from_word(args.template)
         except ValueError as exc:
             problems.append(str(exc))
-    if hasattr(args, "n"):
-        cfg.n = args.n
-        if args.n < 0:
-            problems.append(f"--n must be >= 0, got {args.n}")
-    if getattr(args, "size_mode", None):
+    at_least("n", 0)
+    if args.command == "verify":  # the lattice verbs report --d < 1 from the search itself
+        at_least("d", 1)
+    at_least("max_size", 1)
+    at_least("limit", 0)
+    if hasattr(args, "size_mode"):
         try:
-            cfg.sizemode = blocks.parse_sizemode(args.size_mode)
+            args.size_mode = blocks.parse_sizemode(args.size_mode)
         except ValueError as exc:
             problems.append(str(exc))
-    cfg.pattern = getattr(args, "pattern", None)
-
-    for name in ("colouring", "word", "m", "blocks", "reference", "reference_domain",
-                 "limit", "d", "pq", "equal_size", "max_size", "k", "set", "box", "r", "t"):
-        if hasattr(args, name):
-            cfg.extra[name] = getattr(args, name)
-
     if problems:
         raise UsageError("; ".join(problems))
-    return cfg
-
-
-def _default_format(args: argparse.Namespace) -> str:
-    if (args.command, args.subcommand) in {("colour", "eval"), ("blockset", "points")}:
-        return "text"
-    return "json"
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def _run_colour_eval(cfg: RunConfig) -> dict:
-    m = cfg.extra.get("m", 3)
-    word = encode_word(cfg.extra["word"], m)
-    colouring = parse_word_colouring(cfg.extra["colouring"], cfg.seed, word.n, m)
+def _run_colour_eval(args: argparse.Namespace) -> dict:
+    word = encode_word(args.word, args.m)
+    colouring = parse_word_colouring(args.colouring, args.seed, word.n, args.m)
     report = {
         "op": "colour_eval",
         "word": str(word),
@@ -361,50 +326,46 @@ def _run_colour_eval(cfg: RunConfig) -> dict:
     return report
 
 
-def _run_blockset_points(cfg: RunConfig) -> dict:
-    t = cfg.template
-    assert t is not None
-    raw_blocks = _parse_blocks(cfg.extra["blocks"])
+def _run_blockset_points(args: argparse.Namespace) -> dict:
+    raw_blocks = _parse_blocks(args.blocks)
     in_blocks = sorted(c for b in raw_blocks for c in b)
-    complement = [c for c in range(1, cfg.n + 1) if c not in in_blocks]
-    ref_text = cfg.extra.get("reference", "")
-    if len(ref_text) != len(complement):
+    complement = [c for c in range(1, args.n + 1) if c not in in_blocks]
+    if len(args.reference) != len(complement):
         raise UsageError(
-            f"reference has {len(ref_text)} symbols for {len(complement)} non-block coordinates"
+            f"reference has {len(args.reference)} symbols for {len(complement)} non-block coordinates"
         )
-    reference = {c: int(ch) for c, ch in zip(complement, ref_text)}
+    reference = {c: int(ch) for c, ch in zip(complement, args.reference)}
     sizes = {len(b) for b in raw_blocks}
     sizemode = blocks.EqualSize(sizes.pop()) if len(sizes) == 1 else blocks.MixedSize(max(sizes))
-    placement = blocks.make_placement(cfg.n, raw_blocks, reference, sizemode)
-    points = sorted(blocks.blockset_points(placement, t), key=lambda w: w.symbols)
+    placement = blocks.make_placement(args.n, raw_blocks, reference, sizemode)
+    points = sorted(blocks.blockset_points(placement, args.template), key=lambda w: w.symbols)
     return {
         "op": "blockset_points",
-        "template": str(t),
+        "template": str(args.template),
         "placement": placement.to_json_dict(),
         "points": [str(w) for w in points],
         "count": len(points),
     }
 
 
-def _run_blockset_enum(cfg: RunConfig) -> dict:
-    t = cfg.template
-    assert t is not None and cfg.sizemode is not None
-    domain = _reference_domain(cfg)
+def _run_blockset_enum(args: argparse.Namespace) -> dict:
     out = []
     truncated = False
-    limit = cfg.extra.get("limit")
-    for placement in blocks.enumerate_placements(cfg.n, t, cfg.sizemode, cfg.pattern, domain):
-        if limit is not None and len(out) >= limit:
+    placements = blocks.enumerate_placements(
+        args.n, args.template, args.size_mode, args.pattern, _reference_domain(args)
+    )
+    for placement in placements:
+        if args.limit is not None and len(out) >= args.limit:
             truncated = True
             break
         out.append(placement.to_json_dict())
     return {
         "op": "blockset_enum",
         "params": {
-            "template": str(t),
-            "n": cfg.n,
-            "sizemode": str(cfg.sizemode),
-            "pattern": cfg.pattern,
+            "template": str(args.template),
+            "n": args.n,
+            "sizemode": str(args.size_mode),
+            "pattern": args.pattern,
         },
         "placements": out,
         "count": len(out),
@@ -412,67 +373,48 @@ def _run_blockset_enum(cfg: RunConfig) -> dict:
     }
 
 
-def _reference_domain(cfg: RunConfig) -> Optional[list[int]]:
-    text = cfg.extra.get("reference_domain")
-    if not text:
+def _reference_domain(args: argparse.Namespace) -> Optional[list[int]]:
+    if not args.reference_domain:
         return None
-    return [int(ch) for ch in text]
+    return [int(ch) for ch in args.reference_domain]
 
 
-def _run_search_mono(cfg: RunConfig) -> dict:
-    t = cfg.template
-    assert t is not None and cfg.sizemode is not None
-    colouring = parse_word_colouring(cfg.extra["colouring"], cfg.seed, cfg.n, t.m)
+def _run_search_mono(args: argparse.Namespace) -> dict:
+    colouring = parse_word_colouring(args.colouring, args.seed, args.n, args.template.m)
     return search.verify_absence(
-        colouring, cfg.n, t, cfg.sizemode, cfg.pattern, _reference_domain(cfg), cfg.workers,
-        first_only=True,
+        colouring, args.n, args.template, args.size_mode, args.pattern, _reference_domain(args),
+        args.workers, first_only=True,
     ).to_json_dict()
 
 
-def _run_search_witness(cfg: RunConfig) -> tuple[dict, int]:
-    t = cfg.template
-    assert t is not None and cfg.sizemode is not None
-    params = {
-        "op": "witness_search",
-        "n": cfg.n,
-        "template": str(t),
-        "sizemode": str(cfg.sizemode),
-        "k": cfg.extra["k"],
-        "budget": cfg.budget,
-    }
+def _run_search_witness(args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
+    nodes = None
     try:
-        witness = search.witness_search(cfg.n, t, cfg.sizemode, cfg.extra["k"], cfg.budget)
+        witness = search.witness_search(args.n, args.template, args.size_mode, args.k, args.budget)
+        status = "none" if witness is None else "witness"
     except search.BudgetExceeded as exc:
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        return (
-            {
-                "params": params,
-                "status": "budget_exceeded",
-                "nodes": exc.nodes,
-                "colouring": None,
-                "elapsed_ms": round(elapsed, 3),
-                "budget_exhausted": True,
-            },
-            2,
-        )
+        witness, status, nodes = None, "budget_exceeded", exc.nodes
     elapsed = (time.perf_counter() - t0) * 1000.0
-    if witness is None:
-        body = None
-        status = "none"
-    else:
-        body = {str(w): c for w, c in sorted(witness.entries.items(), key=lambda x: x[0].symbols)}
-        status = "witness"
-    return (
-        {
-            "params": params,
-            "status": status,
-            "colouring": body,
-            "elapsed_ms": round(elapsed, 3),
-            "budget_exhausted": False,
+    report = {
+        "params": {
+            "op": "witness_search",
+            "n": args.n,
+            "template": str(args.template),
+            "sizemode": str(args.size_mode),
+            "k": args.k,
+            "budget": args.budget,
         },
-        0,
-    )
+        "status": status,
+        "colouring": None if witness is None else {
+            str(w): c for w, c in sorted(witness.entries.items(), key=lambda x: x[0].symbols)
+        },
+        "elapsed_ms": round(elapsed, 3),
+        "budget_exhausted": nodes is not None,
+    }
+    if nodes is not None:
+        report["nodes"] = nodes
+    return report
 
 
 def degree_setup(d: int, pq: Optional[tuple[int, int]] = None) -> tuple[blocks.Template, colourings.ContributionColouring]:
@@ -492,36 +434,31 @@ def degree_setup(d: int, pq: Optional[tuple[int, int]] = None) -> tuple[blocks.T
     return blocks.template_from_counts(3, counts), colourings.ContributionColouring(d + 1, length)
 
 
-def _run_verify_thm2(cfg: RunConfig) -> dict:
-    d = cfg.extra["d"]
-    if d < 1:
-        raise UsageError(f"--d must be >= 1, got {d}")
+def _run_verify_thm2(args: argparse.Namespace) -> dict:
     pq = None
-    if cfg.extra.get("pq"):
+    if args.pq:
         try:
-            p_s, q_s = cfg.extra["pq"].split(",")
+            p_s, q_s = args.pq.split(",")
             pq = (int(p_s), int(q_s))
         except ValueError:
-            raise UsageError(f"bad --pq {cfg.extra['pq']!r} (expected p,q)") from None
-    t, colouring = degree_setup(d, pq)
-    size = cfg.extra.get("max_size") or d
-    if size < 1:
-        raise UsageError(f"--max-size must be >= 1, got {size}")
-    sizemode = blocks.EqualSize(size) if cfg.extra.get("equal_size") else blocks.MixedSize(size)
-    return search.verify_absence(colouring, cfg.n, t, sizemode, workers=cfg.workers).to_json_dict()
+            raise UsageError(f"bad --pq {args.pq!r} (expected p,q)") from None
+    t, colouring = degree_setup(args.d, pq)
+    size = args.d if args.max_size is None else args.max_size
+    sizemode = blocks.EqualSize(size) if args.equal_size else blocks.MixedSize(size)
+    return search.verify_absence(colouring, args.n, t, sizemode, workers=args.workers).to_json_dict()
 
 
-def _run_extract_thm3(cfg: RunConfig) -> dict:
-    k = cfg.extra["k"]
-    base = parse_word_colouring(cfg.extra["colouring"], cfg.seed, cfg.n, 3)
-    params = {"op": "extract_abccba", "colouring": base.name, "k": k, "n": cfg.n}
-    if cfg.extra.get("set"):
-        members = tuple(sorted(int(c) for c in cfg.extra["set"].split(",")))
-        theta = search.induced_subset_colouring(base, k, cfg.n)
+def _run_extract_thm3(args: argparse.Namespace) -> dict:
+    k = args.k
+    base = parse_word_colouring(args.colouring, args.seed, args.n, 3)
+    params = {"op": "extract_abccba", "colouring": base.name, "k": k, "n": args.n}
+    if args.set:
+        members = tuple(sorted(int(c) for c in args.set.split(",")))
+        theta = search.induced_subset_colouring(base, k, args.n)
         colour = theta.colour(members[: 2 * k + 2])
-        homog = search.HomogeneousSet(cfg.n, 2 * k + 2, members, colour)
+        homog = search.HomogeneousSet(args.n, 2 * k + 2, members, colour)
     else:
-        theta = search.induced_subset_colouring(base, k, cfg.n)
+        theta = search.induced_subset_colouring(base, k, args.n)
         homog = search.homogeneous_subset_search(theta, 2 * k + 4)
         if homog is None:
             return {"params": params, "status": "no_homogeneous_set", "found": []}
@@ -534,52 +471,26 @@ def _run_extract_thm3(cfg: RunConfig) -> dict:
     }
 
 
-def _run_lattice_ap(cfg: RunConfig) -> dict:
-    box = lattice.parse_box(cfg.extra["box"])
-    colouring = parse_lattice_colouring(cfg.extra["colouring"], box, cfg.seed)
+def _run_lattice(args: argparse.Namespace) -> dict:
+    """`lattice ap` is the r = t = 1 ball search; its report names x and v."""
+    box = lattice.parse_box(args.box)
+    colouring = parse_lattice_colouring(args.colouring, box, args.seed)
+    params = {"colouring": colouring.name, "box": str(box), "d": args.d}
     t0 = time.perf_counter()
-    hit = lattice.search_l1_ap(colouring, box, cfg.extra["d"], cfg.workers)
+    if args.subcommand == "ap":
+        hit = lattice.search_l1_ap(colouring, box, args.d, args.workers)
+        params["op"] = "search_l1_ap"
+        found = [] if hit is None else [{"x": list(hit[0]), "v": list(hit[1])}]
+    else:
+        hit = lattice.search_generated_ball(colouring, box, args.r, args.t, args.d, args.workers)
+        params.update(op="search_generated_ball", r=args.r, t=args.t)
+        found = [] if hit is None else [{"centre": list(hit[0]), "generators": [list(u) for u in hit[1].vectors]}]
     elapsed = (time.perf_counter() - t0) * 1000.0
-    found = [] if hit is None else [{"x": list(hit[0]), "v": list(hit[1])}]
     return {
-        "params": {
-            "op": "search_l1_ap",
-            "colouring": colouring.name,
-            "box": str(box),
-            "d": cfg.extra["d"],
-        },
+        "params": params,
         "found": found,
         "elapsed_ms": round(elapsed, 3),
-        "workers": cfg.workers,
-        "budget_exhausted": False,
-    }
-
-
-def _run_lattice_ball(cfg: RunConfig) -> dict:
-    box = lattice.parse_box(cfg.extra["box"])
-    colouring = parse_lattice_colouring(cfg.extra["colouring"], box, cfg.seed)
-    t0 = time.perf_counter()
-    hit = lattice.search_generated_ball(
-        colouring, box, cfg.extra["r"], cfg.extra["t"], cfg.extra["d"], cfg.workers
-    )
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    found = (
-        []
-        if hit is None
-        else [{"centre": list(hit[0]), "generators": [list(u) for u in hit[1].vectors]}]
-    )
-    return {
-        "params": {
-            "op": "search_generated_ball",
-            "colouring": colouring.name,
-            "box": str(box),
-            "r": cfg.extra["r"],
-            "t": cfg.extra["t"],
-            "d": cfg.extra["d"],
-        },
-        "found": found,
-        "elapsed_ms": round(elapsed, 3),
-        "workers": cfg.workers,
+        "workers": args.workers,
         "budget_exhausted": False,
     }
 
@@ -589,10 +500,11 @@ _HANDLERS = {
     ("blockset", "points"): _run_blockset_points,
     ("blockset", "enum"): _run_blockset_enum,
     ("search", "mono"): _run_search_mono,
+    ("search", "witness"): _run_search_witness,
     ("verify", "thm2"): _run_verify_thm2,
     ("extract", "thm3"): _run_extract_thm3,
-    ("lattice", "ap"): _run_lattice_ap,
-    ("lattice", "ball"): _run_lattice_ball,
+    ("lattice", "ap"): _run_lattice,
+    ("lattice", "ball"): _run_lattice,
 }
 
 
@@ -600,31 +512,28 @@ def parse_and_dispatch(argv: Sequence[str], stdout=None, stderr=None) -> int:
     """Parse flags, run the matching operation, emit one report.
 
     Usage errors produce a single aggregated message on stderr and exit code
-    1, never a partial report.
+    1, never a partial report; a report whose status is `budget_exceeded`
+    exits 2.
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
         args = build_parser().parse_args(list(argv))
-        cfg = _collect_config(args)
-        if (cfg.command, cfg.subcommand) == ("search", "witness"):
-            report, code = _run_search_witness(cfg)
-        else:
-            report = _HANDLERS[(cfg.command, cfg.subcommand)](cfg)
-            code = 0
+        _check_args(args)
+        report = _HANDLERS[(args.command, args.subcommand)](args)
     except (UsageError, ValueError, KeyError, OSError) as exc:
         stderr.write(f"blocksets: error: {exc}\n")
         return 1
     try:
-        if cfg.output:
-            with open(cfg.output, "w") as fh:
-                emit_report(report, cfg.out_format, fh, cfg.stable)
+        if args.output:
+            with open(args.output, "w") as fh:
+                emit_report(report, args.format, fh, args.stable)
         else:
-            emit_report(report, cfg.out_format, stdout, cfg.stable)
+            emit_report(report, args.format, stdout, args.stable)
     except OSError as exc:
         stderr.write(f"blocksets: error: cannot write report: {exc}\n")
         return 1
-    return code
+    return 2 if report.get("status") == "budget_exceeded" else 0
 
 
 def main() -> None:

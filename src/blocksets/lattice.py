@@ -11,7 +11,6 @@ box are skipped.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -224,7 +223,7 @@ class ConstantLatticeColouring(LatticeColouring):
 class LatticeTableColouring(LatticeColouring):
     """Explicit point -> colour table (seeded-random tables in practice)."""
 
-    entries: tuple[tuple[LatticePoint, int], ...]
+    entries: dict[LatticePoint, int]
     colours: int
     label: str = "lattice-table"
 
@@ -236,21 +235,16 @@ class LatticeTableColouring(LatticeColouring):
     def name(self) -> str:  # type: ignore[override]
         return self.label
 
-    @functools.cached_property
-    def _lookup(self) -> dict[LatticePoint, int]:
-        return dict(self.entries)
-
     def colour_id(self, p: LatticePoint) -> int:
-        return self._lookup[tuple(p)]
+        return self.entries[tuple(p)]
 
 
 def random_lattice_colouring(box: Box, k: int, seed: int) -> LatticeTableColouring:
     """Seeded uniform random k-colouring of a box."""
-    rng = np.random.default_rng(seed)
-    pts = list(box.points())
-    ids = rng.integers(0, k, size=len(pts))
+    points = box.points()  # refuses a box past the table limit before drawing
+    ids = np.random.default_rng(seed).integers(0, k, size=box.size())
     return LatticeTableColouring(
-        tuple((p, int(c)) for p, c in zip(pts, ids)),
+        dict(zip(points, ids.tolist())),
         k,
         f"random:k={k},seed={seed}",
     )

@@ -662,10 +662,5 @@ def extract_abccba(
     placement = make_placement(n, blocks, reference, EqualSize(2))
     t123 = template_from_word("123")
     expected = branch_colours[i - 1]
-    for w in blockset_points(placement, t123):
-        got = base.colour_id(w)
-        if got != expected:
-            raise ExtractionContradiction(
-                f"point {w} has colour {got}, expected {expected}"
-            )
+    _verify_hit(placement, t123, base, expected)
     return placement, expected

@@ -1,12 +1,14 @@
 import hashlib
 import io
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
 from blocksets.blocks import MixedSize, template_from_word
-from blocksets.cli import parse_and_dispatch, parse_word_colouring, degree_setup
+from blocksets.cli import _HANDLERS, build_parser, parse_and_dispatch, parse_word_colouring, degree_setup
 from blocksets.colourings import ContributionColouring, InducedColouring, TableColouring
 from blocksets.search import find_monochromatic, placements_examined_until, verify_absence
 
@@ -451,6 +453,27 @@ def test_usage_errors_are_aggregated():
     assert "321" in err and "-1" in err and "weird" in err
 
 
+def test_verify_thm2_max_size_0_is_rejected():
+    code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "9", "--max-size", "0")
+    assert (code, out) == (1, "")
+    assert err == "blocksets: error: --max-size must be >= 1, got 0\n"
+
+
+def test_verify_thm2_d_and_n_problems_are_aggregated():
+    code, out, err = run_cli("verify", "thm2", "--d", "0", "--n", "-1")
+    assert (code, out) == (1, "")
+    assert err == "blocksets: error: --n must be >= 0, got -1; --d must be >= 1, got 0\n"
+
+
+def test_blockset_enum_negative_limit_is_rejected():
+    argv = ("blockset", "enum", "--template", "123", "--n", "6", "--size-mode", "equal:2")
+    code, out, err = run_cli(*argv, "--limit", "-1")
+    assert (code, out) == (1, "")
+    assert err == "blocksets: error: --limit must be >= 0, got -1\n"
+    report = run_json(*argv, "--limit", "0")
+    assert (report["count"], report["truncated"]) == (0, True)
+
+
 def test_output_file_and_unwritable_path(tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -540,3 +563,26 @@ def test_scan_past_the_table_limit_exits_1_at_once():
     assert code == 1 and out == ""
     assert "a scan of [3]^17 needs 129,140,163 colour-table entries" in err
     assert "the limits are 50,000,000 entries" in err
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("blocksets ")]
+
+
+def test_readme_examples_run():
+    verbs = set()
+    for argv in _readme_cli_examples():
+        args = build_parser().parse_args(argv)
+        verbs.add((args.command, args.subcommand))
+        if hasattr(args, "workers"):
+            argv = argv + ["--workers", "1"]
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, ""), argv
+        assert out
+    assert verbs == set(_HANDLERS)
