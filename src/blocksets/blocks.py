@@ -11,6 +11,8 @@ whose block constants form a permutation of the template.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -284,9 +286,7 @@ def block_families(n: int, t: Template, sizemode: SizeMode, pattern: Optional[st
     s = t.s
     if n < s * sizemode.min_size:
         raise AmbientTooSmall(f"n={n} cannot hold {s} disjoint blocks of size >= {sizemode.min_size}")
-    if n > 62:
-        raise CapacityExceeded(f"block families are enumerated for n <= 62, got n={n}")
-    blocks = tuple(b for d in sizemode.size_range() for b in itertools.combinations(range(1, n + 1), d))
+    blocks = candidate_blocks(n, sizemode)
     size = np.array([len(b) for b in blocks], np.int64)
     bits = np.array([sum(1 << (c - 1) for c in b) for b in blocks], np.int64)
     above = np.array([(1 << n) - (1 << b[0]) for b in blocks], np.int64)  # coordinates past each minimum
@@ -319,16 +319,51 @@ def block_families(n: int, t: Template, sizemode: SizeMode, pattern: Optional[st
     if pattern is not None:
         keep = totals == len(pattern)
         ids, masks, totals = ids[keep], masks[keep], totals[keep]
-        # a block coordinate's label is the rank of its block's minimum among the family's minima
-        minima = np.array([b[0] for b in blocks], np.int64)[ids]
-        rank = np.argsort(np.argsort(minima, axis=1), axis=1)
-        coords = np.arange(n)
-        labels = sum(rank[:, j, None] * (bits[ids[:, j], None] >> coords & 1) for j in range(s))
-        in_blocks = (masks[:, None] >> coords) & 1 == 1
-        want = [ord(ch) - ord("A") for ch in pattern]
-        keep = (labels[in_blocks].reshape(len(ids), len(pattern)) == want).all(axis=1)
+        labels = block_labels(blocks, ids, n)
+        want = [ord(ch) - ord("A") + 1 for ch in pattern]
+        keep = (labels[labels > 0].reshape(len(ids), len(pattern)) == want).all(axis=1)
         ids, masks, totals = ids[keep], masks[keep], totals[keep]
     return BlockFamilies(blocks, ids, masks, totals)
+
+
+def candidate_blocks(n: int, sizemode: SizeMode) -> tuple[tuple[int, ...], ...]:
+    """Every block of [n] the size mode allows, in (size, elements) order: the block ids of `block_families`."""
+    if n > 62:
+        raise CapacityExceeded(f"block families are enumerated for n <= 62, got n={n}")
+    return tuple(b for d in sizemode.size_range() for b in itertools.combinations(range(1, n + 1), d))
+
+
+def block_labels(blocks: Sequence[tuple[int, ...]], ids: np.ndarray, n: int) -> np.ndarray:
+    """Each family's coordinates of [n] labelled by block, in first-occurrence order.
+
+    Row f holds, on each coordinate of a block of family f (`ids` rows index
+    `blocks`), 1 + the rank of that block's minimum among the family's
+    minima, and 0 on the other coordinates: the letters of `pattern_of`,
+    counted from 1.
+    """
+    minima = np.array([b[0] for b in blocks], np.int64)[ids]
+    rank = np.argsort(np.argsort(minima, axis=1), axis=1).astype(np.int8)
+    bits = np.array([sum(1 << (c - 1) for c in b) for b in blocks], np.int64)
+    member = (bits[:, None] >> np.arange(n) & 1).astype(np.int8)
+    return sum((rank[:, j, None] + 1) * member[ids[:, j]] for j in range(ids.shape[1]))
+
+
+def placement_count(n: int, t: Template, sizemode: SizeMode, symbols: int) -> int:
+    """Closed-form number of placements with `symbols` reference symbols and no pattern.
+
+    A block-size multiset of total b gives n! / ((n-b)! prod size! prod
+    multiplicity!) families, each with symbols^(n-b) references.
+    """
+    if n < t.s * sizemode.min_size:
+        raise AmbientTooSmall(f"n={n} cannot hold {t.s} disjoint blocks of size >= {sizemode.min_size}")
+    total = 0
+    for sizes in itertools.combinations_with_replacement(sizemode.size_range(), t.s):
+        if sum(sizes) <= n:
+            families = math.factorial(n) // math.factorial(n - sum(sizes))
+            for size, count in Counter(sizes).items():
+                families //= math.factorial(size) ** count * math.factorial(count)
+            total += families * symbols ** (n - sum(sizes))
+    return total
 
 
 def enumerate_block_families(

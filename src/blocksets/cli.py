@@ -293,8 +293,9 @@ def _check_args(args: argparse.Namespace) -> None:
         except ValueError as exc:
             problems.append(str(exc))
     at_least("n", 0)
-    if args.command == "verify":  # the lattice verbs report --d < 1 from the search itself
-        at_least("d", 1)
+    at_least("d", 1)
+    at_least("r", 1)
+    at_least("t", 1)
     at_least("max_size", 1)
     at_least("limit", 0)
     if hasattr(args, "size_mode"):

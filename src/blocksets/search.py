@@ -30,10 +30,13 @@ from .blocks import (
     SizeMode,
     Template,
     block_families,
+    block_labels,
     blockset_points,
+    candidate_blocks,
     enumerate_block_families,
     enumerate_placements,
     make_placement,
+    placement_count,
     reference_symbols,
     template_from_word,
 )
@@ -52,6 +55,7 @@ from .words import CapacityExceeded, all_words
 R = TypeVar("R")
 
 # Largest colour table a scan builds (400 MB of int64): [3]^16 fits, [3]^17 not.
+# The candidate words of a join and the listed hits are held to it too.
 MAX_TABLE_ENTRIES = 50_000_000
 
 # Working-set budget of one scan slab, in int64 entries: each family counts
@@ -175,7 +179,7 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, np.ndarra
     """Scan contiguous slabs of block families through the colour table.
 
     Each slab is a (level, lo, hi) range of the `block_families` arrays at
-    the full length: the families lo..hi-1 that lie inside [n'], for the
+    the longest length: the families lo..hi-1 that lie inside [n'], for the
     level's length n', are scanned as families of [n'], whose words are read
     from the level's slice of the table.  A block's weight sums m^(c-1) over
     its coordinates c, so it is the same at every length, and a family's
@@ -241,58 +245,215 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, np.ndarra
     return examined, np.concatenate(hits)
 
 
-def _expand_hits(
-    hits: np.ndarray, families: BlockFamilies, levels: list[_Level], symbols: tuple[int, ...], neutral: tuple[int, ...]
-):
-    """Every placement at n behind the scan's hits, in canonical order.
+def _scan(
+    table: np.ndarray,
+    t: Template,
+    families: BlockFamilies,
+    lengths: range,
+    symbols: tuple[int, ...],
+    neutral: tuple[int, ...],
+    pad: int,
+    first_only: bool,
+    workers: int,
+) -> tuple[int, np.ndarray, list[_Level]]:
+    """Scan t's families at every length in `lengths`, longest first, through the table.
 
-    `levels` run from n down.  A hit at n' stands for one placement per set Z
-    of n - n' coordinates of [n] and per word of neutral symbols on Z: the
-    hit's own coordinates go, in order, to the rest of [n], so its blocks map
-    to blocks of the same sizes in the same (size, elements) order and the id
-    rows stay increasing.  Returns the id rows at n, the references as words
-    with 0 on the block coordinates, and the colour ids, sorted by (id row,
-    reference): id-row order is the canonical family order, and the
-    references of one family compare as words.
+    `families` are the `block_families` arrays at the longest length, and
+    the words of [m]^k are read from the slice of the table whose words hold
+    `pad` (a neutral symbol) past coordinate k.  A level's multiplicity
+    counts the placements at the longest length behind each of its
+    placements, their deleted references taking the `neutral` symbols.
+    Returns (placements examined, hit rows of `_scan_chunk`, levels).
     """
-    n, blocks, blocks_per_row = levels[0].n, families.blocks, families.ids.shape[1]
-    bits = np.array([sum(1 << (c - 1) for c in b) for b in blocks], np.int64)
-    by_bits = np.argsort(bits)
-    rows = [np.empty((0, blocks_per_row), families.ids.dtype)]
-    words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
+    top = lengths[-1]
+    arrangements = np.array(list(t.arrangements()), dtype=np.int64) - 1
+    # compare the template reversed first: it moves every letter, so it breaks
+    # the most placements (6% survive it at pq12 n=10 and 2.5% at d=2 n=13,
+    # against 45% and 14% for arrangement 1)
+    arrangements = np.concatenate([arrangements[:1], arrangements[:0:-1]])
+    weight = np.array([sum(t.m ** (c - 1) for c in block) for block in families.blocks], np.int64)
+    levels, slabs = [], []
+    # longest first, so that the shorter lengths' arrays fit where the longer ones' were
+    for k in reversed(lengths):
+        offset = (pad - 1) * (len(table) - t.m**k) // (t.m - 1) if len(table) > t.m**k else 0
+        # the families at k are the families at the longest length inside [k], in the same order
+        inside = np.flatnonzero(families.masks < 1 << k)
+        # a slab starts at each family inside [k] whose working set starts a new budget
+        costs = len(symbols) ** (k - families.totals[inside]) + t.s + k
+        budgets = (np.cumsum(costs) - costs) // SLAB_ENTRIES
+        del costs  # one family-length array fewer while the diff runs
+        starts = inside[np.diff(budgets, prepend=-1) > 0].tolist()
+        slabs.extend((len(levels), lo, hi) for lo, hi in zip(starts, starts[1:] + [len(families.totals)]))
+        levels.append(_Level(k, offset, math.comb(top, k) * len(neutral) ** (top - k)))
+    examined = 0
+    hits = [np.empty((0, 4), np.int64)]
+    shared = (table, t.m, symbols, arrangements, weight, families, levels, first_only)
+    for chunk_examined, chunk_hits in map_chunks(_scan_chunk, shared, slabs, workers):
+        examined += chunk_examined
+        hits.append(chunk_hits)
+        if first_only and len(chunk_hits):
+            break
+    return examined, np.concatenate(hits), levels
+
+
+Hits = dict[int, tuple[np.ndarray, np.ndarray]]  # length -> (label words, colour ids)
+
+
+def _check_entries(what: str, entries: int) -> None:
+    """Refuse an array of more than MAX_TABLE_ENTRIES entries before it is built."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise CapacityExceeded(f"{what} needs {entries:,} entries; the limit is {MAX_TABLE_ENTRIES:,}")
+
+
+def _references(masks: np.ndarray, ref: np.ndarray, k: int, symbols: tuple[int, ...]) -> np.ndarray:
+    """Reference words at k of scan hits: 0 on the coordinates in `masks`, the digits of `ref` on the rest.
+
+    The free coordinates, last first, take the digits of the reference index.
+    """
+    word, rest = np.zeros((len(ref), k), np.int8), ref.copy()
+    for c in range(k - 1, -1, -1):
+        free = masks >> c & 1 == 0
+        word[free, c] = np.array(symbols, np.int8)[rest[free] % len(symbols)]
+        rest[free] //= len(symbols)
+    return word
+
+
+def _scan_words(
+    hits: np.ndarray, families: BlockFamilies, levels: list[_Level], symbols: tuple[int, ...], m: int
+) -> Hits:
+    """The scan's hits as label words, by length.
+
+    A hit at k becomes an int8 word of length k: its reference symbol on
+    each free coordinate, and m + the `block_labels` label on each block
+    coordinate, so equal placements have equal words.
+    """
+    out = {}
     for level, (k, _, _) in enumerate(levels):
         fam, ref, colour = hits[hits[:, 0] == level, 1:].T
-        if not len(fam):
-            continue
-        # the hit's reference word at k: its free coordinates, last first, take the digits of its index
-        word, rest = np.zeros((len(fam), k), np.int8), ref.copy()
-        for c in range(k - 1, -1, -1):
-            free = families.masks[fam] >> c & 1 == 0
-            word[free, c] = np.array(symbols, np.int8)[rest[free] % len(symbols)]
-            rest[free] //= len(symbols)
-        # Z runs over the (n - k)-subsets of [n]; `kept` lists the other coordinates in order
-        r = n - k
-        zs = np.array(list(itertools.combinations(range(n), r)), np.int64).reshape(math.comb(n, r), r)
-        z_index = np.arange(len(zs))[:, None]
-        in_z = np.zeros((len(zs), n), bool)
-        in_z[z_index, zs] = True
-        kept = np.nonzero(~in_z)[1].reshape(len(zs), k)
-        fills = np.array(list(itertools.product(neutral, repeat=r)), np.int8).reshape(len(neutral) ** r, r)
-        full = np.zeros((len(fam), len(fills), len(zs), n), np.int8)  # (hit, fill, Z, coordinate)
-        full[:, :, z_index, kept] = word[:, None, None]
-        full[:, :, z_index, zs] = fills[:, None]
-        words.append(full.reshape(-1, n))
-        # the id at n of each block inside [k] under each Z
-        inside = np.flatnonzero(bits < 1 << k)
-        membership = np.array([[c in blocks[i] for c in range(1, k + 1)] for i in inside], np.int64)
-        images = np.zeros((len(zs), len(blocks)), families.ids.dtype)
-        images[:, inside] = by_bits[np.searchsorted(bits[by_bits], (np.int64(1) << kept) @ membership.T)]
-        family_rows = images[:, families.ids[fam]].transpose(1, 0, 2)[:, None]  # (hit, 1, Z, block)
-        rows.append(np.broadcast_to(family_rows, (*full.shape[:3], blocks_per_row)).reshape(-1, blocks_per_row))
-        colours.append(np.repeat(colour, len(fills) * len(zs)))
-    rows, words, colours = np.concatenate(rows), np.concatenate(words), np.concatenate(colours)
-    order = np.lexsort(np.column_stack([rows, words]).T[::-1])
-    return rows[order], words[order], colours[order]
+        labels = block_labels(families.blocks, families.ids[fam], k)
+        out[k] = (np.where(labels > 0, labels + m, _references(families.masks[fam], ref, k, symbols)), colour)
+    return out
+
+
+def _subsets(n: int, r: int) -> np.ndarray:
+    """The r-subsets of the coordinates 0..n-1, one sorted row each, in lexicographic order."""
+    return np.array(list(itertools.combinations(range(n), r)), np.int64).reshape(math.comb(n, r), r)
+
+
+def _lift(words: np.ndarray, zs: np.ndarray, fills: np.ndarray) -> np.ndarray:
+    """Label words of [k] lifted into [k + r] over the r-sets zs.
+
+    Row i puts words[i] on the coordinates outside zs[i], in order, and
+    fills[i] on zs[i]: a word of neutral symbols (a placement whose
+    references hold them) or one new block label (a placement with the new
+    block zs[i]).  The lift keeps the order of the word's coordinates, so
+    its blocks keep their order of minima.
+    """
+    n = words.shape[1] + zs.shape[1]
+    in_z = np.zeros((len(zs), n), bool)
+    in_z[np.arange(len(zs))[:, None], zs] = True
+    out = np.empty((len(zs), n), np.int8)
+    out[~in_z] = words.ravel()
+    out[in_z] = fills.ravel()
+    return out
+
+
+def _keys(words: np.ndarray) -> np.ndarray:
+    """Label words as fixed-width byte strings: no letter is 0, so equal keys are equal words."""
+    return np.ascontiguousarray(words).view(f"S{words.shape[1]}").ravel()
+
+
+def _join(lower: Hits, blocks: int, copies: int, lengths: range, m: int, sizes: range) -> Hits:
+    """The hits of T at each length from the hits of T-, T with one of its `copies` neutral letters z fewer.
+
+    `lower` holds the hits of T- (`blocks` blocks), as label words, at every
+    length the join reads.  An arrangement of T puts z on `copies` blocks,
+    and deleting any of them, with its coordinates, leaves a point of that
+    deletion as a T- placement, of the same colour.  So every deletion of a
+    T hit is a T- hit of its colour; and a placement is a T hit when the
+    deletions of any s - copies + 1 of its s blocks are T- hits, since those
+    blocks meet the z blocks of every arrangement and, with copies >= 2, any
+    two of them take z together in some arrangement, so that their colours
+    agree.  Each T hit at L thus arises once as a T- hit at L - |Z| lifted
+    over Z, with Z the new block of largest minimum, and is kept when the
+    deletions of its first s - copies blocks by minimum are among the sorted
+    lower keys.  The candidates of a length are counted, and refused past
+    MAX_TABLE_ENTRIES letters, before they are built.
+    """
+    label = m + blocks + 1  # the new block's: its minimum is the largest
+    keys = {k: np.sort(_keys(words)) for k, (words, _) in lower.items()}
+    out = {}
+    for n in lengths:
+        lifts = []
+        for k in sizes:
+            if n - k in lower:
+                zs = _subsets(n, k)
+                # zs are in lexicographic order, so the sets past a lower hit's last block are a tail of them
+                last = np.argmax(lower[n - k][0] == label - 1, axis=1)  # the first coordinate of that block
+                lifts.append((k, zs, len(zs) - np.searchsorted(zs[:, 0], last, side="right")))
+        _check_entries(f"the join at n={n}", n * sum(int(counts.sum()) for *_, counts in lifts))
+        words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
+        for k, zs, counts in lifts:
+            low, low_colours = lower[n - k]
+            h = np.repeat(np.arange(len(low)), counts)
+            z = np.arange(len(h)) + np.repeat(len(zs) - np.cumsum(counts), counts)  # hit i takes the last counts[i]
+            words.append(_lift(low[h], zs[z], np.full((len(h), k), label, np.int8)))
+            colours.append(low_colours[h])
+        words, colours = np.concatenate(words), np.concatenate(colours)
+        for b in range(m + 1, label + 1 - copies):
+            size, keep = (words == b).sum(axis=1), np.zeros(len(words), bool)
+            for k in sizes:
+                rows = np.flatnonzero(size == k)
+                if len(rows) and len(keys[n - k]):
+                    rest = words[rows][words[rows] != b].reshape(len(rows), n - k)
+                    rest -= rest > b  # the later blocks move one label down
+                    query, found = _keys(rest), keys[n - k]
+                    keep[rows] = found[np.searchsorted(found, query).clip(max=len(found) - 1)] == query
+            words, colours = words[keep], colours[keep]
+        out[n] = (words, colours)
+    return out
+
+
+def _climb(
+    table: np.ndarray,
+    t: Template,
+    z: int,
+    n: int,
+    sizemode: SizeMode,
+    symbols: tuple[int, ...],
+    neutral: tuple[int, ...],
+    workers: int,
+) -> Hits:
+    """The hits of t at every length its placements at n delete down to, by climbing the neutral letter z.
+
+    T_j is t with j of its J copies of z.  Each deletion of a block of a
+    T_j hit leaves a T_{j-1} hit of its colour (see `_join`), so J deletions
+    take a hit of t at n to a hit of T_0 no longer than n - J*min_size.  T_0
+    is scanned first, stopping at its first hit: with none, t has none.
+    Otherwise T_1 is scanned up to n - (J-1)*min_size and joined up to t.
+    Hits have their references over `symbols`: with neutral references they
+    are wanted at every length, without them only at the lengths that reach n.
+    """
+    count, low, high = t.counts[z - 1], sizemode.min_size, max(sizemode.size_range())
+
+    def sub(j: int) -> Template:
+        return Template(t.m, tuple(j if letter == z else c for letter, c in enumerate(t.counts, 1)))
+
+    def lengths(j: int) -> range:
+        floor = sub(j).s * low
+        return range(floor if neutral else max(floor, n - (count - j) * high), n - (count - j) * low + 1)
+
+    families = block_families(lengths(0)[-1], sub(0), sizemode)
+    # one worker: the certificate stops at its first hit, sooner than a pool starts
+    _, hits, _ = _scan(table, sub(0), families, lengths(0), symbols, neutral, z, True, 1)
+    if not len(hits):
+        return {}
+    families = block_families(lengths(1)[-1], sub(1), sizemode)
+    _, hits, levels = _scan(table, sub(1), families, lengths(1), symbols, neutral, z, False, workers)
+    found = _scan_words(hits, families, levels, symbols, t.m)
+    for j in range(2, count + 1):
+        found = _join(found, sub(j - 1).s, j, lengths(j), t.m, sizemode.size_range())
+    return found
 
 
 def _verify_hit(p: Placement, t: Template, colouring: Colouring, colour: int) -> None:
@@ -360,12 +521,13 @@ def verify_absence(
 ) -> SearchReport:
     """Examine the placements in canonical order and report the monochromatic ones.
 
-    The scan evaluates every placement through one dense colour table of
-    [m]^n, built once here, so tables too large to build are refused before
-    any work starts.  The families come as `block_families` id rows, already
-    in canonical order, and are cut into slabs of about SLAB_ENTRIES
-    working-set entries each (at least one family); workers take equal
-    numbers of slabs, so their shares cost about the same.
+    The scan evaluates every placement through one dense colour table, built
+    once here at the longest length any scan reads (n, unless it climbs), so
+    tables too large to build are refused before any work starts.  The
+    families come as `block_families` id rows, already in canonical order,
+    and are cut into slabs of about SLAB_ENTRIES working-set entries each
+    (at least one family); workers take equal numbers of slabs, so their
+    shares cost about the same.
 
     A full scan of a colouring with neutral symbols in the reference domain
     (N: a coordinate holding one can be deleted without changing a colour)
@@ -384,54 +546,72 @@ def verify_absence(
     With first_only the scan stops at the canonically first hit, and
     `examined` counts the placements up to and including it (all of them
     when there is none).
+
+    A full scan with no pattern climbs instead when a template letter z is
+    neutral and repeats beside other letters (the one with most copies,
+    J >= 2 of them): by the lemmas in `_climb` and `_join` the hits of t come
+    from scans of t with no z (an absence certificate) and with one z, at
+    most n - (J-1)*min_size long, then one join per further z.  `examined`
+    is then the closed-form `placement_count`, and no family array is built
+    at n.
     """
     t0 = time.perf_counter()
-    if t.m**n > MAX_TABLE_ENTRIES or colouring.colour_count > 2**62:
-        raise CapacityExceeded(
-            f"a scan of [{t.m}]^{n} needs {t.m**n:,} colour-table entries holding "
-            f"{(colouring.colour_count - 1).bit_length()}-bit colour ids; "
-            f"the limits are {MAX_TABLE_ENTRIES:,} entries and 62-bit ids"
-        )
     symbols = reference_symbols(t, reference_domain)
     neutral = () if first_only else tuple(z for z in symbols if z in colouring.neutral_symbols)
     if len(neutral) == len(symbols):
         neutral = ()
     scanned = tuple(z for z in symbols if z not in neutral)
-    families = block_families(n, t, sizemode, pattern)
-    table = colouring.dense_table(n, t.m)
-    arrangements = np.array(list(t.arrangements()), dtype=np.int64) - 1
-    # compare the template reversed first: it moves every letter, so it breaks
-    # the most placements (6% survive it at pq12 n=10 and 2.5% at d=2 n=13,
-    # against 45% and 14% for arrangement 1)
-    arrangements = np.concatenate([arrangements[:1], arrangements[:0:-1]])
-    weight = np.array([sum(t.m ** (c - 1) for c in block) for block in families.blocks], np.int64)
-    levels, slabs = [], []
-    lowest = t.s * sizemode.min_size if neutral else n
-    # longest first, so that the shorter lengths' arrays fit where the longer ones' were
-    for k in range(n, lowest - 1, -1):
-        offset = (neutral[0] - 1) * (t.m**n - t.m**k) // (t.m - 1) if k < n else 0
-        # the families at k are the families at n inside [k], in the same order
-        inside = np.flatnonzero(families.masks < 1 << k)
-        # a slab starts at each family inside [k] whose working set starts a new budget
-        costs = len(scanned) ** (k - families.totals[inside]) + t.s + k
-        budgets = (np.cumsum(costs) - costs) // SLAB_ENTRIES
-        del costs  # one family-length array fewer while the diff runs
-        starts = inside[np.diff(budgets, prepend=-1) > 0].tolist()
-        slabs.extend((len(levels), lo, hi) for lo, hi in zip(starts, starts[1:] + [len(families.totals)]))
-        levels.append(_Level(k, offset, math.comb(n, k) * len(neutral) ** (n - k)))
-    examined = 0
-    hits = [np.empty((0, 4), np.int64)]
-    shared = (table, t.m, scanned, arrangements, weight, families, levels, first_only)
-    for chunk_examined, chunk_hits in map_chunks(_scan_chunk, shared, slabs, workers):
-        examined += chunk_examined
-        hits.append(chunk_hits)
-        if first_only and len(chunk_hits):
-            break
-    rows, words, colours = _expand_hits(np.concatenate(hits), families, levels, scanned, neutral)
+    # a neutral template letter that repeats beside other letters can be climbed
+    letters = [z for z in range(1, t.m + 1) if z in colouring.neutral_symbols and 2 <= t.counts[z - 1] < t.s]
+    climb = max(letters, key=lambda z: t.counts[z - 1]) if letters and pattern is None and not first_only else None
+    longest = n - (t.counts[climb - 1] - 1) * sizemode.min_size if climb else n
+    if t.m**longest > MAX_TABLE_ENTRIES or colouring.colour_count > 2**62:
+        raise CapacityExceeded(
+            f"a scan of [{t.m}]^{longest} needs {t.m**longest:,} colour-table entries holding "
+            f"{(colouring.colour_count - 1).bit_length()}-bit colour ids; "
+            f"the limits are {MAX_TABLE_ENTRIES:,} entries and 62-bit ids"
+        )
+    if climb:
+        examined = placement_count(n, t, sizemode, len(symbols))
+        blocks = candidate_blocks(n, sizemode)
+        top = np.empty((0, t.s), np.int64), np.empty((0, n), np.int8), np.empty(0, np.int64)
+        hits = _climb(colouring.dense_table(longest, t.m), t, climb, n, sizemode, scanned, neutral, workers)
+    else:
+        families = block_families(n, t, sizemode, pattern)
+        blocks, table = families.blocks, colouring.dense_table(n, t.m)
+        pad = neutral[0] if neutral else 1
+        lengths = range(t.s * sizemode.min_size if neutral else n, n + 1)
+        examined, rows, levels = _scan(table, t, families, lengths, scanned, neutral, pad, first_only, workers)
+        # the hits at n keep their id rows; the shorter ones are lifted into [n] below
+        fam, ref, colour = rows[rows[:, 0] == 0, 1:].T
+        top = families.ids[fam], _references(families.masks[fam], ref, n, scanned), colour
+        hits = _scan_words(rows[rows[:, 0] > 0], families, levels, scanned, t.m)
+    # every placement at n behind the other hits: the deleted coordinates hold neutral references
+    listed = len(top[2]) + sum(len(word) * math.comb(n, k) * len(neutral) ** (n - k) for k, (word, _) in hits.items())
+    _check_entries(f"listing the {listed:,} monochromatic placements at n={n}", listed * (n + t.s))
+    words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
+    for k, (word, colour) in hits.items():
+        zs = _subsets(n, n - k)
+        fills = np.array(list(itertools.product(neutral, repeat=n - k)), np.int8)
+        fills = fills.reshape(len(neutral) ** (n - k), n - k)
+        hit, fill, z = (index.ravel() for index in np.indices((len(word), len(fills), len(zs))))
+        words.append(_lift(word[hit], zs[z], fills[fill]))
+        colours.append(colour[hit])
+    words, colours = np.concatenate(words), np.concatenate(colours)
+    # their id rows at n, from each block label's coordinates
+    bits = np.array([sum(1 << (c - 1) for c in b) for b in blocks], np.int64)
+    by_bits = np.argsort(bits).astype(np.min_scalar_type(len(blocks)))
+    masks = np.column_stack([(words == t.m + j) @ (np.int64(1) << np.arange(n)) for j in range(1, t.s + 1)])
+    rows = np.sort(by_bits[np.searchsorted(bits[by_bits], masks)], axis=1)
+    words[words > t.m] = 0
+    # canonical order: by id row, then reference word (0 on the blocks)
+    rows, words, colours = (np.concatenate(part) for part in zip(top, (rows, words, colours)))
+    order = np.lexsort(np.column_stack([rows, words]).T[::-1])
     found = []
-    for lo in range(0, len(rows), DECODE_BATCH):
-        for row, word, colour in zip(*(a[lo : lo + DECODE_BATCH].tolist() for a in (rows, words, colours))):
-            family = tuple(sorted(families.blocks[i] for i in row))
+    for lo in range(0, len(order), DECODE_BATCH):
+        batch = order[lo : lo + DECODE_BATCH]
+        for row, word, colour in zip(rows[batch].tolist(), words[batch].tolist(), colours[batch].tolist()):
+            family = tuple(sorted(blocks[i] for i in row))
             placement = Placement(n, family, tuple((c, sym) for c, sym in enumerate(word, 1) if sym), sizemode)
             _verify_hit(placement, t, colouring, colour)
             found.append((placement, colour))

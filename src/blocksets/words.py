@@ -19,7 +19,7 @@ class InvalidSymbol(ValueError):
 
 
 class CapacityExceeded(ValueError):
-    """Word too long for the packed 63-bit index, or a scan's colour table too large."""
+    """Word too long for the packed 63-bit index, or a scan's colour table or hit lists too large."""
 
 
 class ProfileMismatch(ValueError):

@@ -1,12 +1,15 @@
 import hashlib
 import io
+import itertools
 import json
+import math
 import shlex
 import time
 from pathlib import Path
 
 import pytest
 
+from blocksets import lattice
 from blocksets.blocks import MixedSize, template_from_word
 from blocksets.cli import _HANDLERS, build_parser, parse_and_dispatch, parse_word_colouring, degree_setup
 from blocksets.colourings import ContributionColouring, InducedColouring, TableColouring
@@ -388,6 +391,23 @@ def test_lattice_box_dimension_below_1_exits_1():
     assert "bad box spec '0..3^-1'" in err
 
 
+@pytest.mark.parametrize(
+    "verb, message",
+    [
+        (("ap", "--d", "0"), "--d must be >= 1, got 0"),
+        (("ball", "--r", "0", "--t", "1", "--d", "1"), "--r must be >= 1, got 0"),
+        (("ball", "--r", "1", "--t", "0", "--d", "0"), "--d must be >= 1, got 0; --t must be >= 1, got 0"),
+    ],
+)
+def test_lattice_flags_below_1_exit_1_before_the_colouring_is_drawn(monkeypatch, verb, message):
+    def refuse(*args):
+        raise AssertionError("the box colouring was drawn")
+
+    monkeypatch.setattr(lattice, "random_lattice_colouring", refuse)
+    code, out, err = run_cli("lattice", verb[0], "--colouring", "random:k=2", "--box", "0..14^5", *verb[1:])
+    assert (code, out, err) == (1, "", f"blocksets: error: {message}\n")
+
+
 def test_lattice_negative_box_bound_needs_the_equals_form():
     report = run_json(
         "lattice", "ap", "--colouring", "coordsum:d=2", "--box=-2..2^3", "--d", "2", "--workers", "1",
@@ -556,13 +576,42 @@ def test_bad_colour_bounds_exit_1(argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("n", [31, 34])
+def test_verify_thm2_degree3_reports_absence_past_the_table_limit(n):
+    """d=3 is one 1, three 2s and 27 3s with blocks of size <= 3: a direct scan would need [3]^n."""
+    report = run_json("verify", "thm2", "--d", "3", "--n", str(n), "--workers", "1")
+    examined = 0  # families of 31 blocks by size multiset, n! / ((n-b)! prod size!^count count!), 3^(n-b) references
+    for sizes in itertools.combinations_with_replacement(range(1, 4), 31):
+        if sum(sizes) <= n:
+            families = math.factorial(n) // math.factorial(n - sum(sizes))
+            for size in set(sizes):
+                families //= math.factorial(size) ** sizes.count(size) * math.factorial(sizes.count(size))
+            examined += families * 3 ** (n - sum(sizes))
+    assert (report["examined"], report["found"]) == (examined, [])
+
+
 def test_scan_past_the_table_limit_exits_1_at_once():
+    # the pq12 template 1233 climbs its two 3s, so its longest scan at n=18 is [3]^17
     t0 = time.perf_counter()
-    code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "17", "--workers", "1")
+    code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "18", "--workers", "1")
     assert time.perf_counter() - t0 < 2.0
     assert code == 1 and out == ""
     assert "a scan of [3]^17 needs 129,140,163 colour-table entries" in err
     assert "the limits are 50,000,000 entries" in err
+
+
+def test_hits_past_the_listing_limit_exit_1():
+    """pq12 at n=17 reads [3]^16, inside the table limit, but has millions of hits to list.
+
+    The listing is counted from the climb's hits before it is built, so the
+    run ends with one message instead of running out of memory.
+    """
+    code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "17", "--workers", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "blocksets: error: listing the 6,538,048 monochromatic placements at n=17 "
+        "needs 137,299,008 entries; the limit is 50,000,000\n"
+    )
 
 
 # ---------------------------------------------------------------------------

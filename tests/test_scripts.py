@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("scan_absence.py", ["--d", "2", "--pq", "1,2", "--n-max", "9"], "total monochromatic placements: 2"),
         ("witness_experiments.py", ["--n-max", "3", "--k-max", "2"], "outcome"),
         ("explore_lattice.py", ["--box", "0..3^2"], "d=2: x=(1, 1) v=(-1, 1)"),
+        ("scan_absence.py", ["--d", "3", "--n-max", "31"], "total monochromatic placements: 0"),
     ],
 )
 def test_script_runs(script, args, expect):

@@ -17,6 +17,7 @@ from blocksets.blocks import (
     enumerate_placements,
     make_placement,
     pattern_of,
+    placement_count,
     template_from_counts,
     template_from_word,
 )
@@ -46,7 +47,7 @@ from blocksets.search import (
     verify_absence,
     witness_search,
 )
-from blocksets.words import Word, all_words, encode_word
+from blocksets.words import CapacityExceeded, Word, all_words, encode_word
 
 T123 = template_from_word("123")
 T12 = template_from_word("12", m=3)
@@ -321,7 +322,14 @@ class PrebuiltTable(ContributionColouring):
     table: np.ndarray = field(default=None, compare=False, repr=False)
 
     def dense_table(self, n, m):
+        assert len(self.table) == m**n, f"table prebuilt with {len(self.table)} entries, scan asks for [{m}]^{n}"
         return self.table.copy()
+
+
+class DirectPrebuiltTable(PrebuiltTable):
+    """Declares no neutral symbols, so its full scans visit every reference at n."""
+
+    neutral_symbols = frozenset()
 
 
 def _traced_peak(fn):
@@ -337,14 +345,26 @@ def _degree2_prebuilt():
     from blocksets.cli import degree_setup
 
     t, base = degree_setup(2)
-    return PrebuiltTable(base.modulus, base.length, base.dense_table(13, 3)), 13, t, MixedSize(2), False
+    # the climb over the eight 3s of 12233333333 reads [3]^(n - 7)
+    return PrebuiltTable(base.modulus, base.length, base.dense_table(6, 3)), 13, t, MixedSize(2), False, 6
+
+
+def _degree2_direct():
+    from blocksets.cli import degree_setup
+
+    t, base = degree_setup(2)
+    return DirectPrebuiltTable(base.modulus, base.length, base.dense_table(13, 3)), 13, t, MixedSize(2), False, 13
 
 
 def _constant_first_only():
-    return ConstantColouring(0, 1), 12, template_from_word("1233333"), MixedSize(1), True
+    return ConstantColouring(0, 1), 12, template_from_word("1233333"), MixedSize(1), True, 12
 
 
-@pytest.mark.parametrize("case", [_degree2_prebuilt, _constant_first_only], ids=["degree2-n13", "all-hits-first-only"])
+@pytest.mark.parametrize(
+    "case",
+    [_degree2_prebuilt, _degree2_direct, _constant_first_only],
+    ids=["degree2-n13", "degree2-n13-direct", "all-hits-first-only"],
+)
 def test_scan_working_set_is_bounded_by_the_slab_budget(case):
     """Beyond its table and its family list, a scan allocates a few slab budgets.
 
@@ -356,8 +376,8 @@ def test_scan_working_set_is_bounded_by_the_slab_budget(case):
     constant colouring every placement survives every arrangement, so the
     compare arrays are as large as the slab's placements.
     """
-    colouring, n, t, sizemode, first_only = case()
-    table_bytes = colouring.dense_table(n, t.m).nbytes
+    colouring, n, t, sizemode, first_only, table_length = case()
+    table_bytes = colouring.dense_table(table_length, t.m).nbytes
     _, enumeration_peak = _traced_peak(lambda: enumerate_block_families(n, t, sizemode))
     report, peak = _traced_peak(lambda: verify_absence(colouring, n, t, sizemode, first_only=first_only))
     assert report.examined == placements_examined_until(n, t, sizemode, None, None, report.found[0] if report.found else None)
@@ -432,18 +452,18 @@ class CountedTable(ContributionColouring):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_reduced_scan_builds_one_table_at_the_full_length(monkeypatch, workers):
+def test_reduced_scan_builds_one_table_at_the_longest_scanned_length(monkeypatch, workers):
     monkeypatch.setattr(search, "SLAB_ENTRIES", 256)  # many slabs, so both workers get some
     colouring = CountedTable(3, 3)
     report = verify_absence(colouring, 10, T1233, MixedSize(2), workers=workers)
-    assert colouring.built == [10]
+    assert colouring.built == [9]  # 123 is scanned up to n - 1, 12 up to n - 2
     assert _stable(report) == _stable(verify_absence(DirectContribution(3, 3), 10, T1233, MixedSize(2)))
 
 
 def test_reduced_scan_working_set_is_bounded_by_the_slab_budget():
     """The bound of the direct scan's test holds for a reduced scan, all its lengths together."""
     n = 10
-    colouring = PrebuiltTable(3, 3, ContributionColouring(3, 3).dense_table(n, 3))
+    colouring = PrebuiltTable(3, 3, ContributionColouring(3, 3).dense_table(n - 1, 3))  # the climb's longest scan
     table_bytes = colouring.table.nbytes
     _, enumeration_peak = _traced_peak(lambda: enumerate_block_families(n, T1233, MixedSize(2)))
     report, peak = _traced_peak(lambda: verify_absence(colouring, n, T1233, MixedSize(2)))
@@ -451,6 +471,78 @@ def test_reduced_scan_working_set_is_bounded_by_the_slab_budget():
     assert report.examined == placements_examined_until(n, T1233, MixedSize(2), None, None, None)
     budget_bytes = search.SLAB_ENTRIES * np.dtype(np.int64).itemsize
     assert peak - table_bytes < enumeration_peak + 16 * budget_bytes
+
+
+# ---------------------------------------------------------------------------
+# neutral-letter climb
+
+
+@pytest.mark.parametrize("text", ["12", "123", "1233", "12233"])
+@pytest.mark.parametrize("sizemode", [EqualSize(1), EqualSize(2), MixedSize(1), MixedSize(2), MixedSize(3)], ids=str)
+def test_placement_count_matches_the_recount(text, sizemode):
+    t = template_from_word(text, m=3)
+    for n in range(t.s * sizemode.min_size, 11):
+        for domain in [None, (1, 2), (3,)]:
+            count = placement_count(n, t, sizemode, 3 if domain is None else len(domain))
+            assert count == placements_examined_until(n, t, sizemode, None, domain, None)
+
+
+def _delete_block(placement, b):
+    """The placement with block b and its coordinates deleted, the rest renumbered in order."""
+    kept = [c for c in range(1, placement.n + 1) if c not in placement.blocks[b]]
+    new = {c: i for i, c in enumerate(kept, 1)}
+    blocks = [[new[c] for c in block] for j, block in enumerate(placement.blocks) if j != b]
+    return make_placement(len(kept), blocks, {new[c]: sym for c, sym in placement.reference}, placement.sizemode)
+
+
+def test_every_block_deletion_of_a_pq12_hit_is_a_lower_hit_of_its_colour():
+    """Lemma (a) on data: 3 is neutral, so deleting any block of a 1233 hit leaves a 123 hit.
+
+    Both lists come from direct scans, which declare no neutral symbols.
+    """
+    colouring = DirectContribution(3, 3)
+    lower = {hit for n in range(3, 11) for hit in verify_absence(colouring, n, T123, MixedSize(2)).found}
+    hits = [hit for n in range(4, 12) for hit in verify_absence(colouring, n, T1233, MixedSize(2)).found]
+    assert len(hits) == 2 + 34 + 316
+    for placement, colour in hits:
+        assert all((_delete_block(placement, b), colour) in lower for b in range(4))
+
+
+def test_join_counts_its_candidates_before_building_them(monkeypatch):
+    """One lower hit, a block on both coordinates of [2], lifts over the 2-sets of [4] past its minimum.
+
+    Those are {2,3}, {2,4} and {3,4}: 3 candidates of 4 letters.
+    """
+    lower = {2: (np.array([[4, 4]], np.int8), np.array([7]))}
+    monkeypatch.setattr(search, "MAX_TABLE_ENTRIES", 3 * 4 - 1)
+    with pytest.raises(CapacityExceeded, match="the join at n=4 needs 12 entries"):
+        search._join(lower, 1, 2, range(4, 5), 3, range(1, 3))
+    monkeypatch.setattr(search, "MAX_TABLE_ENTRIES", 3 * 4)
+    words, colours = search._join(lower, 1, 2, range(4, 5), 3, range(1, 3))[4]
+    assert words.tolist() == [[4, 5, 5, 4], [4, 5, 4, 5], [4, 4, 5, 5]]
+    assert colours.tolist() == [7, 7, 7]
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_climb_matches_the_naive_and_the_direct_scan(data):
+    """Templates with a repeated neutral letter, so full scans climb it."""
+    if data.draw(st.booleans(), "contribution"):
+        modulus, length = data.draw(st.integers(2, 3), "modulus"), data.draw(st.integers(1, 3), "length")
+        colouring, direct = ContributionColouring(modulus, length), DirectContribution(modulus, length)
+    else:
+        symbol, k = data.draw(st.integers(1, 3), "symbol"), data.draw(st.integers(1, 3), "k")
+        colouring, direct = ModularCountColouring(symbol, k), DirectCount(symbol, k)
+    t = template_from_word(data.draw(st.sampled_from(["1133", "11233", "12233", "1233"]), "template"), m=3)
+    modes = [EqualSize(1), EqualSize(2), MixedSize(1), MixedSize(2)]
+    sizemode = data.draw(st.sampled_from([mode for mode in modes if t.s * mode.min_size <= 7]), "sizemode")
+    n = data.draw(st.integers(t.s * sizemode.min_size, 7), "n")
+    domain = data.draw(st.sampled_from([None, (1, 2), (3,)]), "domain")
+    workers = data.draw(st.sampled_from([1, 2]), "workers")
+    climbed = verify_absence(colouring, n, t, sizemode, None, domain, workers)
+    full = verify_absence(direct, n, t, sizemode, None, domain, workers)
+    assert climbed.found == full.found == naive_monochromatic(colouring, n, t, sizemode, None, domain)
+    assert climbed.examined == full.examined == len(list(enumerate_placements(n, t, sizemode, None, domain)))
 
 
 # ---------------------------------------------------------------------------
