@@ -197,7 +197,7 @@ class Placement:
             "n": self.n,
             "blocks": [list(block) for block in self.blocks],
             "reference": {str(coord): str(symbol) for coord, symbol in self.reference},
-            "pattern": pattern_of(self),
+            "pattern": pattern_of(self) if len(self.blocks) <= 26 else None,  # labels run out past Z
         }
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -176,7 +177,9 @@ def _emit_text(report: dict, stream) -> None:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process (a build takes milliseconds); parsing leaves it unchanged."""
     parser = _Parser(prog="blocksets", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
 

@@ -248,18 +248,27 @@ class TableColouring(Colouring):
     def dense_table(self, n: int, m: int) -> np.ndarray:
         if len(self.entries) != m**n or any(w.n != n or w.m != m for w in self.entries):
             raise DomainError(f"table {self.label} does not cover exactly [{m}]^{n}")
+        symbols = np.fromiter(itertools.chain.from_iterable(w.symbols for w in self.entries), np.int8, m**n * n)
+        symbols = symbols.reshape(m**n, n) - 1
+        index = np.zeros(m**n, np.int64)
+        for c in range(n - 1, -1, -1):  # coordinate 1 least significant
+            index = index * m + symbols[:, c]
         table = np.empty(m**n, dtype=np.int64)
-        for w, c in self.entries.items():
-            table[w.index] = c
+        table[index] = np.fromiter(self.entries.values(), np.int64, m**n)
         return table
 
 
 def random_table_colouring(n: int, m: int, k: int, seed: int) -> TableColouring:
     """Seeded uniform random k-colouring of [m]^n (reproducible across runs)."""
     rng = np.random.default_rng(seed)
-    ids = rng.integers(0, k, size=m**n)
-    entries = {w: int(ids[w.index]) for w in all_words(n, m)}
-    return TableColouring(entries, k, f"random:k={k},seed={seed}")
+    return packed_table_colouring(rng.integers(0, k, size=m**n), n, m, k, f"random:k={k},seed={seed}")
+
+
+def packed_table_colouring(ids: np.ndarray, n: int, m: int, colours: int, label: str) -> TableColouring:
+    """Table colouring of [m]^n in which each word w has colour ids[w.index], entries in `all_words` order."""
+    # ids follow the packed index (coordinate 1 least significant), all_words the symbols (coordinate 1 first)
+    entries = dict(zip(all_words(n, m), ids.reshape((m,) * n).transpose().ravel().tolist()))
+    return TableColouring(entries, colours, label)
 
 
 def substitute(x: Word, w: Word) -> Word:

@@ -19,7 +19,7 @@ import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .blocks import (
     blockset_points,
     candidate_blocks,
     enumerate_block_families,
-    enumerate_placements,
     make_placement,
     placement_count,
     reference_symbols,
@@ -47,10 +46,11 @@ from .colourings import (
     TableColouring,
     flipped_block_word,
     id_to_vector,
+    packed_table_colouring,
     slot_word_for,
     substitute,
 )
-from .words import CapacityExceeded, all_words
+from .words import CapacityExceeded
 
 R = TypeVar("R")
 
@@ -175,6 +175,39 @@ class _Level(NamedTuple):
     multiplicity: int  # placements at n behind each placement at n'
 
 
+def _block_weights(blocks: Sequence[tuple[int, ...]], m: int) -> np.ndarray:
+    """Each block's weight, the sum of m^(c-1) over its coordinates c.
+
+    A word's packed index is the sum of (symbol - 1) * m^(c-1), so the point
+    of a placement for an arrangement is its reference base plus the
+    arrangement's letters less one times the weights of the blocks they fill.
+    """
+    return np.array([sum(m ** (c - 1) for c in block) for block in blocks], np.int64)
+
+
+def _reference_bases(
+    masks: np.ndarray, totals: np.ndarray, n: int, m: int, symbols: tuple[int, ...], digit_matrices: dict
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(k, families, bases) for each complement size k of the families with these masks and totals.
+
+    `families` indexes the families with k coordinates outside their blocks,
+    and row f of `bases` holds the packed index, 0 on the blocks, of each of
+    their |symbols|^k references in lexicographic order over the complement:
+    one matrix product, complement weights (F x k) by the digit matrix of
+    every reference, kept in `digit_matrices` across calls.
+    """
+    powers = np.int64(m) ** np.arange(n, dtype=np.int64)
+    in_blocks = (masks[:, None] >> np.arange(n)) & 1 == 1
+    for k in sorted(set((n - totals).tolist())):
+        fams = np.flatnonzero(totals == n - k)
+        if k not in digit_matrices:  # column r spells reference r, first coordinate most significant
+            digits = list(itertools.product([sym - 1 for sym in symbols], repeat=k))
+            digit_matrices[k] = np.array(digits, dtype=np.float64).reshape(len(digits), k).T
+        complement = np.nonzero(~in_blocks[fams])[1].reshape(len(fams), k)
+        # a float product is exact here (every index is below 2^53) and much faster
+        yield k, fams, (powers[complement].astype(np.float64) @ digit_matrices[k]).astype(np.int64)
+
+
 def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, np.ndarray]:
     """Scan contiguous slabs of block families through the colour table.
 
@@ -187,11 +220,10 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, np.ndarra
     permutation of the template, so the order in which they meet the blocks
     does not change which placements are monochromatic.  Families are grouped
     by complement size k, and a group's reference offsets are one matrix
-    product, complement weights (G x k) by the digit matrix of all
-    |symbols|^k references.  Row 0 of `arrangements` is gathered and row 1
-    compared for every (family, reference) pair at once; each later row's
-    deltas are computed, and compared, only for the families with pairs still
-    monochromatic.
+    product (see `_reference_bases`).  Row 0 of `arrangements` is gathered
+    and row 1 compared for every (family, reference) pair at once; each later
+    row's deltas are computed, and compared, only for the families with pairs
+    still monochromatic.
 
     Returns (placements examined, hits): each placement counts its level's
     multiplicity, and a hit is a row (level, family index, reference index,
@@ -207,22 +239,13 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, np.ndarra
     for level, lo, hi in slabs:
         n, offset, multiplicity = levels[level]
         view = table[offset : offset + m**n]
-        powers = np.int64(m) ** np.arange(n, dtype=np.int64)
         index = lo + np.flatnonzero(families.masks[lo:hi] < 1 << n)
         ids, masks, totals = families.ids[index], families.masks[index], families.totals[index]
         weights = weight[ids]
         # a one-arrangement template compares arrangement 0 with itself
         deltas = weights @ arrangements[[0, min(1, count - 1)]].T
-        in_blocks = (masks[:, None] >> np.arange(n)) & 1 == 1
         slab_hits = []
-        for k in sorted(set((n - totals).tolist())):
-            fams = np.flatnonzero(totals == n - k)
-            if k not in digit_matrices:  # column r spells reference r, first coordinate most significant
-                digits = list(itertools.product([sym - 1 for sym in symbols], repeat=k))
-                digit_matrices[k] = np.array(digits, dtype=np.float64).reshape(len(digits), k).T
-            complement = np.nonzero(~in_blocks[fams])[1].reshape(len(fams), k)
-            # a float product is exact here (every index is below 2^53) and much faster
-            bases = (powers[complement].astype(np.float64) @ digit_matrices[k]).astype(np.int64)
+        for k, fams, bases in _reference_bases(masks, totals, n, m, symbols, digit_matrices):
             colour = view[bases + deltas[fams, :1]]
             fi, ri = np.nonzero(view[bases + deltas[fams, 1:]] == colour)
             first = np.diff(fi, prepend=-1) > 0  # fi is sorted: each live family's first pair
@@ -271,7 +294,7 @@ def _scan(
     # the most placements (6% survive it at pq12 n=10 and 2.5% at d=2 n=13,
     # against 45% and 14% for arrangement 1)
     arrangements = np.concatenate([arrangements[:1], arrangements[:0:-1]])
-    weight = np.array([sum(t.m ** (c - 1) for c in block) for block in families.blocks], np.int64)
+    weight = _block_weights(families.blocks, t.m)
     levels, slabs = [], []
     # longest first, so that the shorter lengths' arrays fit where the longer ones' were
     for k in reversed(lengths):
@@ -638,6 +661,31 @@ def verify_absence(
 # witness search
 
 
+def _block_sets(n: int, t: Template, sizemode: SizeMode, reference_domain: Optional[Sequence[int]]) -> np.ndarray:
+    """The distinct block sets of (n, t, size mode) as packed point indices, one sorted row each, rows sorted.
+
+    Each placement's points are its reference base plus the weights of its
+    blocks times each arrangement's letters less one (see `_block_weights`);
+    its row is sorted, and rows of equal point sets are kept once.  The
+    entries, and the words of [m]^n that a witness colours, are counted from
+    the closed form, and refused past MAX_TABLE_ENTRIES, before anything is
+    built.
+    """
+    symbols = reference_symbols(t, reference_domain)
+    arrangements = np.array(list(t.arrangements()), np.int64) - 1
+    _check_entries(f"the block sets at n={n}", placement_count(n, t, sizemode, len(symbols)) * len(arrangements))
+    _check_entries(f"a colouring of [{t.m}]^{n}", t.m**n)
+    families = block_families(n, t, sizemode)
+    points = _block_weights(families.blocks, t.m)[families.ids] @ arrangements.T
+    rows = [
+        (bases[:, :, None] + points[fams, None, :]).reshape(-1, len(arrangements))
+        for _, fams, bases in _reference_bases(families.masks, families.totals, n, t.m, symbols, {})
+    ]
+    sets = np.sort(np.concatenate(rows), axis=1)
+    sets = sets[np.lexsort(sets.T[::-1])]
+    return sets[np.concatenate([[True], (np.diff(sets, axis=0) != 0).any(axis=1)])]
+
+
 def witness_search(
     n: int,
     t: Template,
@@ -652,6 +700,8 @@ def witness_search(
     is exhausted (no witness exists).  Raises BudgetExceeded when the node
     limit is hit first; that outcome is never conflated with proven-None.
 
+    The block sets come as packed point indices from the `block_families`
+    arrays (see `_block_sets`), with no `Placement` or `Word` per point.
     Propagation: when all but one point of some placement already share a
     colour, that colour is removed from the last point's domain.  Points are
     assigned in index order from an explicit stack, so the depth of the search
@@ -661,10 +711,10 @@ def witness_search(
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    placements = enumerate_placements(n, t, sizemode, None, reference_domain)
-    constraints = sorted({tuple(sorted({w.index for w in blockset_points(p, t)})) for p in placements})
-    if any(len(c) <= 1 for c in constraints):
+    sets = _block_sets(n, t, sizemode, reference_domain)
+    if sets.shape[1] <= 1:
         return None  # a one-point block set is monochromatic under every colouring
+    constraints = list(map(tuple, sets.tolist()))
     through: dict[int, list[tuple[int, ...]]] = {}  # each point's block sets, in sorted order
     for cset in constraints:
         for idx in cset:
@@ -707,8 +757,9 @@ def witness_search(
         for w in trails.pop():
             domain[w] |= 1 << c
         c += 1
-    entries = {w: colour.get(w.index, 0) for w in all_words(n, t.m)}
-    witness = TableColouring(entries, k, f"witness:n={n},t={t},k={k}")
+    ids = np.zeros(t.m**n, np.int64)  # points in no block set take colour 0
+    ids[list(colour)] = list(colour.values())
+    witness = packed_table_colouring(ids, n, t.m, k, f"witness:n={n},t={t},k={k}")
     check = find_monochromatic(witness, n, t, sizemode, None, reference_domain)
     if check is not None:
         raise ExtractionContradiction("witness failed its own absence check")

@@ -11,7 +11,15 @@ import pytest
 
 from blocksets import lattice
 from blocksets.blocks import MixedSize, template_from_word
-from blocksets.cli import _HANDLERS, build_parser, parse_and_dispatch, parse_word_colouring, degree_setup
+from blocksets.cli import (
+    _HANDLERS,
+    UsageError,
+    _default_workers,
+    build_parser,
+    degree_setup,
+    parse_and_dispatch,
+    parse_word_colouring,
+)
 from blocksets.colourings import ContributionColouring, InducedColouring, TableColouring
 from blocksets.search import find_monochromatic, placements_examined_until, verify_absence
 
@@ -622,6 +630,22 @@ def _readme_cli_examples() -> list[list[str]]:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```")[1]
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("blocksets ")]
+
+
+def test_parser_is_built_once_and_parsing_leaves_it_unchanged():
+    parser = build_parser()
+    assert build_parser() is parser
+    witness = "search witness --template 123 --n 4 --size-mode mixed:1 --k 2".split()
+    first = parser.parse_args(witness + ["--budget", "5", "--format", "csv", "--stable"])
+    again = parser.parse_args(witness)
+    assert (first.budget, first.format, first.stable) == (5, "csv", True)
+    assert (again.budget, again.format, again.stable) == (1_000_000, "json", False)
+    with pytest.raises(UsageError):
+        parser.parse_args(witness + ["--k", "x"])
+    assert parser.parse_args("colour eval --colouring countmod:s=1,k=2 --word 12".split()).format == "text"
+    mono = parser.parse_args("search mono --colouring countmod:s=1,k=2 --template 12 --n 2 --size-mode equal:1".split())
+    assert (mono.workers, mono.format) == (_default_workers(), "json")
+    assert run_cli(*witness, "--stable")[0] == 0
 
 
 def test_readme_examples_run():

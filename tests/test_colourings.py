@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from blocksets.colourings import (
     BalancedFamily,
+    Colouring,
     ConstantColouring,
     ContributionColouring,
     DomainError,
@@ -146,6 +147,11 @@ def test_dense_table_raises_outside_the_domain():
         ContributionColouring(2, 2).dense_table(3, 2)
     with pytest.raises(DomainError):
         TableColouring({w3("11"): 0, w3("12"): 1}).dense_table(2, 3)
+    entries = {w: 0 for w in all_words(2, 3)}
+    one_short = {w: 0 for w in list(entries)[1:]} | {Word((1,), 3): 0}  # 3^2 entries, one of length 1
+    for table, n in ((entries, 3), (one_short, 2), ({Word(w.symbols, 4): 0 for w in entries}, 2)):
+        with pytest.raises(DomainError):
+            TableColouring(table).dense_table(n, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +328,25 @@ def test_random_table_colouring_is_seeded():
     assert one.entries == two.entries
     assert one.entries != other.entries
     assert set(one.entries.values()) <= set(range(5))
+
+
+@pytest.mark.parametrize("n, m", [(0, 3), (1, 2), (4, 3), (3, 4)])
+def test_random_table_colouring_draws_by_packed_index(n, m):
+    """Entry w is draw w.index of the seeded generator, in all_words order."""
+    ids = np.random.default_rng(7).integers(0, 3, size=m**n)
+    colouring = random_table_colouring(n, m, 3, seed=7)
+    assert list(colouring.entries.items()) == [(w, int(ids[w.index])) for w in all_words(n, m)]
+    assert all(type(c) is int for c in colouring.entries.values())
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (1, 3), (5, 3), (4, 4)])
+def test_table_dense_table_matches_the_per_word_walk(n, m):
+    colouring = random_table_colouring(n, m, 4, seed=n + m)
+    # the entries in reverse order: the table follows each word's packed index, not the dict's order
+    shuffled = TableColouring(dict(reversed(colouring.entries.items())), 4)
+    table = shuffled.dense_table(n, m)
+    assert table.dtype == np.int64 and table.tolist() == Colouring.dense_table(colouring, n, m).tolist()
+    assert list(shuffled.entries) == list(reversed(colouring.entries))
 
 
 @given(st.integers(2, 4), st.integers(1, 4), st.lists(st.integers(0, 2), min_size=1, max_size=10))

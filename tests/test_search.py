@@ -1,6 +1,8 @@
 import itertools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass, field
 
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksets.blocks import (
+    AmbientTooSmall,
     EqualSize,
+    InvalidPlacement,
     MixedSize,
     blockset_points,
     enumerate_block_families,
@@ -682,6 +686,72 @@ def test_witness_proven_impossible_beyond_one_colour():
     assert naive_witness_exists(3, t, MixedSize(1), 2) is False
     assert witness_search(3, t, MixedSize(1), k=2) is None
     assert witness_search(3, t, MixedSize(1), k=3) is not None
+
+
+def test_reports_of_more_than_26_blocks_have_no_pattern():
+    """Patterns are labelled A..Z; a hit of 27 or more blocks is reported with "pattern": null."""
+    report = verify_absence(ModularCountColouring(1, 1), 29, template_from_word("1" + "3" * 27), MixedSize(2))
+    found = report.to_json_dict()["found"]
+    assert len(found) == 493
+    assert {entry["placement"]["pattern"] for entry in found} == {None}
+    with pytest.raises(InvalidPlacement):
+        pattern_of(report.found[0][0])
+    placement = make_placement(26, [[c] for c in range(1, 27)], {}, MixedSize(1))
+    assert placement.to_json_dict()["pattern"] == "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+BLOCK_SET_TEMPLATES = [template_from_word("12", m=2), T123, T1233, template_from_word("11")]
+
+
+@pytest.mark.parametrize("t", BLOCK_SET_TEMPLATES, ids=str)
+@pytest.mark.parametrize("sizemode", [EqualSize(1), EqualSize(2), MixedSize(1), MixedSize(2)], ids=str)
+def test_block_sets_from_the_family_arrays_match_the_placement_walk(t, sizemode):
+    """The witness search's constraints: one sorted row per distinct block set, rows in sorted order."""
+    floor = t.s * sizemode.min_size
+    for domain in [None, (1, 2), (3,)]:
+        if domain and max(domain) > t.m:
+            continue
+        for n in range(floor, 8):
+            placements = enumerate_placements(n, t, sizemode, None, domain)
+            want = sorted({tuple(sorted({w.index for w in blockset_points(p, t)})) for p in placements})
+            got = search._block_sets(n, t, sizemode, domain)
+            assert got.dtype == np.int64 and list(map(tuple, got.tolist())) == want, (n, domain)
+        with pytest.raises(AmbientTooSmall):
+            search._block_sets(floor - 1, t, sizemode, domain)
+        with pytest.raises(AmbientTooSmall):
+            list(enumerate_placements(floor - 1, t, sizemode, None, domain))
+
+
+def test_one_arrangement_template_has_no_witness():
+    """Every block set of 11 is one point, monochromatic under any colouring."""
+    t = template_from_word("11")
+    assert search._block_sets(3, t, MixedSize(1), None).tolist() == [[0], [1], [2], [4]]  # the words with two 1s
+    assert witness_search(3, t, MixedSize(1), k=5) is None
+    with pytest.raises(AmbientTooSmall):
+        witness_search(1, t, MixedSize(1), k=5)
+
+
+def test_block_sets_past_the_entry_limit_are_refused_before_they_are_built():
+    with pytest.raises(CapacityExceeded, match="the block sets at n=20"):
+        witness_search(20, T123, MixedSize(2), k=2)
+    # 59,280 placements, but a witness would colour all 3^40 words (past the packed int64 index)
+    with pytest.raises(CapacityExceeded, match=r"a colouring of \[3\]\^40"):
+        witness_search(40, T123, EqualSize(1), k=2, reference_domain=(3,))
+
+
+def test_witness_search_does_not_import_numpy_ma():
+    """`np.unique(..., axis=0)` would import numpy.ma, and with it several MB of resident memory."""
+    code = (
+        "import sys\n"
+        "from blocksets.blocks import MixedSize, template_from_word\n"
+        "from blocksets.search import witness_search\n"
+        "assert witness_search(5, template_from_word('123'), MixedSize(1), k=4) is not None\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 # ---------------------------------------------------------------------------
