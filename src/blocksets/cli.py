@@ -2,7 +2,7 @@
 
 Reports are emitted as JSON (schema-stable), CSV (one found-entry per row) or
 text (human-oriented).  Exit codes: 0 completed, 1 usage error, 2 node budget
-exceeded.
+exceeded, 3 internal error (a result failed its own re-check).
 """
 
 from __future__ import annotations
@@ -117,6 +117,15 @@ def _load_table(path: str) -> colourings.TableColouring:
 # ---------------------------------------------------------------------------
 # report output
 
+# found entries formatted into one string at a time
+FOUND_BATCH = 1 << 8
+
+# the keys of the found entries that `_write_found` writes, and of their placements (`Placement.to_json_dict`)
+FOUND_KEYS = ({"colour", "placement"}, {"colour", "placement", "vector"})
+PLACEMENT_KEYS = {"blocks", "n", "pattern", "reference"}
+
+_encode = json.encoder.encode_basestring_ascii  # json.dump's string encoder (ensure_ascii)
+
 
 def emit_report(report: dict, out_format: str, stream, stable: bool = False) -> None:
     """Serialize a report dict.  JSON is schema-stable; CSV flattens the found
@@ -124,7 +133,17 @@ def emit_report(report: dict, out_format: str, stream, stable: bool = False) -> 
     if stable and "elapsed_ms" in report:
         report = dict(report, elapsed_ms=0.0)
     if out_format == "json":
-        json.dump(report, stream, sort_keys=True, indent=2)
+        found = report.get("found")
+        if isinstance(found, list) and all(
+            entry.keys() in FOUND_KEYS and entry["placement"].keys() == PLACEMENT_KEYS for entry in found
+        ):
+            # the pure-Python encoder that indent= runs costs as much as a scan on a long list of hits
+            head, tail = json.dumps(dict(report, found=[]), sort_keys=True, indent=2).split('\n  "found": []')
+            stream.write(head + '\n  "found": ')
+            _write_found(found, stream)
+            stream.write(tail)
+        else:
+            json.dump(report, stream, sort_keys=True, indent=2)
         stream.write("\n")
     elif out_format == "csv":
         _emit_csv(report, stream)
@@ -132,6 +151,37 @@ def emit_report(report: dict, out_format: str, stream, stable: bool = False) -> 
         _emit_text(report, stream)
     else:
         raise UsageError(f"unknown format {out_format!r}")
+
+
+def _write_found(found: list[dict], stream) -> None:
+    """A report's found list, written as json.dump(report, stream, sort_keys=True, indent=2) writes it."""
+    if not found:
+        stream.write("[]")
+        return
+    stream.write("[\n")
+    for lo in range(0, len(found), FOUND_BATCH):
+        stream.write(",\n" if lo else "")
+        stream.write(",\n".join(map(_found_entry, found[lo : lo + FOUND_BATCH])))
+    stream.write("\n  ]")
+
+
+def _found_entry(entry: dict) -> str:
+    """One found entry, two levels deep: its colour, placement and (for vector colours) vector, keys sorted."""
+    p = entry["placement"]
+    blocks = ",\n".join(
+        "          [\n" + ",\n".join(["            " + str(c) for c in block]) + "\n          ]"
+        for block in p["blocks"]
+    )
+    reference = ",\n".join([f"          {_encode(c)}: {_encode(sym)}" for c, sym in sorted(p["reference"].items())])
+    reference = "{\n" + reference + "\n        }" if reference else "{}"
+    pattern = "null" if p["pattern"] is None else _encode(p["pattern"])
+    text = (
+        f'    {{\n      "colour": {entry["colour"]},\n      "placement": {{\n        "blocks": [\n{blocks}\n        ],\n'
+        f'        "n": {p["n"]},\n        "pattern": {pattern},\n        "reference": {reference}\n      }}'
+    )
+    if "vector" in entry:
+        text += ',\n      "vector": [\n' + ",\n".join(["        " + str(v) for v in entry["vector"]]) + "\n      ]"
+    return text + "\n    }"
 
 
 def _emit_csv(report: dict, stream) -> None:
@@ -517,7 +567,8 @@ def parse_and_dispatch(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
     Usage errors produce a single aggregated message on stderr and exit code
     1, never a partial report; a report whose status is `budget_exceeded`
-    exits 2.
+    exits 2.  A result that fails its own re-check (`ExtractionContradiction`)
+    is an internal error: one message on stderr, no report, exit code 3.
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -528,6 +579,9 @@ def parse_and_dispatch(argv: Sequence[str], stdout=None, stderr=None) -> int:
     except (UsageError, ValueError, KeyError, OSError) as exc:
         stderr.write(f"blocksets: error: {exc}\n")
         return 1
+    except search.ExtractionContradiction as exc:
+        stderr.write(f"blocksets: internal error: {exc}\n")
+        return 3
     try:
         if args.output:
             with open(args.output, "w") as fh:

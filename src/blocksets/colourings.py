@@ -55,6 +55,11 @@ class Colouring:
     to share across workers.  `neutral_symbols` holds the symbols z such that
     deleting a coordinate holding z never changes a colour; full scans skip
     the references that use them (see `search.verify_absence`).
+
+    The closed-form colourings also give `colour_ids(words)`: the ids of
+    int8 symbol rows of shape (..., n), computed from their rule in numpy and
+    never from `dense_table`, so that `search.verify_absence` can re-check
+    the hits its table scan reports independently of that table.
     """
 
     name: str = "colouring"
@@ -98,6 +103,9 @@ class ConstantColouring(Colouring):
     def colour_id(self, w: Word) -> int:
         return self.value
 
+    def colour_ids(self, words: np.ndarray) -> np.ndarray:
+        return np.full(words.shape[:-1], self.value, np.int64)
+
     def dense_table(self, n: int, m: int) -> np.ndarray:
         return np.full(m**n, self.value, dtype=np.int64)
 
@@ -127,6 +135,9 @@ class ModularCountColouring(Colouring):
 
     def colour_id(self, w: Word) -> int:
         return sum(1 for s in w.symbols if s == self.symbol) % self.modulus
+
+    def colour_ids(self, words: np.ndarray) -> np.ndarray:
+        return (words == self.symbol).sum(axis=-1, dtype=np.int64) % self.modulus
 
     def dense_table(self, n: int, m: int) -> np.ndarray:
         """Incremental table over packed indices.
@@ -190,6 +201,17 @@ class ContributionColouring(Colouring):
 
     def colour_id(self, w: Word) -> int:
         return vector_to_id(self.vector(w), self.modulus)
+
+    def colour_ids(self, words: np.ndarray) -> np.ndarray:
+        """`colour_id` of int8 words over [3]: the 1 at i adds e_a, a = the 1s and 2s before i mod `length`."""
+        if words.size and (words.min() < 1 or words.max() > 3):
+            raise InvalidSymbol("contribution colouring needs alphabet [3]")
+        ones, counted = words == 1, words <= 2
+        slot = (np.cumsum(counted, axis=-1, dtype=np.min_scalar_type(words.shape[-1])) - counted) % self.length
+        ids = np.zeros(words.shape[:-1], np.int64)
+        for a in range(self.length):  # the id's digit a, modulus^a, is coordinate a of the vector
+            ids += (ones & (slot == a)).sum(axis=-1, dtype=np.int64) % self.modulus * self.modulus**a
+        return ids
 
     def dense_table(self, n: int, m: int) -> np.ndarray:
         """Incremental table over packed indices.

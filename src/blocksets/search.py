@@ -45,12 +45,11 @@ from .colourings import (
     InducedColouring,
     TableColouring,
     flipped_block_word,
-    id_to_vector,
     packed_table_colouring,
     slot_word_for,
     substitute,
 )
-from .words import CapacityExceeded
+from .words import CapacityExceeded, Word
 
 R = TypeVar("R")
 
@@ -63,8 +62,9 @@ MAX_TABLE_ENTRIES = 50_000_000
 # The scan's temporaries stay within a small multiple of it.
 SLAB_ENTRIES = 1 << 14
 
-# Hits turned into Python lists at a time when their placements are decoded;
-# the lists stay small next to the list of found placements.
+# Hits handled at a time when their placements are decoded and re-checked,
+# and when their vectors are reported; a batch's lists and arrays stay small
+# next to the list of found placements.
 DECODE_BATCH = 1 << 10
 
 
@@ -99,9 +99,13 @@ class SearchReport:
     def to_json_dict(self, stable: bool = False) -> dict:
         found = [{"placement": p.to_json_dict(), "colour": c} for p, c in self.found]
         if isinstance(self.colouring, ContributionColouring):  # vector-valued: report both forms
-            mod, length = self.colouring.modulus, self.colouring.length
-            for entry in found:
-                entry["vector"] = list(id_to_vector(entry["colour"], mod, length))
+            mod, powers = self.colouring.modulus, self.colouring.modulus ** np.arange(self.colouring.length)
+            for lo in range(0, len(found), DECODE_BATCH):
+                batch = found[lo : lo + DECODE_BATCH]
+                ids = np.array([entry["colour"] for entry in batch], np.int64)
+                # digit a of an id is coordinate a of its vector (see `id_to_vector`)
+                for entry, vector in zip(batch, (ids[:, None] // powers % mod).tolist()):
+                    entry["vector"] = vector
         return {
             "params": self.params,
             "examined": self.examined,
@@ -484,8 +488,43 @@ def _verify_hit(p: Placement, t: Template, colouring: Colouring, colour: int) ->
         got = colouring.colour_id(w)
         if got != colour:
             raise ExtractionContradiction(
-                f"reported placement is not monochromatic: {w} has colour {got}, expected {colour}"
+                f"reported placement {p} is not monochromatic: {w} has colour {got}, expected {colour}"
             )
+
+
+def _hit_points(blocks: Sequence[tuple[int, ...]], t: Template, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The points of hits as int8 words, shape (arrangements, hits, n).
+
+    Hit i has the blocks `blocks[j]` for j in `rows[i]` and the reference
+    word `words[i]` (0 on the blocks); its point for row a of
+    `t.arrangements()` puts that arrangement's letters on the blocks in row
+    order.  The arrangements run over every permutation of the template, so
+    the points are the block set of the hit's placement, whatever the order.
+    """
+    member = np.zeros((len(blocks), words.shape[1]), bool)
+    member[np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]), [c - 1 for b in blocks for c in b]] = True
+    labels = np.zeros(words.shape, np.intp)  # j + 1 on the coordinates of the hit's block j
+    for j in range(t.s):
+        labels[member[rows[:, j]]] = j + 1
+    letters = np.array([(0,) + a for a in t.arrangements()], np.int8)
+    return letters[:, labels] + words
+
+
+def _recheck_hits(
+    colouring: Colouring, t: Template, blocks: tuple, rows: np.ndarray, words: np.ndarray, found: list
+) -> None:
+    """Re-check hits through the colouring's closed form `colour_ids`; `found` holds their (placement, colour)."""
+    points = _hit_points(blocks, t, rows, words)
+    colours = np.array([colour for _, colour in found], np.int64)
+    ids = colouring.colour_ids(points)
+    wrong = np.argwhere(ids.T != colours[:, None])
+    if len(wrong):
+        i, a = wrong[0]
+        placement, colour = found[i]
+        raise ExtractionContradiction(
+            f"reported placement {placement} is not monochromatic: {Word(tuple(points[a, i].tolist()), t.m)} "
+            f"has colour {ids[a, i]}, expected {colour}"
+        )
 
 
 def find_monochromatic(
@@ -564,8 +603,15 @@ def verify_absence(
     neutral symbol on coordinates n'+1..n.  With first_only, or with no
     neutral symbol or only neutral ones in the domain, the scan runs at n
     over the whole domain.  A hit's placement is decoded from id rows.
-    For the adversarial colourings the expected found-list is empty; a
-    non-empty list is re-verified point by point before being reported.
+    Every hit is re-checked before it is reported, by an evaluator that does
+    not read the table.  A closed-form colouring (one with `colour_ids`)
+    re-checks DECODE_BATCH hits at a time: their points come from the id
+    rows, the blocks' coordinates and the reference words, one per template
+    arrangement, and their ids from the colouring's rule (`_hit_points`).
+    Any other colouring re-checks each point of each hit's `blockset_points`
+    through `colour_id` (`_verify_hit`); the benchmark's tracer test pins
+    exactly those calls for a table colouring, one `blockset_points` call
+    per hit.  A hit that fails raises ExtractionContradiction.
     With first_only the scan stops at the canonically first hit, and
     `examined` counts the placements up to and including it (all of them
     when there is none).
@@ -630,14 +676,19 @@ def verify_absence(
     # canonical order: by id row, then reference word (0 on the blocks)
     rows, words, colours = (np.concatenate(part) for part in zip(top, (rows, words, colours)))
     order = np.lexsort(np.column_stack([rows, words]).T[::-1])
+    # closed-form colourings re-check a batch of hits in numpy; a table colouring checks each point of each hit
+    closed_form = hasattr(colouring, "colour_ids")
     found = []
     for lo in range(0, len(order), DECODE_BATCH):
         batch = order[lo : lo + DECODE_BATCH]
         for row, word, colour in zip(rows[batch].tolist(), words[batch].tolist(), colours[batch].tolist()):
             family = tuple(sorted(blocks[i] for i in row))
             placement = Placement(n, family, tuple((c, sym) for c, sym in enumerate(word, 1) if sym), sizemode)
-            _verify_hit(placement, t, colouring, colour)
+            if not closed_form:
+                _verify_hit(placement, t, colouring, colour)
             found.append((placement, colour))
+        if closed_form:
+            _recheck_hits(colouring, t, blocks, rows[batch], words[batch], found[lo:])
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SearchReport(
         params={

@@ -17,10 +17,17 @@ from blocksets.cli import (
     _default_workers,
     build_parser,
     degree_setup,
+    emit_report,
     parse_and_dispatch,
     parse_word_colouring,
 )
-from blocksets.colourings import ContributionColouring, InducedColouring, TableColouring
+from blocksets.colourings import (
+    ContributionColouring,
+    InducedColouring,
+    ModularCountColouring,
+    TableColouring,
+    random_table_colouring,
+)
 from blocksets.search import find_monochromatic, placements_examined_until, verify_absence
 
 
@@ -248,6 +255,8 @@ PQ12_DIGESTS = {
     (10, 2): "d97b07b969ee1e36beb63d3a363ffe9f7cfe83d745ce435d36bba1d29f56955a",
     (11, 1): "03352d32b48f786ec964d7dce1ec9a7017e104f146b519a0906e026ce1a3660a",
     (11, 2): "fd71eef7d9f25ba7ad2537227e1d9795e579bcddbe72653472b0d8e552cbbbbc",
+    # 2,184 hits with reference coordinates 10 to 12, written by the pure-Python JSON encoder
+    (12, 1): "db81f268d840f0f6c0d8d131da551ec4ac39ede2ececa290b4077044e08fcad9",
 }
 
 
@@ -457,6 +466,78 @@ def test_json_report_round_trips():
     report = run_json("verify", "thm2", "--d", "1", "--n", "5", "--workers", "1")
     again = json.loads(json.dumps(report, sort_keys=True))
     assert again == report
+
+
+def json_dump_text(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def emitted(report: dict) -> str:
+    stream = io.StringIO()
+    emit_report(report, "json", stream)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        # vector-valued colours, reference keys "10" before "9"
+        lambda: verify_absence(ContributionColouring(3, 3), 10, template_from_word("1233"), MixedSize(2)),
+        # no vector
+        lambda: verify_absence(ModularCountColouring(1, 3), 6, template_from_word("123"), MixedSize(2)),
+        lambda: verify_absence(
+            random_table_colouring(7, 3, 2, seed=1), 7, template_from_word("123"), MixedSize(2), first_only=True
+        ),
+        # nothing found
+        lambda: verify_absence(ContributionColouring(2, 2), 6, template_from_word("123"), MixedSize(1)),
+        # "pattern": null past 26 blocks
+        lambda: verify_absence(ModularCountColouring(1, 1), 29, template_from_word("1" + "3" * 27), MixedSize(2)),
+    ],
+    ids=["contribution", "countmod", "search-mono", "empty", "no-pattern"],
+)
+def test_found_list_writer_writes_the_bytes_of_json_dump(monkeypatch, report):
+    report = report().to_json_dict()
+    expected = json_dump_text(report)
+    monkeypatch.setattr(json, "dump", None)  # the found list must not go through the encoder
+    assert emitted(report) == expected
+
+
+def test_found_list_writer_bytes_through_the_cli(tmp_path):
+    """Reports with a found list of placements are written exactly as json.dump writes them, to a file too."""
+    argvs = [
+        ("search", "mono", "--colouring", "random:k=2", "--seed", "3", "--template", "123", "--n", "8",
+         "--size-mode", "mixed:2", "--workers", "1"),
+        ("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "9", "--workers", "1"),
+        ("verify", "thm2", "--d", "1", "--n", "6", "--workers", "1"),
+        ("extract", "thm3", "--colouring", "constant:c=0,k=1", "--k", "1", "--n", "8", "--set", "1,2,3,4,5,6"),
+    ]
+    for i, argv in enumerate(argvs):
+        path = tmp_path / f"report{i}.json"
+        code, out, _ = run_cli(*argv, "--output", str(path))
+        text = path.read_text()
+        assert (code, out) == (0, "") and "found" in json.loads(text)
+        assert text == json_dump_text(json.loads(text))
+
+
+def test_reports_without_placements_keep_json_dump():
+    """Lattice reports have found entries without a placement; they and reports without a found list use json.dump."""
+    reports = [
+        {"found": [{"x": [0, 1], "v": [1, 0]}], "params": {"op": "search_l1_ap"}},
+        {"found": [{"colour": 1, "placement": {"n": 1}}]},
+        {"status": "none", "colouring": None},
+    ]
+    for report in reports:
+        assert emitted(report) == json_dump_text(report)
+
+
+def test_failed_re_check_exits_3_without_a_report(monkeypatch):
+    """A scan whose hits fail their re-check is an internal error: exit 3, one message, no traceback or report."""
+    dense_table = ContributionColouring.dense_table
+    monkeypatch.setattr(ContributionColouring, "dense_table", lambda self, n, m: dense_table(self, n, m) % 2)
+    code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "9", "--workers", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("blocksets: internal error: reported placement Placement(n=9,")
+    assert "is not monochromatic" in err and err.count("\n") == 1
 
 
 def test_usage_error_exit_1_no_partial_report():

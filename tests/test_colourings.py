@@ -354,3 +354,35 @@ def test_table_dense_table_matches_the_per_word_walk(n, m):
 def test_vector_id_round_trip(mod, length, raw):
     vec = tuple(v % mod for v in (raw * length)[:length])
     assert id_to_vector(vector_to_id(vec, mod), mod, length) == vec
+
+
+CLOSED_FORMS = [
+    (ContributionColouring(3, 3), 3, 6),
+    (ContributionColouring(3, 5), 3, 6),
+    (ContributionColouring(4, 10), 3, 6),
+    (ModularCountColouring(1, 2), 2, 6),
+    (ModularCountColouring(2, 3), 3, 6),
+    (ModularCountColouring(4, 3), 4, 5),
+    (ConstantColouring(2, 3), 3, 6),
+]
+
+
+@pytest.mark.parametrize("colouring, m, n", CLOSED_FORMS, ids=lambda v: getattr(v, "name", str(v)))
+def test_closed_form_colour_ids_match_colour_id(colouring, m, n):
+    words = list(all_words(n, m))
+    rows = np.array([w.symbols for w in words], np.int8)
+    ids = colouring.colour_ids(rows)
+    assert ids.dtype == np.int64 and ids.tolist() == [colouring.colour_id(w) for w in words]
+    # leading axes are kept: (points, words, n) -> (points, words)
+    assert colouring.colour_ids(np.stack([rows, rows[::-1]])).tolist() == [ids.tolist(), ids[::-1].tolist()]
+
+
+def test_contribution_colour_ids_reject_symbols_outside_3():
+    with pytest.raises(InvalidSymbol):
+        ContributionColouring(3, 3).colour_ids(np.array([[1, 4, 2]], np.int8))
+
+
+def test_table_colourings_have_no_closed_form():
+    """`verify_absence` re-checks a table colouring's hits point by point, through `colour_id`."""
+    assert not hasattr(random_table_colouring(2, 3, 2, seed=0), "colour_ids")
+    assert not hasattr(InducedColouring(ConstantColouring(), 1), "colour_ids")

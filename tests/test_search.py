@@ -17,6 +17,7 @@ from blocksets.blocks import (
     InvalidPlacement,
     MixedSize,
     blockset_points,
+    candidate_blocks,
     enumerate_block_families,
     enumerate_placements,
     make_placement,
@@ -209,6 +210,44 @@ def test_all_returned_placements_are_monochromatic():
     report = verify_absence(colouring, 4, T123, EqualSize(1))
     for placement, colour in report.found:
         assert {colouring.colour_id(w) for w in blockset_points(placement, T123)} == {colour}
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_batched_hit_points_are_the_block_sets_of_the_placements(n):
+    """The numpy re-check's points of each pq12 hit are the points `blockset_points` gives its placement."""
+    blocks = candidate_blocks(n, MixedSize(2))
+    found = verify_absence(ContributionColouring(3, 3), n, T1233, MixedSize(2)).found
+    rows = np.array([[blocks.index(b) for b in p.blocks] for p, _ in found])
+    words = np.zeros((len(found), n), np.int8)
+    for i, (p, _) in enumerate(found):
+        for c, sym in p.reference:
+            words[i, c - 1] = sym
+    points = search._hit_points(blocks, T1233, rows, words)
+    assert points.shape == (len(list(T1233.arrangements())), len(found), n)
+    for i, (p, _) in enumerate(found):
+        assert {Word(tuple(point), 3) for point in points[:, i].tolist()} == blockset_points(p, T1233)
+
+
+@pytest.mark.parametrize(
+    "colouring, n, t",
+    [
+        (ContributionColouring(3, 3), 9, T1233),
+        (ModularCountColouring(1, 3), 6, T123),
+        (random_table_colouring(6, 3, 3, seed=5), 6, T123),
+    ],
+    ids=["contribution", "countmod", "table"],
+)
+def test_hits_of_a_tampered_table_fail_their_re_check(monkeypatch, colouring, n, t):
+    """A scan that reads a wrong table reports placements that are not monochromatic; the re-check refuses them.
+
+    With the table's colours taken mod 2, placements whose points have two
+    colours of one parity scan as hits.  The closed forms re-check them in
+    numpy (`colour_ids`), the table colouring point by point (`colour_id`).
+    """
+    dense_table = type(colouring).dense_table
+    monkeypatch.setattr(type(colouring), "dense_table", lambda self, k, m: dense_table(self, k, m) % 2)
+    with pytest.raises(ExtractionContradiction, match="is not monochromatic"):
+        verify_absence(colouring, n, t, MixedSize(2))
 
 
 def test_placements_examined_until_matches_stream_position():
