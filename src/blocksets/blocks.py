@@ -217,11 +217,13 @@ def make_placement(
 def pattern_of(p: Placement) -> str:
     """Block membership along the sorted block coordinates, labelled A, B, C, ...
 
-    Labels are assigned by first occurrence, so the first letter is always A.
+    Labels are assigned by first occurrence, so the first letter is always A:
+    the blocks are sorted by minimum, so block j is letter j.
     """
     if len(p.blocks) > 26:
         raise InvalidPlacement("patterns support at most 26 blocks")
-    return _pattern_of_blocks(p.blocks)
+    owner = {coord: j for j, block in enumerate(p.blocks) for coord in block}
+    return "".join(chr(ord("A") + owner[coord]) for coord in sorted(owner))
 
 
 def blockset_points(p: Placement, t: Template) -> set[Word]:
@@ -379,18 +381,6 @@ def enumerate_block_families(
     """
     blocks, ids, _, _ = block_families(n, t, sizemode, pattern)
     return [tuple(sorted(blocks[i] for i in row)) for row in ids.tolist()]
-
-
-def _pattern_of_blocks(blocks: tuple[tuple[int, ...], ...]) -> str:
-    owner = {coord: j for j, block in enumerate(blocks) for coord in block}
-    labels: dict[int, str] = {}
-    out = []
-    for coord in sorted(owner):
-        j = owner[coord]
-        if j not in labels:
-            labels[j] = chr(ord("A") + len(labels))
-        out.append(labels[j])
-    return "".join(out)
 
 
 def reference_symbols(t: Template, reference_domain: Optional[Sequence[int]] = None) -> tuple[int, ...]:

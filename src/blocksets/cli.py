@@ -233,20 +233,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="blocksets", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, workers: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, workers: bool = True, colouring: bool = False) -> None:
+        if colouring:  # a random colouring is drawn from --seed
+            p.add_argument("--colouring", required=True)
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--output", default=None, help="write the report to this path")
         p.add_argument("--stable", action="store_true", help="zero timing fields")
-        p.add_argument("--seed", type=int, default=0)
         if workers:
             p.add_argument("--workers", type=int, default=_default_workers())
 
     colour = top.add_parser("colour").add_subparsers(dest="subcommand", required=True)
     p = colour.add_parser("eval", help="evaluate a colouring on one word")
-    p.add_argument("--colouring", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--m", type=int, default=3)
-    common(p, workers=False)
+    common(p, workers=False, colouring=True)
     p.set_defaults(format="text")
 
     blockset = top.add_parser("blockset").add_subparsers(dest="subcommand", required=True)
@@ -268,13 +269,12 @@ def build_parser() -> _Parser:
 
     searchp = top.add_parser("search").add_subparsers(dest="subcommand", required=True)
     p = searchp.add_parser("mono", help="find the first monochromatic placement")
-    p.add_argument("--colouring", required=True)
     p.add_argument("--template", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size-mode", required=True)
     p.add_argument("--pattern", default=None)
     p.add_argument("--reference-domain", default=None)
-    common(p)
+    common(p, colouring=True)
     p = searchp.add_parser("witness", help="search for a colouring with no monochromatic placement")
     p.add_argument("--template", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -295,26 +295,23 @@ def build_parser() -> _Parser:
 
     extract = top.add_parser("extract").add_subparsers(dest="subcommand", required=True)
     p = extract.add_parser("thm3", help="extract a monochromatic ABCCBA copy of 123")
-    p.add_argument("--colouring", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", default=None, help="comma-separated homogeneous set (found by search if omitted)")
-    common(p, workers=False)
+    common(p, workers=False, colouring=True)
 
     latticep = top.add_parser("lattice").add_subparsers(dest="subcommand", required=True)
     box_help = 'lo..hi^n with n >= 1, e.g. "0..3^2"; a negative lo needs the = form, --box=-2..2^3'
     p = latticep.add_parser("ap", help="monochromatic x-v, x, x+v search")
-    p.add_argument("--colouring", required=True)
     p.add_argument("--box", required=True, help=box_help)
     p.add_argument("--d", type=int, required=True)
-    common(p)
+    common(p, colouring=True)
     p = latticep.add_parser("ball", help="monochromatic generated-ball search")
-    p.add_argument("--colouring", required=True)
     p.add_argument("--box", required=True, help=box_help)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    common(p)
+    common(p, colouring=True)
 
     return parser
 
@@ -506,13 +503,12 @@ def _run_extract_thm3(args: argparse.Namespace) -> dict:
     k = args.k
     base = parse_word_colouring(args.colouring, args.seed, args.n, 3)
     params = {"op": "extract_abccba", "colouring": base.name, "k": k, "n": args.n}
+    theta = search.induced_subset_colouring(base, k, args.n)
     if args.set:
         members = tuple(sorted(int(c) for c in args.set.split(",")))
-        theta = search.induced_subset_colouring(base, k, args.n)
         colour = theta.colour(members[: 2 * k + 2])
         homog = search.HomogeneousSet(args.n, 2 * k + 2, members, colour)
     else:
-        theta = search.induced_subset_colouring(base, k, args.n)
         homog = search.homogeneous_subset_search(theta, 2 * k + 4)
         if homog is None:
             return {"params": params, "status": "no_homogeneous_set", "found": []}
@@ -566,9 +562,10 @@ def parse_and_dispatch(argv: Sequence[str], stdout=None, stderr=None) -> int:
     """Parse flags, run the matching operation, emit one report.
 
     Usage errors produce a single aggregated message on stderr and exit code
-    1, never a partial report; a report whose status is `budget_exceeded`
-    exits 2.  A result that fails its own re-check (`ExtractionContradiction`)
-    is an internal error: one message on stderr, no report, exit code 3.
+    1, never a partial report, and so does running out of memory while the
+    report is built; a report whose status is `budget_exceeded` exits 2.  A
+    result that fails its own re-check (`ExtractionContradiction`) is an
+    internal error: one message on stderr, no report, exit code 3.
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -578,6 +575,9 @@ def parse_and_dispatch(argv: Sequence[str], stdout=None, stderr=None) -> int:
         report = _HANDLERS[(args.command, args.subcommand)](args)
     except (UsageError, ValueError, KeyError, OSError) as exc:
         stderr.write(f"blocksets: error: {exc}\n")
+        return 1
+    except MemoryError:
+        stderr.write("blocksets: error: out of memory while building the report\n")
         return 1
     except search.ExtractionContradiction as exc:
         stderr.write(f"blocksets: internal error: {exc}\n")

@@ -389,10 +389,7 @@ class InducedColouring(Colouring):
         return tuple(self.base.colour_id(substitute(x, w)) for w in self.family.members)
 
     def colour_id(self, x: Word) -> int:
-        idx = 0
-        for c in reversed(self.colour_tuple(x)):
-            idx = idx * self.base.colour_count + c
-        return idx
+        return vector_to_id(self.colour_tuple(x), self.base.colour_count)
 
 
 def coordinate_sum_colour(x: Sequence[int], d: int) -> int:

@@ -24,7 +24,7 @@ from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from .blocks import (
-    BlockFamilies,
+    AmbientTooSmall,
     EqualSize,
     Placement,
     SizeMode,
@@ -62,9 +62,8 @@ MAX_TABLE_ENTRIES = 50_000_000
 # The scan's temporaries stay within a small multiple of it.
 SLAB_ENTRIES = 1 << 14
 
-# Hits handled at a time when their placements are decoded and re-checked,
-# and when their vectors are reported; a batch's lists and arrays stay small
-# next to the list of found placements.
+# Hits handled at a time when their placements are decoded and re-checked; a
+# batch's lists and arrays stay small next to the list of found placements.
 DECODE_BATCH = 1 << 10
 
 
@@ -100,12 +99,10 @@ class SearchReport:
         found = [{"placement": p.to_json_dict(), "colour": c} for p, c in self.found]
         if isinstance(self.colouring, ContributionColouring):  # vector-valued: report both forms
             mod, powers = self.colouring.modulus, self.colouring.modulus ** np.arange(self.colouring.length)
-            for lo in range(0, len(found), DECODE_BATCH):
-                batch = found[lo : lo + DECODE_BATCH]
-                ids = np.array([entry["colour"] for entry in batch], np.int64)
-                # digit a of an id is coordinate a of its vector (see `id_to_vector`)
-                for entry, vector in zip(batch, (ids[:, None] // powers % mod).tolist()):
-                    entry["vector"] = vector
+            ids = np.array([colour for _, colour in self.found], np.int64)
+            # digit a of an id is coordinate a of its vector (see `id_to_vector`)
+            for entry, vector in zip(found, (ids[:, None] // powers % mod).tolist()):
+                entry["vector"] = vector
         return {
             "params": self.params,
             "examined": self.examined,
@@ -275,24 +272,29 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, np.ndarra
 def _scan(
     table: np.ndarray,
     t: Template,
-    families: BlockFamilies,
+    sizemode: SizeMode,
+    pattern: Optional[str],
     lengths: range,
     symbols: tuple[int, ...],
     neutral: tuple[int, ...],
     pad: int,
     first_only: bool,
     workers: int,
-) -> tuple[int, np.ndarray, list[_Level]]:
+) -> tuple[int, Hits]:
     """Scan t's families at every length in `lengths`, longest first, through the table.
 
-    `families` are the `block_families` arrays at the longest length, and
+    The families are the `block_families` arrays at the longest length, and
     the words of [m]^k are read from the slice of the table whose words hold
-    `pad` (a neutral symbol) past coordinate k.  A level's multiplicity
-    counts the placements at the longest length behind each of its
-    placements, their deleted references taking the `neutral` symbols.
-    Returns (placements examined, hit rows of `_scan_chunk`, levels).
+    `pad` (a neutral symbol) past coordinate k.  A level's multiplicity counts the
+    placements at the longest length behind each of its placements, their
+    deleted references taking the `neutral` symbols.  Returns (placements
+    examined, hits as label words by length): a hit at k is an int8 word of
+    length k holding its reference symbol on each free coordinate, and m +
+    the `block_labels` label on each block coordinate, so equal placements
+    have equal words.
     """
     top = lengths[-1]
+    families = block_families(top, t, sizemode, pattern)
     arrangements = np.array(list(t.arrangements()), dtype=np.int64) - 1
     # compare the template reversed first: it moves every letter, so it breaks
     # the most placements (6% survive it at pq12 n=10 and 2.5% at d=2 n=13,
@@ -313,14 +315,19 @@ def _scan(
         slabs.extend((len(levels), lo, hi) for lo, hi in zip(starts, starts[1:] + [len(families.totals)]))
         levels.append(_Level(k, offset, math.comb(top, k) * len(neutral) ** (top - k)))
     examined = 0
-    hits = [np.empty((0, 4), np.int64)]
+    rows = [np.empty((0, 4), np.int64)]
     shared = (table, t.m, symbols, arrangements, weight, families, levels, first_only)
     for chunk_examined, chunk_hits in map_chunks(_scan_chunk, shared, slabs, workers):
         examined += chunk_examined
-        hits.append(chunk_hits)
+        rows.append(chunk_hits)
         if first_only and len(chunk_hits):
             break
-    return examined, np.concatenate(hits), levels
+    rows, hits = np.concatenate(rows), {}
+    for level, (k, _, _) in enumerate(levels):
+        fam, ref, colour = rows[rows[:, 0] == level, 1:].T
+        labels = block_labels(families.blocks, families.ids[fam], k)
+        hits[k] = (np.where(labels > 0, labels + t.m, _references(families.masks[fam], ref, k, symbols)), colour)
+    return examined, hits
 
 
 Hits = dict[int, tuple[np.ndarray, np.ndarray]]  # length -> (label words, colour ids)
@@ -343,23 +350,6 @@ def _references(masks: np.ndarray, ref: np.ndarray, k: int, symbols: tuple[int, 
         word[free, c] = np.array(symbols, np.int8)[rest[free] % len(symbols)]
         rest[free] //= len(symbols)
     return word
-
-
-def _scan_words(
-    hits: np.ndarray, families: BlockFamilies, levels: list[_Level], symbols: tuple[int, ...], m: int
-) -> Hits:
-    """The scan's hits as label words, by length.
-
-    A hit at k becomes an int8 word of length k: its reference symbol on
-    each free coordinate, and m + the `block_labels` label on each block
-    coordinate, so equal placements have equal words.
-    """
-    out = {}
-    for level, (k, _, _) in enumerate(levels):
-        fam, ref, colour = hits[hits[:, 0] == level, 1:].T
-        labels = block_labels(families.blocks, families.ids[fam], k)
-        out[k] = (np.where(labels > 0, labels + m, _references(families.masks[fam], ref, k, symbols)), colour)
-    return out
 
 
 def _subsets(n: int, r: int) -> np.ndarray:
@@ -458,8 +448,9 @@ def _climb(
     take a hit of t at n to a hit of T_0 no longer than n - J*min_size.  T_0
     is scanned first, stopping at its first hit: with none, t has none.
     Otherwise T_1 is scanned up to n - (J-1)*min_size and joined up to t.
-    Hits have their references over `symbols`: with neutral references they
-    are wanted at every length, without them only at the lengths that reach n.
+    Hits are label words by length, as `_scan` returns them, with their
+    references over `symbols`: with neutral references they are wanted at
+    every length, without them only at the lengths that reach n.
     """
     count, low, high = t.counts[z - 1], sizemode.min_size, max(sizemode.size_range())
 
@@ -470,14 +461,11 @@ def _climb(
         floor = sub(j).s * low
         return range(floor if neutral else max(floor, n - (count - j) * high), n - (count - j) * low + 1)
 
-    families = block_families(lengths(0)[-1], sub(0), sizemode)
     # one worker: the certificate stops at its first hit, sooner than a pool starts
-    _, hits, _ = _scan(table, sub(0), families, lengths(0), symbols, neutral, z, True, 1)
-    if not len(hits):
+    _, hits = _scan(table, sub(0), sizemode, None, lengths(0), symbols, neutral, z, True, 1)
+    if not any(len(words) for words, _ in hits.values()):
         return {}
-    families = block_families(lengths(1)[-1], sub(1), sizemode)
-    _, hits, levels = _scan(table, sub(1), families, lengths(1), symbols, neutral, z, False, workers)
-    found = _scan_words(hits, families, levels, symbols, t.m)
+    _, found = _scan(table, sub(1), sizemode, None, lengths(1), symbols, neutral, z, False, workers)
     for j in range(2, count + 1):
         found = _join(found, sub(j - 1).s, j, lengths(j), t.m, sizemode.size_range())
     return found
@@ -602,9 +590,11 @@ def verify_absence(
     The table of [m]^n' is the slice of the one table whose words hold one
     neutral symbol on coordinates n'+1..n.  With first_only, or with no
     neutral symbol or only neutral ones in the domain, the scan runs at n
-    over the whole domain.  A hit's placement is decoded from id rows.
-    Every hit is re-checked before it is reported, by an evaluator that does
-    not read the table.  A closed-form colouring (one with `colour_ids`)
+    over the whole domain.  Every hit, at n or shorter, scanned or climbed,
+    comes as a label word (see `_scan`): it is lifted into [n] and decoded
+    to its id row and reference word at n, from which its placement is
+    built.  Every hit is re-checked before it is reported, by an evaluator
+    that does not read the table.  A closed-form colouring (one with `colour_ids`)
     re-checks DECODE_BATCH hits at a time: their points come from the id
     rows, the blocks' coordinates and the reference words, one per template
     arrangement, and their ids from the colouring's rule (`_hit_points`).
@@ -640,23 +630,19 @@ def verify_absence(
             f"{(colouring.colour_count - 1).bit_length()}-bit colour ids; "
             f"the limits are {MAX_TABLE_ENTRIES:,} entries and 62-bit ids"
         )
+    # too few coordinates, or more than 62 (`candidate_blocks`), are refused before a table is built
+    if n < t.s * sizemode.min_size:
+        raise AmbientTooSmall(f"n={n} cannot hold {t.s} disjoint blocks of size >= {sizemode.min_size}")
+    blocks = candidate_blocks(n, sizemode)
     if climb:
         examined = placement_count(n, t, sizemode, len(symbols))
-        blocks = candidate_blocks(n, sizemode)
-        top = np.empty((0, t.s), np.int64), np.empty((0, n), np.int8), np.empty(0, np.int64)
         hits = _climb(colouring.dense_table(longest, t.m), t, climb, n, sizemode, scanned, neutral, workers)
     else:
-        families = block_families(n, t, sizemode, pattern)
-        blocks, table = families.blocks, colouring.dense_table(n, t.m)
-        pad = neutral[0] if neutral else 1
+        table, pad = colouring.dense_table(n, t.m), neutral[0] if neutral else 1
         lengths = range(t.s * sizemode.min_size if neutral else n, n + 1)
-        examined, rows, levels = _scan(table, t, families, lengths, scanned, neutral, pad, first_only, workers)
-        # the hits at n keep their id rows; the shorter ones are lifted into [n] below
-        fam, ref, colour = rows[rows[:, 0] == 0, 1:].T
-        top = families.ids[fam], _references(families.masks[fam], ref, n, scanned), colour
-        hits = _scan_words(rows[rows[:, 0] > 0], families, levels, scanned, t.m)
-    # every placement at n behind the other hits: the deleted coordinates hold neutral references
-    listed = len(top[2]) + sum(len(word) * math.comb(n, k) * len(neutral) ** (n - k) for k, (word, _) in hits.items())
+        examined, hits = _scan(table, t, sizemode, pattern, lengths, scanned, neutral, pad, first_only, workers)
+    # every placement at n behind the hits: the deleted coordinates hold neutral references
+    listed = sum(len(word) * math.comb(n, k) * len(neutral) ** (n - k) for k, (word, _) in hits.items())
     _check_entries(f"listing the {listed:,} monochromatic placements at n={n}", listed * (n + t.s))
     words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
     for k, (word, colour) in hits.items():
@@ -674,7 +660,6 @@ def verify_absence(
     rows = np.sort(by_bits[np.searchsorted(bits[by_bits], masks)], axis=1)
     words[words > t.m] = 0
     # canonical order: by id row, then reference word (0 on the blocks)
-    rows, words, colours = (np.concatenate(part) for part in zip(top, (rows, words, colours)))
     order = np.lexsort(np.column_stack([rows, words]).T[::-1])
     # closed-form colourings re-check a batch of hits in numpy; a table colouring checks each point of each hit
     closed_form = hasattr(colouring, "colour_ids")

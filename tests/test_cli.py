@@ -269,6 +269,25 @@ def test_verify_thm2_pq12_reports_are_unchanged(n, workers):
     assert hashlib.sha256(out.encode()).hexdigest() == PQ12_DIGESTS[n, workers]
 
 
+# template 123 has no repeated neutral letter, so these scans do not climb: they
+# scan references without the neutral symbol 3 from n=3 up to n and lift the hits
+PQ11_DIGESTS = {
+    (9, 1): "56d10a94d40064788415c6314843ea3cffa47fedd984c16563499a32c176ef51",  # 224 hits
+    (9, 2): "e6be23543d8c029a80ed72966c4cff8b0ee2a4c9572c220b327f2dfb414c1e59",
+    (10, 1): "dbae39b0c0c7ea0bdb315c35fdf26e9a3f4f3f50725b1c03b110c3341f782f88",  # 1,384 hits
+    (10, 2): "de3aa72b31916058e0fa54902d2ed85d6fd65afbe5d1b59084cf80bc58b26211",
+}
+
+
+@pytest.mark.parametrize("n, workers", sorted(PQ11_DIGESTS))
+def test_verify_thm2_pq11_reduced_scan_reports_are_unchanged(n, workers):
+    code, out, _ = run_cli(
+        "verify", "thm2", "--d", "2", "--pq", "1,1", "--n", str(n), "--workers", str(workers), "--stable"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PQ11_DIGESTS[n, workers]
+
+
 def test_search_witness_mixed2_budget_ends_after_the_last_node():
     code, out, err = run_cli(
         "search", "witness", "--template", "123", "--n", "6", "--size-mode", "mixed:2",
@@ -538,6 +557,46 @@ def test_failed_re_check_exits_3_without_a_report(monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("blocksets: internal error: reported placement Placement(n=9,")
     assert "is not monochromatic" in err and err.count("\n") == 1
+
+
+def test_out_of_memory_exits_1_without_a_report(monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("blocksets.search.verify_absence", out_of_memory)
+    code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "9", "--workers", "1")
+    assert (code, out) == (1, "")
+    assert err == "blocksets: error: out of memory while building the report\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "blockset points --template 123 --blocks 1;2;3 --n 3",
+        "blockset enum --template 123 --n 3 --size-mode equal:1",
+        "search witness --template 123 --n 3 --size-mode equal:1 --k 2",
+        "verify thm2 --d 1 --n 3 --workers 1",
+    ],
+)
+def test_seed_is_refused_where_no_colouring_is_drawn(argv):
+    assert run_cli(*argv.split())[0] == 0
+    code, out, err = run_cli(*argv.split(), "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == "blocksets: error: unrecognized arguments: --seed 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "colour eval --colouring random:k=2 --word 12",
+        "search mono --colouring random:k=2 --template 12 --n 3 --size-mode equal:1 --workers 1",
+        "extract thm3 --colouring constant:c=0,k=1 --k 1 --n 6 --set 1,2,3,4,5,6",
+        "lattice ap --colouring random:k=2 --box 0..2^2 --d 1 --workers 1",
+        "lattice ball --colouring random:k=2 --box 0..2^2 --r 1 --t 1 --d 1 --workers 1",
+    ],
+)
+def test_seed_is_accepted_with_a_colouring(argv):
+    assert run_cli(*argv.split(), "--seed", "1")[0] == 0
 
 
 def test_usage_error_exit_1_no_partial_report():
