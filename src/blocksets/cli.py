@@ -457,9 +457,7 @@ def _run_search_witness(args: argparse.Namespace) -> dict:
             "budget": args.budget,
         },
         "status": status,
-        "colouring": None if witness is None else {
-            str(w): c for w, c in sorted(witness.entries.items(), key=lambda x: x[0].symbols)
-        },
+        "colouring": None if witness is None else {str(w): c for w, c in witness.entries.items()},
         "elapsed_ms": round(elapsed, 3),
         "budget_exhausted": nodes is not None,
     }

@@ -262,19 +262,18 @@ def disjoint_generator_sets(dimension: int, t: int, d: int) -> Iterator[Generato
     enumerated in lexicographic order of their concatenation.
     """
     candidates = vectors_with_l1_norm(dimension, d)
+    supports = [sum(1 << i for i, x in enumerate(u) if x != 0) for u in candidates]  # one bit per nonzero coordinate
 
-    def rec(chosen: tuple[LatticePoint, ...], used: set[int], start: int) -> Iterator[GeneratorSet]:
+    def rec(chosen: tuple[LatticePoint, ...], used: int, start: int) -> Iterator[GeneratorSet]:
         if len(chosen) == t:
             yield GeneratorSet(chosen)
             return
         for idx in range(start, len(candidates)):
-            u = candidates[idx]
-            support = {i for i, x in enumerate(u) if x != 0}
-            if support & used:
+            if supports[idx] & used:
                 continue
-            yield from rec(chosen + (u,), used | support, idx + 1)
+            yield from rec(chosen + (candidates[idx],), used | supports[idx], idx + 1)
 
-    yield from rec((), set(), 0)
+    yield from rec((), 0, 0)
 
 
 def _box_table(colouring: LatticeColouring, box: Box) -> np.ndarray:

@@ -743,19 +743,30 @@ def witness_search(
     assigned in index order from an explicit stack, so the depth of the search
     is not bounded by Python's recursion limit.  Colouring a point checks only
     the block sets through it: propagation never colours a point, so any other
-    set is as its own last coloured point left it.
+    set is as its own last coloured point left it.  Each set keeps counters
+    (its uncoloured points, their index sum, a packed count per colour) that
+    colouring and uncolouring a point update, so a check reads three ints.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     sets = _block_sets(n, t, sizemode, reference_domain)
-    if sets.shape[1] <= 1:
+    size = sets.shape[1]
+    if size <= 1:
         return None  # a one-point block set is monochromatic under every colouring
-    constraints = list(map(tuple, sets.tolist()))
-    through: dict[int, list[tuple[int, ...]]] = {}  # each point's block sets, in sorted order
-    for cset in constraints:
-        for idx in cset:
-            through.setdefault(idx, []).append(cset)
-    constrained = sorted(through)
+    # each point's block sets, as rows of `sets` in ascending order: a stable sort of the points groups them
+    order = np.argsort(sets.ravel(), kind="stable")
+    points = sets.ravel()[order]
+    starts = np.flatnonzero(np.diff(points, prepend=-1))
+    constrained = points[starts].tolist()
+    owners, bounds = (order // size).tolist(), starts.tolist() + [len(order)]
+    through = {idx: owners[lo:hi] for idx, lo, hi in zip(constrained, bounds, bounds[1:])}
+    # per block set: its uncoloured points, the sum of their indices (the last one's index once one is left),
+    # and the count of each colour, `width` bits per colour.  Every count is below 2**width, so a set's tally
+    # shifted down to colour c's bits equals its coloured points only when all of them have colour c
+    free = [size] * len(sets)
+    free_sum = sets.sum(axis=1).tolist()
+    tally = [0] * len(sets)
+    width = size.bit_length()
 
     domain = {idx: (1 << k) - 1 for idx in constrained}
     colour: dict[int, int] = {}
@@ -772,15 +783,21 @@ def witness_search(
                 raise BudgetExceeded(nodes)
             colour[idx] = c
             trails.append([])
-            for cset in through[idx]:  # c is the only colour its coloured points can share
-                free = [w for w in cset if w not in colour]
-                if len(free) > 1 or any(colour[w] != c for w in cset if w in colour):
+            rows, bit, shift = through[idx], 1 << c, c * width
+            for row in rows:
+                free[row] -= 1
+                free_sum[row] -= idx
+                tally[row] += 1 << shift
+            for row in rows:  # c is the only colour its coloured points can share
+                left = free[row]
+                if left > 1 or tally[row] >> shift != size - left:
                     continue
-                if not free or domain[free[0]] == 1 << c:
+                last = free_sum[row]
+                if not left or domain[last] == bit:
                     break  # the set is monochromatic, or its last point has no colour left
-                if domain[free[0]] & (1 << c):
-                    domain[free[0]] ^= 1 << c
-                    trails[-1].append(free[0])
+                if domain[last] & bit:
+                    domain[last] ^= bit
+                    trails[-1].append(last)
             else:
                 pos, c = pos + 1, 0
                 continue
@@ -790,6 +807,10 @@ def witness_search(
             pos -= 1
             idx = constrained[pos]
         c = colour.pop(idx)  # undo the colour and its propagation, then try the next
+        for row in through[idx]:
+            free[row] += 1
+            free_sum[row] += idx
+            tally[row] -= 1 << c * width
         for w in trails.pop():
             domain[w] |= 1 << c
         c += 1

@@ -360,6 +360,31 @@ def test_generator_set_enumeration_is_canonical():
         assert g.vectors[0] < g.vectors[1]
 
 
+def _reference_generator_sets(dimension, t, d):
+    """Oracle: the recursion that rebuilt each candidate's support set at every node."""
+    candidates = vectors_with_l1_norm(dimension, d)
+
+    def rec(chosen, used, start):
+        if len(chosen) == t:
+            yield GeneratorSet(chosen)
+            return
+        for idx in range(start, len(candidates)):
+            u = candidates[idx]
+            support = {i for i, x in enumerate(u) if x != 0}
+            if support & used:
+                continue
+            yield from rec(chosen + (u,), used | support, idx + 1)
+
+    yield from rec((), set(), 0)
+
+
+@pytest.mark.parametrize("dimension", range(2, 6))
+def test_generator_sets_match_the_support_set_recursion(dimension):
+    for t, d in itertools.product(range(1, 4), range(1, 4)):
+        want = list(_reference_generator_sets(dimension, t, d))
+        assert list(disjoint_generator_sets(dimension, t, d)) == want, (t, d)
+
+
 def test_vectors_with_l1_norm_examples():
     assert vectors_with_l1_norm(2, 1) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     vs = vectors_with_l1_norm(3, 2)

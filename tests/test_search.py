@@ -21,6 +21,7 @@ from blocksets.blocks import (
     enumerate_block_families,
     enumerate_placements,
     make_placement,
+    parse_sizemode,
     pattern_of,
     placement_count,
     template_from_counts,
@@ -34,6 +35,7 @@ from blocksets.colourings import (
     TableColouring,
     balanced_words,
     flipped_block_word,
+    packed_table_colouring,
     random_table_colouring,
     slot_word_for,
 )
@@ -710,6 +712,87 @@ def test_witness_search_visits_the_nodes_of_the_recursive_search(n, text, k, nod
         witness_search(n, t, MixedSize(1), k, budget=nodes - 1)
     assert info.value.nodes == nodes
     assert (witness_search(n, t, MixedSize(1), k, budget=nodes) is not None) == found
+
+
+def _reference_witness_ids(n, t, sizemode, k, budget, reference_domain=None):
+    """Oracle: the witness node loop before its per-set counters, colour ids by packed index (or None).
+
+    Each visit of a block set lists the set's uncoloured points and reads the
+    colour of every coloured one.  Raises BudgetExceeded as `witness_search` does.
+    """
+    sets = search._block_sets(n, t, sizemode, reference_domain)
+    if sets.shape[1] <= 1:
+        return None
+    constraints = list(map(tuple, sets.tolist()))
+    through = {}
+    for cset in constraints:
+        for idx in cset:
+            through.setdefault(idx, []).append(cset)
+    constrained = sorted(through)
+    domain = {idx: (1 << k) - 1 for idx in constrained}
+    colour = {}
+    nodes = 0
+    trails = []
+    pos = c = 0
+    while pos < len(constrained):
+        idx = constrained[pos]
+        while c < k and not domain[idx] & (1 << c):
+            c += 1
+        if c < k:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(nodes)
+            colour[idx] = c
+            trails.append([])
+            for cset in through[idx]:
+                free = [w for w in cset if w not in colour]
+                if len(free) > 1 or any(colour[w] != c for w in cset if w in colour):
+                    continue
+                if not free or domain[free[0]] == 1 << c:
+                    break
+                if domain[free[0]] & (1 << c):
+                    domain[free[0]] ^= 1 << c
+                    trails[-1].append(free[0])
+            else:
+                pos, c = pos + 1, 0
+                continue
+        elif pos == 0:
+            return None
+        else:
+            pos -= 1
+            idx = constrained[pos]
+        c = colour.pop(idx)
+        for w in trails.pop():
+            domain[w] |= 1 << c
+        c += 1
+    ids = np.zeros(t.m**n, np.int64)
+    ids[list(colour)] = list(colour.values())
+    return ids
+
+
+def _witness_outcome(search_fn, *args):
+    try:
+        return search_fn(*args)
+    except BudgetExceeded as exc:
+        return ("budget", exc.nodes)
+
+
+@pytest.mark.parametrize(
+    "text, sizemode, domain",
+    [(text, sizemode, None) for text in ["123", "112", "12"] for sizemode in ["mixed:1", "mixed:2", "equal:1"]]
+    + [("123", "mixed:1", (1, 2))],
+)
+def test_witness_search_matches_the_listing_loop(text, sizemode, domain):
+    """Same witness table, None, or BudgetExceeded.nodes as the loop that listed each set's free points."""
+    t, sizemode = template_from_word(text, m=3), parse_sizemode(sizemode)
+    for k, n, budget in itertools.product(range(1, 5), range(t.s * sizemode.min_size, 7), [1, 10, 100, 1000, 5000]):
+        want = _witness_outcome(_reference_witness_ids, n, t, sizemode, k, budget, domain)
+        got = _witness_outcome(witness_search, n, t, sizemode, k, budget, domain)
+        if isinstance(got, TableColouring):
+            assert isinstance(want, np.ndarray), (k, n, budget, want)
+            assert got.entries == packed_table_colouring(want, n, t.m, k, got.label).entries, (k, n, budget)
+        else:
+            assert not isinstance(want, np.ndarray) and got == want, (k, n, budget, got)
 
 
 def test_witness_at_n8_passes_the_absence_scan():
