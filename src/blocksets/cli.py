@@ -74,7 +74,7 @@ def parse_word_colouring(spec: str, seed: int = 0, n: int = 0, m: int = 3) -> co
     raise UsageError(f"unknown colouring spec {spec!r}")
 
 
-def parse_lattice_colouring(spec: str, box: lattice.Box, seed: int = 0) -> lattice.LatticeColouring:
+def parse_lattice_colouring(spec: str, box: lattice.Box, seed: int = 0) -> lattice.LatticeColouring | colourings.Colouring:
     """Parse "coordsum:d=2", "constant:c=0,k=1" or "random:k=4" over a box."""
     kind, _, rest = spec.partition(":")
     if kind == "coordsum":
@@ -82,7 +82,7 @@ def parse_lattice_colouring(spec: str, box: lattice.Box, seed: int = 0) -> latti
         return lattice.CoordinateSumColouring(int(opts["d"]))
     if kind == "constant":
         opts = _parse_opts(rest, {"c", "k"}, optional=True)
-        return lattice.ConstantLatticeColouring(int(opts.get("c", 0)), int(opts.get("k", 1)))
+        return colourings.ConstantColouring(int(opts.get("c", 0)), int(opts.get("k", 1)))
     if kind == "random":
         opts = _parse_opts(rest, {"k"})
         return lattice.random_lattice_colouring(box, int(opts["k"]), seed)

@@ -282,6 +282,8 @@ class TableColouring(Colouring):
 
 def random_table_colouring(n: int, m: int, k: int, seed: int) -> TableColouring:
     """Seeded uniform random k-colouring of [m]^n (reproducible across runs)."""
+    if k < 1:
+        raise ValueError(f"need k >= 1 colours, got {k}")
     rng = np.random.default_rng(seed)
     return packed_table_colouring(rng.integers(0, k, size=m**n), n, m, k, f"random:k={k},seed={seed}")
 

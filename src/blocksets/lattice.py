@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .colourings import coordinate_sum_colour
+from .colourings import Colouring, coordinate_sum_colour
 from .search import MAX_TABLE_ENTRIES, ExtractionContradiction, map_chunks
 from .words import CapacityExceeded, Word
 
@@ -178,7 +178,6 @@ class LatticeColouring:
     """Pure evaluable map Z^n point -> colour id (evaluated on boxes only)."""
 
     name: str = "lattice"
-    colour_count: int = 1
 
     def colour_id(self, p: LatticePoint) -> int:
         raise NotImplementedError
@@ -191,10 +190,6 @@ class CoordinateSumColouring(LatticeColouring):
     d: int
 
     @property
-    def colour_count(self) -> int:  # type: ignore[override]
-        return 2
-
-    @property
     def name(self) -> str:  # type: ignore[override]
         return f"coordsum:d={self.d}"
 
@@ -203,37 +198,11 @@ class CoordinateSumColouring(LatticeColouring):
 
 
 @dataclass(frozen=True)
-class ConstantLatticeColouring(LatticeColouring):
-    value: int = 0
-    colours: int = 1
-
-    @property
-    def colour_count(self) -> int:  # type: ignore[override]
-        return self.colours
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"constant:{self.value}"
-
-    def colour_id(self, p: LatticePoint) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
 class LatticeTableColouring(LatticeColouring):
     """Explicit point -> colour table (seeded-random tables in practice)."""
 
     entries: dict[LatticePoint, int]
-    colours: int
-    label: str = "lattice-table"
-
-    @property
-    def colour_count(self) -> int:  # type: ignore[override]
-        return self.colours
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return self.label
+    name: str = "lattice-table"
 
     def colour_id(self, p: LatticePoint) -> int:
         return self.entries[tuple(p)]
@@ -241,11 +210,12 @@ class LatticeTableColouring(LatticeColouring):
 
 def random_lattice_colouring(box: Box, k: int, seed: int) -> LatticeTableColouring:
     """Seeded uniform random k-colouring of a box."""
+    if k < 1:
+        raise ValueError(f"need k >= 1 colours, got {k}")
     points = box.points()  # refuses a box past the table limit before drawing
     ids = np.random.default_rng(seed).integers(0, k, size=box.size())
     return LatticeTableColouring(
         dict(zip(points, ids.tolist())),
-        k,
         f"random:k={k},seed={seed}",
     )
 
@@ -276,7 +246,7 @@ def disjoint_generator_sets(dimension: int, t: int, d: int) -> Iterator[Generato
     yield from rec((), 0, 0)
 
 
-def _box_table(colouring: LatticeColouring, box: Box) -> np.ndarray:
+def _box_table(colouring: LatticeColouring | Colouring, box: Box) -> np.ndarray:
     """Colour classes (ids numbered by first appearance) shaped like the box."""
     classes: dict[int, int] = {}
     ids = (classes.setdefault(colouring.colour_id(p), len(classes)) for p in box.points())
@@ -315,7 +285,7 @@ def _ball_scan(shared: tuple, _start: int, generator_sets: list) -> Optional[tup
 
 
 def search_generated_ball(
-    colouring: LatticeColouring,
+    colouring: LatticeColouring | Colouring,
     box: Box,
     r: int,
     t: int,
@@ -349,7 +319,7 @@ def search_generated_ball(
 
 
 def search_l1_ap(
-    colouring: LatticeColouring,
+    colouring: LatticeColouring | Colouring,
     box: Box,
     d: int,
     workers: int = 1,

@@ -13,6 +13,7 @@ parallel runs merge worker results back into that order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import multiprocessing
@@ -866,13 +867,7 @@ def homogeneous_subset_search(
     """First target-size subset (in lexicographic order) whose r-subsets share a colour."""
     if target < theta.r:
         raise ValueError(f"target {target} below uniformity {theta.r}")
-    cache: dict[tuple[int, ...], Hashable] = {}
-
-    def colour_of(subset: tuple[int, ...]) -> Hashable:
-        if subset not in cache:
-            cache[subset] = theta.colour(subset)
-        return cache[subset]
-
+    colour_of = functools.cache(theta.colour)
     for candidate in itertools.combinations(range(1, theta.n + 1), target):
         subsets = itertools.combinations(candidate, theta.r)
         first = colour_of(next(subsets))

@@ -453,6 +453,57 @@ def test_lattice_negative_box_bound_needs_the_equals_form():
     assert code == 1 and out == "" and "--box" in err
 
 
+# sha256 of the `--stable` reports of the lattice verbs, one per colouring kind and verb
+LATTICE_DIGESTS = {
+    "lattice ap --colouring constant:c=0,k=1 --box 0..3^2 --d 1 --workers 1":
+        "1fea864a74b54f6fcaefa08de90f28d4c137be16984e05a932ad9adb38377cc8",
+    "lattice ball --colouring constant:c=1,k=3 --box 0..3^3 --r 1 --t 2 --d 1 --workers 2":
+        "d9816cfbf9751d74b31b8e61741fb76b59d59df2fcda1875fb31c4f94cbf1e6b",
+    "lattice ap --colouring coordsum:d=2 --box 0..4^3 --d 2 --workers 1":
+        "8339b30ca22038d6ed95324e25620107305184337324a727188afae555dd6157",
+    "lattice ball --colouring random:k=3 --seed 7 --box 0..4^3 --r 1 --t 1 --d 1 --workers 1":
+        "42dbf341d24eb870983f3065dd8d0dc17b1309334b4dd7ac6a6f8dc731a98b63",
+    # the benchmark's ball op: no monochromatic ball in the box
+    "lattice ball --colouring random:k=2 --seed 0 --box 0..5^4 --r 2 --t 2 --d 3 --workers 1":
+        "a5aa77b98a84337fa0cac476836c16ed9971b31808007baa91e94f605ae31f1b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LATTICE_DIGESTS))
+def test_lattice_reports_are_unchanged(argv):
+    code, out, err = run_cli(*shlex.split(argv), "--stable")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_DIGESTS[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ap", "--colouring", "constant:c=5,k=2", "--d", "1"),
+        ("ap", "--colouring", "constant:c=0,k=0", "--d", "1"),
+        ("ap", "--colouring", "constant:c=-1,k=1", "--d", "1"),
+        ("ball", "--colouring", "constant:c=3,k=3", "--r", "1", "--t", "1", "--d", "1"),
+    ],
+)
+def test_lattice_constant_out_of_range_exits_1(argv):
+    code, out, err = run_cli("lattice", *argv, "--box", "0..3^2", "--workers", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("blocksets: error: need 0 <= value < colours, got ConstantColouring(")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "mono", "--template", "12", "--n", "2", "--size-mode", "equal:1"),
+        ("lattice", "ap", "--box", "0..3^2", "--d", "1", "--workers", "1"),
+    ],
+)
+@pytest.mark.parametrize("k", [0, -1])
+def test_random_colouring_below_one_colour_exits_1(argv, k):
+    code, out, err = run_cli(*argv, "--colouring", f"random:k={k}")
+    assert (code, out, err) == (1, "", f"blocksets: error: need k >= 1 colours, got {k}\n")
+
+
 # ---------------------------------------------------------------------------
 # formats, errors, exit codes
 

@@ -330,6 +330,16 @@ def test_random_table_colouring_is_seeded():
     assert set(one.entries.values()) <= set(range(5))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_random_table_colouring_needs_one_colour_before_drawing(monkeypatch, k):
+    def refuse(*args):
+        raise AssertionError("colours were drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=f"^need k >= 1 colours, got {k}$"):
+        random_table_colouring(2, 3, k, seed=0)
+
+
 @pytest.mark.parametrize("n, m", [(0, 3), (1, 2), (4, 3), (3, 4)])
 def test_random_table_colouring_draws_by_packed_index(n, m):
     """Entry w is draw w.index of the seeded generator, in all_words order."""

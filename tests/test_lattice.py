@@ -1,13 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksets import lattice
+from blocksets.colourings import ConstantColouring
 from blocksets.lattice import (
     Box,
-    ConstantLatticeColouring,
     CoordinateSumColouring,
     EncodingMismatch,
     GeneratorSet,
@@ -164,6 +165,16 @@ def test_box_past_the_table_limit_is_refused_before_any_colour():
         random_lattice_colouring(box, 2, 0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_random_lattice_colouring_needs_one_colour_before_drawing(monkeypatch, k):
+    def refuse(*args):
+        raise AssertionError("colours were drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=f"^need k >= 1 colours, got {k}$"):
+        random_lattice_colouring(cube(0, 3, 2), k, 0)
+
+
 def test_box_points_are_lexicographic():
     pts = list(cube(0, 1, 2).points())
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -181,7 +192,7 @@ def test_box_contains():
 
 
 def test_ap_constant_colouring_first_candidate():
-    hit = search_l1_ap(ConstantLatticeColouring(), cube(0, 2, 2), 1)
+    hit = search_l1_ap(ConstantColouring(), cube(0, 2, 2), 1)
     assert hit is not None
     x, v = hit
     assert l1_norm(v) == 1
@@ -203,7 +214,7 @@ def test_ap_parity_colouring_has_no_hit():
 
 def test_ap_skips_candidates_leaving_the_box():
     # box too small to fit x-v and x+v for any v of norm 2
-    assert search_l1_ap(ConstantLatticeColouring(), cube(0, 1, 1), 2) is None
+    assert search_l1_ap(ConstantColouring(), cube(0, 1, 1), 2) is None
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -283,7 +294,7 @@ REFERENCE_RTD = [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 1), (1, 2, 2
 @pytest.mark.parametrize("box", REFERENCE_BOXES, ids=str)
 def test_ball_search_matches_the_per_point_scan(box, workers):
     colourings = [random_lattice_colouring(box, k, seed) for seed, k in itertools.product(range(3), (2, 3))]
-    colourings += [CoordinateSumColouring(1), CoordinateSumColouring(2), ConstantLatticeColouring()]
+    colourings += [CoordinateSumColouring(1), CoordinateSumColouring(2), ConstantColouring()]
     if workers > 1:  # each multi-worker call forks a pool, so those runs take fewer colourings
         colourings = [colourings[0], colourings[-2]]
     for colouring in colourings:
@@ -297,13 +308,13 @@ def test_ball_search_matches_the_per_point_scan(box, workers):
 
 def test_ball_search_handles_colour_ids_past_int64():
     box = cube(0, 3, 3)
-    assert search_generated_ball(ConstantLatticeColouring(2**70, 2**71), box, 1, 2, 1) == search_generated_ball(
-        ConstantLatticeColouring(), box, 1, 2, 1
+    assert search_generated_ball(ConstantColouring(2**70, 2**71), box, 1, 2, 1) == search_generated_ball(
+        ConstantColouring(), box, 1, 2, 1
     )
 
 
 def test_ball_search_constant_colouring():
-    hit = search_generated_ball(ConstantLatticeColouring(), cube(0, 2, 2), 1, 1, 1)
+    hit = search_generated_ball(ConstantColouring(), cube(0, 2, 2), 1, 1, 1)
     assert hit is not None
     centre, g = hit
     assert centre == (0, 1) and g.vectors == ((0, -1),)
@@ -339,7 +350,7 @@ def test_ball_search_identical_across_worker_counts():
     "colouring,x",
     [
         (CoordinateSumColouring(1), (1, 1)),  # x-v, x, x+v alternate in colour
-        (ConstantLatticeColouring(), (0, 0)),  # x-v leaves the box
+        (ConstantColouring(), (0, 0)),  # x-v leaves the box
     ],
 )
 def test_lattice_hits_are_rechecked(monkeypatch, colouring, x):

@@ -17,6 +17,11 @@ ROOT = Path(__file__).resolve().parents[1]
         ("explore_lattice.py", ["--box", "0..3^2"], "d=2: x=(1, 1) v=(-1, 1)"),
         ("scan_absence.py", ["--d", "3", "--n-max", "31"], "total monochromatic placements: 0"),
         ("witness_experiments.py", ["--size-mode", "mixed:2", "--n-max", "4", "--k-max", "2"], "sizemode mixed:2"),
+        (
+            "explore_lattice.py",
+            ["--colouring", "constant:c=0,k=1", "--box", "0..3^2", "--d-max", "2"],
+            "d=1: x=(0, 1) v=(0, -1) colour=0",
+        ),
     ],
 )
 def test_script_runs(script, args, expect):
