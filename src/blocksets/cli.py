@@ -45,8 +45,8 @@ def parse_word_colouring(spec: str, seed: int = 0, n: int = 0, m: int = 3) -> co
     "countmod:s=1,k=2"."""
     kind, _, rest = spec.partition(":")
     if kind == "contribution":
-        opts = _parse_opts(rest, {"m", "l"})
-        return colourings.ContributionColouring(int(opts["m"]), int(opts["l"]))
+        opts = _parse_opts(spec, {"m", "l"})
+        return colourings.ContributionColouring(opts["m"], opts["l"])
     if kind == "table":
         if not rest.startswith("@"):
             raise UsageError(f"table spec needs a file: table:@file.json, got {spec!r}")
@@ -59,44 +59,52 @@ def parse_word_colouring(spec: str, seed: int = 0, n: int = 0, m: int = 3) -> co
         if cut < 0:
             raise UsageError(f"induced spec needs a trailing ,k=<int>, got {spec!r}")
         base = parse_word_colouring(body[:cut], seed, n, m)
-        return colourings.InducedColouring(base, int(body[cut + 3:]))
+        return colourings.InducedColouring(base, _int(body[cut + 3:], f"option k of colouring {spec!r}"))
     if kind == "random":
-        opts = _parse_opts(rest, {"k"})
+        opts = _parse_opts(spec, {"k"})
         if n <= 0:
             raise UsageError("random colouring needs a word length from --n")
-        return colourings.random_table_colouring(n, m, int(opts["k"]), seed)
+        return colourings.random_table_colouring(n, m, opts["k"], seed)
     if kind == "constant":
-        opts = _parse_opts(rest, {"c", "k"}, optional=True)
-        return colourings.ConstantColouring(int(opts.get("c", 0)), int(opts.get("k", 1)))
+        opts = _parse_opts(spec, {"c", "k"}, optional=True)
+        return colourings.ConstantColouring(opts.get("c", 0), opts.get("k", 1))
     if kind == "countmod":
-        opts = _parse_opts(rest, {"s", "k"})
-        return colourings.ModularCountColouring(int(opts["s"]), int(opts["k"]))
+        opts = _parse_opts(spec, {"s", "k"})
+        return colourings.ModularCountColouring(opts["s"], opts["k"])
     raise UsageError(f"unknown colouring spec {spec!r}")
 
 
 def parse_lattice_colouring(spec: str, box: lattice.Box, seed: int = 0) -> lattice.LatticeColouring | colourings.Colouring:
     """Parse "coordsum:d=2", "constant:c=0,k=1" or "random:k=4" over a box."""
-    kind, _, rest = spec.partition(":")
+    kind = spec.partition(":")[0]
     if kind == "coordsum":
-        opts = _parse_opts(rest, {"d"})
-        return lattice.CoordinateSumColouring(int(opts["d"]))
+        return lattice.CoordinateSumColouring(_parse_opts(spec, {"d"})["d"])
     if kind == "constant":
-        opts = _parse_opts(rest, {"c", "k"}, optional=True)
-        return colourings.ConstantColouring(int(opts.get("c", 0)), int(opts.get("k", 1)))
+        opts = _parse_opts(spec, {"c", "k"}, optional=True)
+        return colourings.ConstantColouring(opts.get("c", 0), opts.get("k", 1))
     if kind == "random":
-        opts = _parse_opts(rest, {"k"})
-        return lattice.random_lattice_colouring(box, int(opts["k"]), seed)
+        return lattice.random_lattice_colouring(box, _parse_opts(spec, {"k"})["k"], seed)
     raise UsageError(f"unknown lattice colouring spec {spec!r}")
 
 
-def _parse_opts(rest: str, keys: set[str], optional: bool = False) -> dict[str, str]:
-    opts: dict[str, str] = {}
+def _int(text: object, what: str) -> int:
+    """`text` as an int; anything else is a usage error naming `what`, the flag, option or file it came from."""
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        raise UsageError(f"{what}: expected an integer, got {text!r}") from None
+
+
+def _parse_opts(spec: str, keys: set[str], optional: bool = False) -> dict[str, int]:
+    """The integer options key=value,... after the colon of a colouring spec."""
+    opts: dict[str, int] = {}
+    rest = spec.partition(":")[2]
     if rest:
         for part in rest.split(","):
             key, eq, value = part.partition("=")
             if not eq or key not in keys:
                 raise UsageError(f"bad colouring option {part!r} (expected one of {sorted(keys)})")
-            opts[key] = value
+            opts[key] = _int(value, f"option {key} of colouring {spec!r}")
     if not optional:
         missing = keys - opts.keys()
         if missing:
@@ -109,8 +117,8 @@ def _load_table(path: str) -> colourings.TableColouring:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not raw:
         raise UsageError(f"table file {path} must be a non-empty JSON object")
-    m = max(2, max(int(ch) for word in raw for ch in word))
-    entries = {encode_word(word, m): int(cid) for word, cid in raw.items()}
+    m = max(2, max(_int(ch, f"table file {path} key {word!r}") for word in raw for ch in word))
+    entries = {encode_word(word, m): _int(cid, f"table file {path} value of {word!r}") for word, cid in raw.items()}
     return colourings.TableColouring(entries, label=f"table:@{path}")
 
 
@@ -317,10 +325,7 @@ def build_parser() -> _Parser:
 
 
 def _parse_blocks(text: str) -> list[list[int]]:
-    try:
-        return [[int(c) for c in chunk.split(",")] for chunk in text.split(";")]
-    except ValueError:
-        raise UsageError(f"bad blocks spec {text!r} (expected e.g. 1,6;2,5;3,4)") from None
+    return [[_int(c, f"--blocks {text!r}") for c in chunk.split(",")] for chunk in text.split(";")]
 
 
 def _check_args(args: argparse.Namespace) -> None:
@@ -385,7 +390,7 @@ def _run_blockset_points(args: argparse.Namespace) -> dict:
         raise UsageError(
             f"reference has {len(args.reference)} symbols for {len(complement)} non-block coordinates"
         )
-    reference = {c: int(ch) for c, ch in zip(complement, args.reference)}
+    reference = {c: _int(ch, "--reference") for c, ch in zip(complement, args.reference)}
     sizes = {len(b) for b in raw_blocks}
     sizemode = blocks.EqualSize(sizes.pop()) if len(sizes) == 1 else blocks.MixedSize(max(sizes))
     placement = blocks.make_placement(args.n, raw_blocks, reference, sizemode)
@@ -427,7 +432,7 @@ def _run_blockset_enum(args: argparse.Namespace) -> dict:
 def _reference_domain(args: argparse.Namespace) -> Optional[list[int]]:
     if not args.reference_domain:
         return None
-    return [int(ch) for ch in args.reference_domain]
+    return [_int(ch, "--reference-domain") for ch in args.reference_domain]
 
 
 def _run_search_mono(args: argparse.Namespace) -> dict:
@@ -486,11 +491,8 @@ def degree_setup(d: int, pq: Optional[tuple[int, int]] = None) -> tuple[blocks.T
 def _run_verify_thm2(args: argparse.Namespace) -> dict:
     pq = None
     if args.pq:
-        try:
-            p_s, q_s = args.pq.split(",")
-            pq = (int(p_s), int(q_s))
-        except ValueError:
-            raise UsageError(f"bad --pq {args.pq!r} (expected p,q)") from None
+        p, _, q = args.pq.partition(",")
+        pq = (_int(p, f"--pq {args.pq!r}"), _int(q, f"--pq {args.pq!r}"))
     t, colouring = degree_setup(args.d, pq)
     size = args.d if args.max_size is None else args.max_size
     sizemode = blocks.EqualSize(size) if args.equal_size else blocks.MixedSize(size)
@@ -503,7 +505,7 @@ def _run_extract_thm3(args: argparse.Namespace) -> dict:
     params = {"op": "extract_abccba", "colouring": base.name, "k": k, "n": args.n}
     theta = search.induced_subset_colouring(base, k, args.n)
     if args.set:
-        members = tuple(sorted(int(c) for c in args.set.split(",")))
+        members = tuple(sorted(_int(c, "--set") for c in args.set.split(",")))
         colour = theta.colour(members[: 2 * k + 2])
         homog = search.HomogeneousSet(args.n, 2 * k + 2, members, colour)
     else:

@@ -19,6 +19,8 @@ from .words import MAX_ALPHABET, InvalidSymbol, Word, all_words, profile
 class DomainError(KeyError):
     """Word outside a table colouring's domain."""
 
+    __str__ = Exception.__str__  # the bare message: a KeyError quotes it
+
 
 class SubstitutionMismatch(ValueError):
     """Slot word and insert word are incompatible."""

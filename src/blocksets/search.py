@@ -96,7 +96,7 @@ class SearchReport:
     budget_exhausted: bool = False
     colouring: Optional[Colouring] = field(default=None, repr=False, compare=False)
 
-    def to_json_dict(self, stable: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         found = [{"placement": p.to_json_dict(), "colour": c} for p, c in self.found]
         if isinstance(self.colouring, ContributionColouring):  # vector-valued: report both forms
             mod, powers = self.colouring.modulus, self.colouring.modulus ** np.arange(self.colouring.length)
@@ -108,7 +108,7 @@ class SearchReport:
             "params": self.params,
             "examined": self.examined,
             "found": found,
-            "elapsed_ms": 0.0 if stable else round(self.elapsed_ms, 3),
+            "elapsed_ms": round(self.elapsed_ms, 3),
             "workers": self.workers,
             "budget_exhausted": self.budget_exhausted,
         }
@@ -481,29 +481,35 @@ def _verify_hit(p: Placement, t: Template, colouring: Colouring, colour: int) ->
             )
 
 
-def _hit_points(blocks: Sequence[tuple[int, ...]], t: Template, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+def _hit_points(t: Template, words: np.ndarray) -> np.ndarray:
     """The points of hits as int8 words, shape (arrangements, hits, n).
 
-    Hit i has the blocks `blocks[j]` for j in `rows[i]` and the reference
-    word `words[i]` (0 on the blocks); its point for row a of
-    `t.arrangements()` puts that arrangement's letters on the blocks in row
+    `words` holds the hits' label words: m + j on the coordinates of block j,
+    the reference symbol (at most m) on the rest.  The point for row a of
+    `t.arrangements()` puts that arrangement's letters on the blocks in label
     order.  The arrangements run over every permutation of the template, so
     the points are the block set of the hit's placement, whatever the order.
     """
-    member = np.zeros((len(blocks), words.shape[1]), bool)
-    member[np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]), [c - 1 for b in blocks for c in b]] = True
-    labels = np.zeros(words.shape, np.intp)  # j + 1 on the coordinates of the hit's block j
-    for j in range(t.s):
-        labels[member[rows[:, j]]] = j + 1
+    labels = np.where(words > t.m, words - t.m, 0)
     letters = np.array([(0,) + a for a in t.arrangements()], np.int8)
-    return letters[:, labels] + words
+    return letters[:, labels] + np.where(labels > 0, 0, words)
 
 
-def _recheck_hits(
-    colouring: Colouring, t: Template, blocks: tuple, rows: np.ndarray, words: np.ndarray, found: list
-) -> None:
-    """Re-check hits through the colouring's closed form `colour_ids`; `found` holds their (placement, colour)."""
-    points = _hit_points(blocks, t, rows, words)
+def _recheck_hits(colouring: Colouring, t: Template, words: np.ndarray, found: list) -> None:
+    """Re-check hits, as label words with their (placement, colour) in `found`, without reading the table.
+
+    A closed-form colouring (one with `colour_ids`) evaluates every point of
+    every hit in numpy from the colouring's rule (`_hit_points`).  Any other
+    colouring checks each point of each hit's `blockset_points` through
+    `colour_id` (`_verify_hit`); the benchmark's tracer test pins exactly
+    those calls for a table colouring, one `blockset_points` call per hit.
+    A hit that fails raises ExtractionContradiction.
+    """
+    if not hasattr(colouring, "colour_ids"):
+        for placement, colour in found:
+            _verify_hit(placement, t, colouring, colour)
+        return
+    points = _hit_points(t, words)
     colours = np.array([colour for _, colour in found], np.int64)
     ids = colouring.colour_ids(points)
     wrong = np.argwhere(ids.T != colours[:, None])
@@ -594,15 +600,8 @@ def verify_absence(
     over the whole domain.  Every hit, at n or shorter, scanned or climbed,
     comes as a label word (see `_scan`): it is lifted into [n] and decoded
     to its id row and reference word at n, from which its placement is
-    built.  Every hit is re-checked before it is reported, by an evaluator
-    that does not read the table.  A closed-form colouring (one with `colour_ids`)
-    re-checks DECODE_BATCH hits at a time: their points come from the id
-    rows, the blocks' coordinates and the reference words, one per template
-    arrangement, and their ids from the colouring's rule (`_hit_points`).
-    Any other colouring re-checks each point of each hit's `blockset_points`
-    through `colour_id` (`_verify_hit`); the benchmark's tracer test pins
-    exactly those calls for a table colouring, one `blockset_points` call
-    per hit.  A hit that fails raises ExtractionContradiction.
+    built.  Every hit is re-checked, DECODE_BATCH at a time, before it is
+    reported (`_recheck_hits`).
     With first_only the scan stops at the canonically first hit, and
     `examined` counts the placements up to and including it (all of them
     when there is none).
@@ -659,22 +658,16 @@ def verify_absence(
     by_bits = np.argsort(bits).astype(np.min_scalar_type(len(blocks)))
     masks = np.column_stack([(words == t.m + j) @ (np.int64(1) << np.arange(n)) for j in range(1, t.s + 1)])
     rows = np.sort(by_bits[np.searchsorted(bits[by_bits], masks)], axis=1)
-    words[words > t.m] = 0
-    # canonical order: by id row, then reference word (0 on the blocks)
+    # canonical order: by id row, then reference word (one id row labels its blocks' coordinates alike)
     order = np.lexsort(np.column_stack([rows, words]).T[::-1])
-    # closed-form colourings re-check a batch of hits in numpy; a table colouring checks each point of each hit
-    closed_form = hasattr(colouring, "colour_ids")
     found = []
     for lo in range(0, len(order), DECODE_BATCH):
         batch = order[lo : lo + DECODE_BATCH]
         for row, word, colour in zip(rows[batch].tolist(), words[batch].tolist(), colours[batch].tolist()):
             family = tuple(sorted(blocks[i] for i in row))
-            placement = Placement(n, family, tuple((c, sym) for c, sym in enumerate(word, 1) if sym), sizemode)
-            if not closed_form:
-                _verify_hit(placement, t, colouring, colour)
-            found.append((placement, colour))
-        if closed_form:
-            _recheck_hits(colouring, t, blocks, rows[batch], words[batch], found[lo:])
+            reference = tuple((c, sym) for c, sym in enumerate(word, 1) if sym <= t.m)
+            found.append((Placement(n, family, reference, sizemode), colour))
+        _recheck_hits(colouring, t, words[batch], found[lo:])
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SearchReport(
         params={

@@ -3,7 +3,10 @@ import io
 import itertools
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from blocksets.cli import (
 )
 from blocksets.colourings import (
     ContributionColouring,
+    DomainError,
     InducedColouring,
     ModularCountColouring,
     TableColouring,
@@ -171,7 +175,7 @@ def test_scan_verbs_share_one_report_schema():
 
 def test_library_report_equals_cli_stable_json():
     template, colouring = degree_setup(2, (1, 2))
-    library = verify_absence(colouring, 9, template, MixedSize(2), workers=1).to_json_dict(stable=True)
+    library = dict(verify_absence(colouring, 9, template, MixedSize(2), workers=1).to_json_dict(), elapsed_ms=0.0)
     cli = run_json("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "9", "--stable", "--workers", "1")
     assert library == cli
     assert [len(entry["vector"]) for entry in cli["found"]] == [3, 3]
@@ -811,6 +815,132 @@ def test_hits_past_the_listing_limit_exit_1():
         "blocksets: error: listing the 6,538,048 monochromatic placements at n=17 "
         "needs 137,299,008 entries; the limit is 50,000,000\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# malformed input: one line on stderr that names the flag, option or file
+
+
+@pytest.fixture
+def table_files(tmp_path, monkeypatch):
+    """Table files in the working directory, so that messages name them as the flags do."""
+    monkeypatch.chdir(tmp_path)
+    for name, table in [("key.json", {"1a": 0}), ("value.json", {"12": "x"}), ("t.json", {"12": 0, "21": 1})]:
+        (tmp_path / name).write_text(json.dumps(table))
+    (tmp_path / "list.json").write_text("[]")
+
+
+MONO_123 = ("search", "mono", "--template", "123", "--n", "4", "--size-mode", "mixed:1", "--workers", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (MONO_123 + ("--colouring", "random:k=x"), "option k of colouring 'random:k=x': expected an integer, got 'x'"),
+        (("lattice", "ap", "--colouring", "coordsum:d=x", "--box", "0..3^2", "--d", "1"),
+         "option d of colouring 'coordsum:d=x': expected an integer, got 'x'"),
+        (("colour", "eval", "--colouring", "induced:base=constant,k=x", "--word", "2233"),
+         "option k of colouring 'induced:base=constant,k=x': expected an integer, got 'x'"),
+        (MONO_123 + ("--colouring", "constant", "--reference-domain", "1x"),
+         "--reference-domain: expected an integer, got 'x'"),
+        (("blockset", "points", "--template", "123", "--blocks", "1;2;3", "--n", "5", "--reference", "1x"),
+         "--reference: expected an integer, got 'x'"),
+        (("extract", "thm3", "--colouring", "constant:c=0,k=1", "--k", "1", "--n", "8", "--set", "1,2,x"),
+         "--set: expected an integer, got 'x'"),
+        (("colour", "eval", "--colouring", "table:@key.json", "--word", "12"),
+         "table file key.json key '1a': expected an integer, got 'a'"),
+        (("colour", "eval", "--colouring", "table:@value.json", "--word", "12"),
+         "table file value.json value of '12': expected an integer, got 'x'"),
+        (("blockset", "points", "--template", "123", "--blocks", "1;2;x", "--n", "5", "--reference", "11"),
+         "--blocks '1;2;x': expected an integer, got 'x'"),
+        (("verify", "thm2", "--d", "2", "--pq", "1,x", "--n", "5", "--workers", "1"),
+         "--pq '1,x': expected an integer, got 'x'"),
+    ],
+)
+def test_malformed_numbers_name_their_flag_and_value(table_files, argv, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (1, "", f"blocksets: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("colour", "eval", "--colouring", "table:x", "--word", "11"),
+         "table spec needs a file: table:@file.json, got 'table:x'"),
+        (("colour", "eval", "--colouring", "induced:x", "--word", "11"),
+         "induced spec needs base=<spec>,k=<int>, got 'induced:x'"),
+        (("colour", "eval", "--colouring", "induced:base=constant", "--word", "11"),
+         "induced spec needs a trailing ,k=<int>, got 'induced:base=constant'"),
+        (("search", "mono", "--colouring", "random:k=2", "--template", "123", "--n", "0", "--size-mode", "mixed:1"),
+         "random colouring needs a word length from --n"),
+        (("colour", "eval", "--colouring", "foo:x", "--word", "11"), "unknown colouring spec 'foo:x'"),
+        (("lattice", "ap", "--colouring", "foo", "--box", "0..3^2", "--d", "1"), "unknown lattice colouring spec 'foo'"),
+        (("colour", "eval", "--colouring", "constant:q=2", "--word", "11"),
+         "bad colouring option 'q=2' (expected one of ['c', 'k'])"),
+        (("colour", "eval", "--colouring", "countmod:s=1", "--word", "11"), "colouring spec missing options: ['k']"),
+        (("colour", "eval", "--colouring", "table:@list.json", "--word", "11"),
+         "table file list.json must be a non-empty JSON object"),
+        (("blockset", "points", "--template", "123", "--blocks", "1;2;3", "--n", "5", "--reference", "1"),
+         "reference has 1 symbols for 2 non-block coordinates"),
+        (("colour", "eval", "--colouring", "table:@t.json", "--word", "11", "--m", "2"),
+         "word 11 outside table domain"),
+    ],
+)
+def test_spec_and_domain_errors_exit_1_with_one_line(table_files, argv, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (1, "", f"blocksets: error: {message}\n")
+
+
+def test_domain_error_is_a_key_error_with_a_bare_message():
+    error = DomainError("word 11 outside table domain")
+    assert isinstance(error, KeyError) and str(error) == "word 11 outside table domain"
+
+
+def test_too_few_coordinates_exit_1_before_the_table(table_files):
+    for colouring in ("table:@t.json", "induced:base=constant,k=1"):
+        argv = ("search", "mono", "--colouring", colouring, "--template", "123", "--n", "2", "--size-mode", "mixed:1")
+        code, out, err = run_cli(*argv, "--workers", "1")
+        assert (code, out, err) == (1, "", "blocksets: error: n=2 cannot hold 3 disjoint blocks of size >= 1\n")
+
+
+# ---------------------------------------------------------------------------
+# report forms
+
+
+def test_colour_eval_csv_has_one_header_and_one_row():
+    code, out, _ = run_cli("colour", "eval", "--colouring", "contribution:m=2,l=2", "--word", "121", "--format", "csv")
+    assert (code, out) == (0, 'colouring,id,op,vector,word\n"contribution:m=2,l=2",0,colour_eval,"[0, 0]",121\n')
+
+
+def test_search_mono_text_lists_the_found_entries():
+    code, out, _ = run_cli(
+        "search", "mono", "--colouring", "countmod:s=1,k=2", "--template", "12", "--n", "2",
+        "--size-mode", "equal:1", "--workers", "1", "--format", "text", "--stable",
+    )
+    assert code == 0
+    assert "found: 1\n" in out
+    assert '  {"colour": 1, "placement": {"blocks": [[1], [2]], "n": 2, "pattern": "AB", "reference": {}}}\n' in out
+
+
+def test_colour_eval_of_an_induced_colouring_prints_its_tuple():
+    code, out, _ = run_cli("colour", "eval", "--colouring", "induced:base=countmod:s=1,k=2,k=1", "--word", "322223")
+    assert code == 0 and "tuple: (0, 0, 0, 0, 0, 0)\n" in out
+
+
+def test_extract_thm3_without_a_homogeneous_set():
+    report = run_json("extract", "thm3", "--colouring", "constant:c=0,k=1", "--k", "1", "--n", "5")
+    params = {"op": "extract_abccba", "colouring": "constant:0", "k": 1, "n": 5}
+    assert report == {"params": params, "status": "no_homogeneous_set", "found": []}
+
+
+def test_module_entry_point_exits_with_the_dispatch_code():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for d, code in [("1", 0), ("0", 1)]:
+        argv = ["verify", "thm2", "--d", d, "--n", "4", "--workers", "1", "--stable"]
+        run = [sys.executable, "-m", "blocksets.cli", *argv]
+        result = subprocess.run(run, env=env, capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == run_cli(*argv)
+        assert result.returncode == code
 
 
 # ---------------------------------------------------------------------------

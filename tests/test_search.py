@@ -17,7 +17,6 @@ from blocksets.blocks import (
     InvalidPlacement,
     MixedSize,
     blockset_points,
-    candidate_blocks,
     enumerate_block_families,
     enumerate_placements,
     make_placement,
@@ -31,6 +30,7 @@ from blocksets.colourings import (
     Colouring,
     ConstantColouring,
     ContributionColouring,
+    InducedColouring,
     ModularCountColouring,
     TableColouring,
     balanced_words,
@@ -217,14 +217,14 @@ def test_all_returned_placements_are_monochromatic():
 @pytest.mark.parametrize("n", [9, 10])
 def test_batched_hit_points_are_the_block_sets_of_the_placements(n):
     """The numpy re-check's points of each pq12 hit are the points `blockset_points` gives its placement."""
-    blocks = candidate_blocks(n, MixedSize(2))
     found = verify_absence(ContributionColouring(3, 3), n, T1233, MixedSize(2)).found
-    rows = np.array([[blocks.index(b) for b in p.blocks] for p, _ in found])
     words = np.zeros((len(found), n), np.int8)
     for i, (p, _) in enumerate(found):
+        for j, block in enumerate(p.blocks, 1):
+            words[i, [c - 1 for c in block]] = 3 + j
         for c, sym in p.reference:
             words[i, c - 1] = sym
-    points = search._hit_points(blocks, T1233, rows, words)
+    points = search._hit_points(T1233, words)
     assert points.shape == (len(list(T1233.arrangements())), len(found), n)
     for i, (p, _) in enumerate(found):
         assert {Word(tuple(point), 3) for point in points[:, i].tolist()} == blockset_points(p, T1233)
@@ -250,6 +250,19 @@ def test_hits_of_a_tampered_table_fail_their_re_check(monkeypatch, colouring, n,
     monkeypatch.setattr(type(colouring), "dense_table", lambda self, k, m: dense_table(self, k, m) % 2)
     with pytest.raises(ExtractionContradiction, match="is not monochromatic"):
         verify_absence(colouring, n, t, MixedSize(2))
+
+
+@pytest.mark.parametrize(
+    "colouring",
+    [TableColouring({encode_word("12", 3): 0}), InducedColouring(ConstantColouring(), 1)],
+    ids=["partial-table", "induced"],
+)
+def test_too_few_coordinates_are_refused_before_the_table(monkeypatch, colouring):
+    """Three disjoint blocks do not fit in n=2: `verify_absence` says so itself, not the table build."""
+    monkeypatch.setattr(type(colouring), "dense_table", lambda *args: pytest.fail("dense_table was called"))
+    with pytest.raises(AmbientTooSmall) as refused:
+        verify_absence(colouring, 2, T123, MixedSize(1))
+    assert str(refused.value) == "n=2 cannot hold 3 disjoint blocks of size >= 1"
 
 
 def test_placements_examined_until_matches_stream_position():
@@ -595,7 +608,7 @@ def test_climb_matches_the_naive_and_the_direct_scan(data):
 
 
 def _stable(report):
-    d = report.to_json_dict(stable=True)
+    d = dict(report.to_json_dict(), elapsed_ms=0.0)
     d.pop("workers")
     return d
 
