@@ -19,13 +19,16 @@ from blocksets.lattice import parse_box, search_l1_ap
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--colouring", default="coordsum:d=2")
-    parser.add_argument("--box", default="0..4^3")
+    parser.add_argument("--box", type=parse_box, default="0..4^3", help="lo..hi^n")
     parser.add_argument("--d-max", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    box = parse_box(args.box)
-    colouring = parse_lattice_colouring(args.colouring, box, args.seed)
+    box = args.box
+    try:
+        colouring = parse_lattice_colouring(args.colouring, box, args.seed)
+    except ValueError as exc:  # the CLI's UsageError, or a colouring's own check
+        parser.error(f"argument --colouring: {exc}")
     print(f"colouring {colouring.name}, box {box}")
     for d in range(1, args.d_max + 1):
         hit = search_l1_ap(colouring, box, d)

@@ -22,20 +22,22 @@ from blocksets.cli import degree_setup
 from blocksets.search import verify_absence
 
 
+def pq_pair(text: str) -> tuple[int, int]:
+    """"p,q" as two ints; anything else is a ValueError, which argparse reports against --pq."""
+    p, q = (int(x) for x in text.split(","))
+    return p, q
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--d", type=int, required=True)
-    parser.add_argument("--pq", default=None, help="override template as 1 2^p 3^q")
+    parser.add_argument("--pq", type=pq_pair, default=None, help="override template as 1 2^p 3^q, e.g. 1,2")
     parser.add_argument("--n-max", type=int, required=True)
     parser.add_argument("--equal-size", action="store_true")
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    pq = None
-    if args.pq:
-        p, q = (int(x) for x in args.pq.split(","))
-        pq = (p, q)
-    template, colouring = degree_setup(args.d, pq)
+    template, colouring = degree_setup(args.d, args.pq)
     sizemode = EqualSize(args.d) if args.equal_size else MixedSize(args.d)
     print(f"template {template}, colouring {colouring.name}, sizemode {sizemode}")
 

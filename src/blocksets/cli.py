@@ -8,6 +8,7 @@ exceeded, 3 internal error (a result failed its own re-check).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -89,10 +90,10 @@ def parse_lattice_colouring(spec: str, box: lattice.Box, seed: int = 0) -> latti
 
 def _int(text: object, what: str) -> int:
     """`text` as an int; anything else is a usage error naming `what`, the flag, option or file it came from."""
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        raise UsageError(f"{what}: expected an integer, got {text!r}") from None
+    with contextlib.suppress(ValueError):
+        if type(text) in (int, str):  # a float or bool would be truncated
+            return int(text)
+    raise UsageError(f"{what}: expected an integer, got {text!r}")
 
 
 def _parse_opts(spec: str, keys: set[str], optional: bool = False) -> dict[str, int]:
@@ -117,9 +118,9 @@ def _load_table(path: str) -> colourings.TableColouring:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not raw:
         raise UsageError(f"table file {path} must be a non-empty JSON object")
-    m = max(2, max(_int(ch, f"table file {path} key {word!r}") for word in raw for ch in word))
+    m = max([2] + [_int(ch, f"table file {path} key {word!r}") for word in raw for ch in word])
     entries = {encode_word(word, m): _int(cid, f"table file {path} value of {word!r}") for word, cid in raw.items()}
-    return colourings.TableColouring(entries, label=f"table:@{path}")
+    return colourings.table_colouring(entries, name=f"table:@{path}")
 
 
 # ---------------------------------------------------------------------------

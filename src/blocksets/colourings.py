@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .words import MAX_ALPHABET, InvalidSymbol, Word, all_words, profile
+from .words import MAX_ALPHABET, MAX_TABLE_ENTRIES, CapacityExceeded, InvalidSymbol, Word, all_words, profile
 
 
 class DomainError(KeyError):
@@ -243,43 +243,46 @@ class ContributionColouring(Colouring):
         return table
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # an array field takes no part in == or hashing
 class TableColouring(Colouring):
-    """Explicit word -> colour id lookup table."""
+    """Colouring of [m]^n by a packed table: word w has colour ids[w.index], or none where that id is -1."""
 
-    entries: dict[Word, int]
-    colours: Optional[int] = None
-    label: str = "table"
-
-    def __post_init__(self) -> None:
-        if self.colours is None:
-            self.colours = max(self.entries.values(), default=0) + 1
-
-    @property
-    def colour_count(self) -> int:  # type: ignore[override]
-        return self.colours or 1
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return self.label
+    ids: np.ndarray
+    n: int
+    m: int
+    colour_count: int = 1
+    name: str = "table"
 
     def colour_id(self, w: Word) -> int:
-        try:
-            return self.entries[w]
-        except KeyError:
-            raise DomainError(f"word {w} outside table domain") from None
+        c = int(self.ids[w.index]) if (w.n, w.m) == (self.n, self.m) else -1
+        if c < 0:
+            raise DomainError(f"word {w} outside table domain")
+        return c
 
     def dense_table(self, n: int, m: int) -> np.ndarray:
-        if len(self.entries) != m**n or any(w.n != n or w.m != m for w in self.entries):
-            raise DomainError(f"table {self.label} does not cover exactly [{m}]^{n}")
-        symbols = np.fromiter(itertools.chain.from_iterable(w.symbols for w in self.entries), np.int8, m**n * n)
-        symbols = symbols.reshape(m**n, n) - 1
-        index = np.zeros(m**n, np.int64)
-        for c in range(n - 1, -1, -1):  # coordinate 1 least significant
-            index = index * m + symbols[:, c]
-        table = np.empty(m**n, dtype=np.int64)
-        table[index] = np.fromiter(self.entries.values(), np.int64, m**n)
-        return table
+        """A copy of the table, so that `colour_id` never reads the array a scan was given."""
+        if (n, m) != (self.n, self.m) or self.ids.min() < 0:
+            raise DomainError(f"table {self.name} does not cover exactly [{m}]^{n}")
+        return self.ids.copy()
+
+    @property
+    def entries(self) -> dict[Word, int]:
+        """The coloured words and their ids, in `all_words` order (coordinate 1 first; `ids` has it least significant)."""
+        ids = self.ids.reshape((self.m,) * self.n).transpose().ravel().tolist()
+        return {w: c for w, c in zip(all_words(self.n, self.m), ids) if c >= 0}
+
+
+def table_colouring(entries: dict[Word, int], colour_count: Optional[int] = None, name: str = "table") -> TableColouring:
+    """The table colouring with these entries; `colour_count` defaults to the largest id plus one."""
+    shapes = {(w.n, w.m) for w in entries}
+    if len(shapes) != 1 or min(entries.values()) < 0:
+        raise DomainError(f"table {name} needs words of one length and alphabet, with ids >= 0")
+    ((n, m),) = shapes
+    if m**n > MAX_TABLE_ENTRIES:
+        raise CapacityExceeded(f"table {name} of [{m}]^{n} needs {m**n:,} entries; the limit is {MAX_TABLE_ENTRIES:,}")
+    ids = np.full(m**n, -1, np.int64)
+    ids[[w.index for w in entries]] = list(entries.values())
+    return TableColouring(ids, n, m, max(entries.values()) + 1 if colour_count is None else colour_count, name)
 
 
 def random_table_colouring(n: int, m: int, k: int, seed: int) -> TableColouring:
@@ -287,14 +290,7 @@ def random_table_colouring(n: int, m: int, k: int, seed: int) -> TableColouring:
     if k < 1:
         raise ValueError(f"need k >= 1 colours, got {k}")
     rng = np.random.default_rng(seed)
-    return packed_table_colouring(rng.integers(0, k, size=m**n), n, m, k, f"random:k={k},seed={seed}")
-
-
-def packed_table_colouring(ids: np.ndarray, n: int, m: int, colours: int, label: str) -> TableColouring:
-    """Table colouring of [m]^n in which each word w has colour ids[w.index], entries in `all_words` order."""
-    # ids follow the packed index (coordinate 1 least significant), all_words the symbols (coordinate 1 first)
-    entries = dict(zip(all_words(n, m), ids.reshape((m,) * n).transpose().ravel().tolist()))
-    return TableColouring(entries, colours, label)
+    return TableColouring(rng.integers(0, k, size=m**n), n, m, k, f"random:k={k},seed={seed}")
 
 
 def substitute(x: Word, w: Word) -> Word:

@@ -46,17 +46,12 @@ from .colourings import (
     InducedColouring,
     TableColouring,
     flipped_block_word,
-    packed_table_colouring,
     slot_word_for,
     substitute,
 )
-from .words import CapacityExceeded, Word
+from .words import MAX_TABLE_ENTRIES, CapacityExceeded, Word
 
 R = TypeVar("R")
-
-# Largest colour table a scan builds (400 MB of int64): [3]^16 fits, [3]^17 not.
-# The candidate words of a join and the listed hits are held to it too.
-MAX_TABLE_ENTRIES = 50_000_000
 
 # Working-set budget of one scan slab, in int64 entries: each family counts
 # its placements, its block weights and its row of the coordinate mask.
@@ -810,7 +805,7 @@ def witness_search(
         c += 1
     ids = np.zeros(t.m**n, np.int64)  # points in no block set take colour 0
     ids[list(colour)] = list(colour.values())
-    witness = packed_table_colouring(ids, n, t.m, k, f"witness:n={n},t={t},k={k}")
+    witness = TableColouring(ids, n, t.m, k, f"witness:n={n},t={t},k={k}")
     check = find_monochromatic(witness, n, t, sizemode, None, reference_domain)
     if check is not None:
         raise ExtractionContradiction("witness failed its own absence check")

@@ -32,6 +32,10 @@ PACKED_INDEX_BITS = 63
 MIN_ALPHABET = 2
 MAX_ALPHABET = 9  # keeps the digit-string format unambiguous
 
+# Largest colour table a scan builds (400 MB of int64): [3]^16 fits, [3]^17 not.
+# Table colourings, the candidate words of a join and the listed hits are held to it too.
+MAX_TABLE_ENTRIES = 50_000_000
+
 
 def packed_capacity(m: int) -> int:
     """Largest word length n with m**n <= 2**PACKED_INDEX_BITS."""

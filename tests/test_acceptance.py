@@ -33,13 +33,13 @@ from blocksets.blocks import (
 )
 from blocksets.colourings import (
     ContributionColouring,
-    TableColouring,
     balanced_words,
     coordinate_sum_colour,
     flipped_block_word,
     random_table_colouring,
     slot_word_for,
     substitute,
+    table_colouring,
 )
 from blocksets.lattice import (
     GeneratorSet,
@@ -280,7 +280,7 @@ def _position_insensitive_base(k, n, class_colours, colours):
             for i in twos:
                 syms[i] = 2
             entries[Word(tuple(syms), 3)] = class_colours[tuple(s for s in syms if s != 3)]
-    return TableColouring(entries, colours, "worked-scenario")
+    return table_colouring(entries, colours, "worked-scenario")
 
 
 def test_criterion_6_extraction_worked_scenario():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -26,7 +27,7 @@ from blocksets.blocks import (
     template_from_counts,
     template_from_word,
 )
-from blocksets.words import Profile, encode_word, multinomial, profile
+from blocksets.words import CapacityExceeded, InvalidSymbol, Profile, encode_word, multinomial, profile
 
 
 def test_template_canonical_words():
@@ -359,3 +360,38 @@ def test_random_placements_generate_multinomial_points(m, data):
     placements = list(enumerate_placements(n, t, MixedSize(1)))
     p = placements[data.draw(st.integers(0, len(placements) - 1))]
     assert len(blockset_points(p, t)) == multinomial(t.counts)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: blocks.Template(3, (1, 1)), InvalidSymbol, "2 counts for alphabet of size 3"),
+        (lambda: blocks.Template(2, (1, -1)), EmptyTemplate, "negative multiplicity in (1, -1)"),
+        (lambda: template_from_word(""), EmptyTemplate, "template needs at least one letter"),
+        (lambda: template_from_word("102"), InvalidSymbol, "bad template word '102'"),
+        (lambda: EqualSize(0), InvalidPlacement, "block size must be >= 1, got 0"),
+        (lambda: MixedSize(0), InvalidPlacement, "maximum block size must be >= 1, got 0"),
+        (lambda: parse_sizemode("equal:x"), InvalidPlacement, "bad size mode 'equal:x'"),
+        (lambda: Placement(3, ((),), ((1, 1), (2, 1), (3, 1)), MixedSize(1)), InvalidPlacement, "empty block"),
+        (lambda: Placement(3, ((2, 1),), ((3, 1),), MixedSize(2)), InvalidPlacement, "block (2, 1) not sorted"),
+        (lambda: Placement(3, ((4,),), ((1, 1),), MixedSize(1)), InvalidPlacement, "coordinate 4 outside [1, 3]"),
+        (lambda: Placement(2, ((2,), (1,)), (), MixedSize(1)), InvalidPlacement, "blocks not sorted by minimum element"),
+        (lambda: Placement(3, ((1,),), ((3, 1), (2, 1)), MixedSize(1)), InvalidPlacement,
+         "reference not sorted by coordinate"),
+        (lambda: Placement(2, ((1,),), ((2, 0),), MixedSize(1)), InvalidSymbol, "reference symbol 0 < 1"),
+        (lambda: blockset_points(Placement(2, ((1,),), ((2, 3),), MixedSize(1)), template_from_word("1")),
+         InvalidSymbol, "reference symbol 3 outside [1, 2]"),
+        (lambda: blocks.candidate_blocks(63, MixedSize(1)), CapacityExceeded,
+         "block families are enumerated for n <= 62, got n=63"),
+        (lambda: blocks.reference_symbols(template_from_word("12"), [3]), InvalidSymbol,
+         "reference symbol 3 outside [1, 2]"),
+        (lambda: blocks.reference_symbols(template_from_word("12"), []), InvalidSymbol, "empty reference domain"),
+    ],
+)
+def test_input_checks_raise_their_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -292,6 +292,52 @@ def test_verify_thm2_pq11_reduced_scan_reports_are_unchanged(n, workers):
     assert hashlib.sha256(out.encode()).hexdigest() == PQ11_DIGESTS[n, workers]
 
 
+# sha256 of the `--stable` reports of the benchmark's hit-heavy random-table scan, one per seed
+RANDOM_TABLE_DIGESTS = {
+    11: "358e741b0d04c66cfcf972517833c294c4aebb0e06532bdf00ebbfce63de8d74",
+    12: "34ce15d624326290bcc91ac5a4228e408785920cc29ba57d3ef95e2884249c65",
+    13: "457ee9fac3f45825952f7f90cb8571620134862de783d955cac07d1a66392f86",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_TABLE_DIGESTS))
+def test_search_mono_random_table_reports_are_unchanged(seed):
+    code, out, err = run_cli(
+        "search", "mono", "--colouring", "random:k=2", "--seed", str(seed), "--template", "123", "--n", "9",
+        "--size-mode", "mixed:2", "--workers", "1", "--stable",
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == RANDOM_TABLE_DIGESTS[seed]
+
+
+# (exit code, sha256 of stdout, stderr) of runs on a full table file of [3]^3: a word's colour is its
+# count of distinct symbols mod 2, so the six permutations of 123 share colour 1
+FULL_TABLE_DIGESTS = {
+    ("search", "mono", "--template", "123", "--n", "3", "--size-mode", "mixed:1", "--workers", "1"): (
+        0, "472a3ba14a6d48ed9a81bbf3e69f3c146d8a54a2180fa778bd7dbba80b1121ef", ""
+    ),
+    ("search", "mono", "--template", "113", "--n", "3", "--size-mode", "mixed:1", "--workers", "1"): (
+        0, "9094a9c6eedacbfc8c1287e6f9a57f95d32bd156bb976c247bacaddc12478f62", ""
+    ),
+    ("search", "mono", "--template", "12", "--n", "3", "--size-mode", "mixed:1", "--workers", "1"): (
+        1, hashlib.sha256(b"").hexdigest(), "blocksets: error: table table:@full.json does not cover exactly [2]^3\n"
+    ),
+    ("colour", "eval", "--word", "213"): (0, "3745f09a5486bd9a3aca05dedfaba50dcf09302d3f666ebc077a6ccb3402aeb8", ""),
+    ("colour", "eval", "--word", "113", "--format", "json"): (
+        0, "04d9f156a1c40a8799a69a6df78789e46b427a006bb02feacc1ba7f548f50346", ""
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FULL_TABLE_DIGESTS))
+def test_full_table_file_reports_are_unchanged(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    table = {"".join(map(str, w)): len(set(w)) % 2 for w in itertools.product((1, 2, 3), repeat=3)}
+    Path("full.json").write_text(json.dumps(table))
+    code, out, err = run_cli(*argv, "--colouring", "table:@full.json", "--stable")
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == FULL_TABLE_DIGESTS[argv]
+
+
 def test_search_witness_mixed2_budget_ends_after_the_last_node():
     code, out, err = run_cli(
         "search", "witness", "--template", "123", "--n", "6", "--size-mode", "mixed:2",
@@ -891,6 +937,33 @@ def test_spec_and_domain_errors_exit_1_with_one_line(table_files, argv, message)
     assert (code, out, err) == (1, "", f"blocksets: error: {message}\n")
 
 
+TABLE_ONE_SHAPE = "needs words of one length and alphabet, with ids >= 0"
+
+
+@pytest.mark.parametrize(
+    "table, verb, message",
+    [
+        ({"12": 1.5, "21": 0, "11": 0, "22": 0}, "eval", "table file bad.json value of '12': expected an integer, got 1.5"),
+        ({"12": True, "21": 0, "11": 0, "22": 0}, "eval", "table file bad.json value of '12': expected an integer, got True"),
+        ({"": 0}, "eval", "word 12 outside table domain"),  # the colouring of [2]^0
+        ({"12": -1, "21": 0, "11": 0, "22": 0}, "eval", f"table table:@bad.json {TABLE_ONE_SHAPE}"),
+        ({"12": -1, "21": 0, "11": 0, "22": 0}, "mono", f"table table:@bad.json {TABLE_ONE_SHAPE}"),
+        ({"12": 0, "1": 1}, "eval", f"table table:@bad.json {TABLE_ONE_SHAPE}"),
+        ({"3" * 17: 0}, "eval", "table table:@bad.json of [3]^17 needs 129,140,163 entries; the limit is 50,000,000"),
+    ],
+    ids=["float", "bool", "empty-word", "negative", "negative-scan", "two-lengths", "past-the-limit"],
+)
+def test_malformed_table_files_exit_1_with_one_line(tmp_path, monkeypatch, table, verb, message):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(json.dumps(table))
+    if verb == "eval":
+        argv = ("colour", "eval", "--word", "12", "--m", "2")
+    else:
+        argv = ("search", "mono", "--template", "12", "--n", "2", "--size-mode", "equal:1", "--workers", "1")
+    code, out, err = run_cli(*argv, "--colouring", "table:@bad.json")
+    assert (code, out, err) == (1, "", f"blocksets: error: {message}\n")
+
+
 def test_domain_error_is_a_key_error_with_a_bare_message():
     error = DomainError("word 11 outside table domain")
     assert isinstance(error, KeyError) and str(error) == "word 11 outside table domain"
@@ -980,3 +1053,8 @@ def test_readme_examples_run():
         assert (code, err) == (0, ""), argv
         assert out
     assert verbs == set(_HANDLERS)
+
+
+def test_unknown_report_format_is_a_usage_error():
+    with pytest.raises(UsageError, match="^unknown format 'yaml'$"):
+        emit_report({"found": []}, "yaml", io.StringIO())

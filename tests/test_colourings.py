@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,9 +28,10 @@ from blocksets.colourings import (
     random_table_colouring,
     slot_word_for,
     substitute,
+    table_colouring,
     vector_to_id,
 )
-from blocksets.words import InvalidSymbol, Word, all_words, encode_word, profile
+from blocksets.words import CapacityExceeded, InvalidSymbol, Word, all_words, encode_word, profile
 
 
 def w3(text):
@@ -146,12 +148,12 @@ def test_dense_table_raises_outside_the_domain():
     with pytest.raises(InvalidSymbol):
         ContributionColouring(2, 2).dense_table(3, 2)
     with pytest.raises(DomainError):
-        TableColouring({w3("11"): 0, w3("12"): 1}).dense_table(2, 3)
+        table_colouring({w3("11"): 0, w3("12"): 1}).dense_table(2, 3)
     entries = {w: 0 for w in all_words(2, 3)}
     one_short = {w: 0 for w in list(entries)[1:]} | {Word((1,), 3): 0}  # 3^2 entries, one of length 1
     for table, n in ((entries, 3), (one_short, 2), ({Word(w.symbols, 4): 0 for w in entries}, 2)):
         with pytest.raises(DomainError):
-            TableColouring(table).dense_table(n, 3)
+            table_colouring(table).dense_table(n, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +318,7 @@ def test_coordinate_sum_flips_when_d_unit_steps_added():
 
 
 def test_table_domain_error():
-    t = TableColouring({w3("11"): 0})
+    t = table_colouring({w3("11"): 0})
     with pytest.raises(DomainError):
         t.colour_id(w3("12"))
 
@@ -353,10 +355,59 @@ def test_random_table_colouring_draws_by_packed_index(n, m):
 def test_table_dense_table_matches_the_per_word_walk(n, m):
     colouring = random_table_colouring(n, m, 4, seed=n + m)
     # the entries in reverse order: the table follows each word's packed index, not the dict's order
-    shuffled = TableColouring(dict(reversed(colouring.entries.items())), 4)
+    shuffled = table_colouring(dict(reversed(colouring.entries.items())), 4)
     table = shuffled.dense_table(n, m)
     assert table.dtype == np.int64 and table.tolist() == Colouring.dense_table(colouring, n, m).tolist()
-    assert list(shuffled.entries) == list(reversed(colouring.entries))
+    assert shuffled.entries == colouring.entries
+    assert np.array_equal(table_colouring(colouring.entries, 4).ids, colouring.ids)
+
+
+def test_random_table_and_its_dense_table_build_no_words(monkeypatch):
+    built = []
+    init = Word.__post_init__
+    monkeypatch.setattr(Word, "__post_init__", lambda self: built.append(self) or init(self))
+    for seed in range(3):
+        colouring = random_table_colouring(9, 3, 2, seed)
+        assert colouring.dense_table(9, 3).shape == (3**9,)
+    assert built == []
+    assert len(colouring.entries) == 3**9 and len(built) == 3**9  # the entries view builds them
+
+
+def test_dense_table_is_a_copy():
+    colouring = random_table_colouring(4, 3, 2, seed=5)
+    word = w3("2131")
+    before = colouring.colour_id(word)
+    colouring.dense_table(4, 3)[word.index] = before + 7
+    assert colouring.colour_id(word) == before and colouring.ids[word.index] == before
+
+
+def test_partial_table_colours_only_its_words():
+    colouring = table_colouring({w3("11"): 2, w3("32"): 0})
+    assert (colouring.n, colouring.m, colouring.colour_count, colouring.name) == (2, 3, 3, "table")
+    assert colouring.ids.tolist() == [2, -1, -1, -1, -1, 0, -1, -1, -1]
+    assert colouring.entries == {w3("11"): 2, w3("32"): 0}
+    with pytest.raises(DomainError, match="^word 12 outside table domain$"):
+        colouring.colour_id(w3("12"))
+    with pytest.raises(DomainError, match="^word 11 outside table domain$"):
+        colouring.colour_id(Word((1, 1), 4))
+    with pytest.raises(DomainError, match=r"^table table does not cover exactly \[3\]\^2$"):
+        colouring.dense_table(2, 3)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{}, {w3("12"): 0, w3("1"): 0}, {w3("12"): 0, Word((1, 2), 4): 0}, {w3("12"): 0, w3("21"): -1}],
+    ids=["empty", "two-lengths", "two-alphabets", "negative-id"],
+)
+def test_table_colouring_refuses_mixed_shapes_and_negative_ids(entries):
+    with pytest.raises(DomainError, match="^table t needs words of one length and alphabet, with ids >= 0$"):
+        table_colouring(entries, name="t")
+
+
+def test_table_colouring_past_the_limit_is_refused_before_the_table(monkeypatch):
+    monkeypatch.setattr(np, "full", lambda *args: pytest.fail("the table was allocated"))
+    with pytest.raises(CapacityExceeded, match=r"^table t of \[3\]\^17 needs 129,140,163 entries; the limit is"):
+        table_colouring({Word((3,) * 17, 3): 0}, name="t")
 
 
 @given(st.integers(2, 4), st.integers(1, 4), st.lists(st.integers(0, 2), min_size=1, max_size=10))
@@ -396,3 +447,19 @@ def test_table_colourings_have_no_closed_form():
     """`verify_absence` re-checks a table colouring's hits point by point, through `colour_id`."""
     assert not hasattr(random_table_colouring(2, 3, 2, seed=0), "colour_ids")
     assert not hasattr(InducedColouring(ConstantColouring(), 1), "colour_ids")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: contribution_colour(encode_word("12", 2), 3, 3), InvalidSymbol,
+         "contribution colouring needs alphabet [3], got [2]"),
+        (lambda: ContributionColouring(1, 1), ValueError,
+         "need modulus >= 2 and length >= 1, got ContributionColouring(modulus=1, length=1)"),
+        (lambda: balanced_words(-1), ValueError, "k must be >= 0, got -1"),
+        (lambda: coordinate_sum_colour((1,), 0), ValueError, "d must be >= 1, got 0"),
+    ],
+)
+def test_input_checks_raise_their_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -402,3 +403,20 @@ def test_vectors_with_l1_norm_examples():
     assert all(l1_norm(v) == 2 for v in vs)
     assert vs == sorted(vs)
     assert len(vs) == len(set(vs))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GeneratorSet(((1, 0), (0, 0, 1))), InvalidGenerator, "mixed ambient dimensions [2, 3]"),
+        (lambda: l1_ball(GeneratorSet(((1,),)), -1), ValueError, "radius must be >= 0, got -1"),
+        (lambda: Box((0,), (1, 1)), ValueError, "lo and hi have different dimensions"),
+        (lambda: Box((2,), (1,)), ValueError, "empty box (2,)..(1,)"),
+        (lambda: search_generated_ball(ConstantColouring(), cube(0, 3, 2), 0, 1, 1), ValueError,
+         "need r, t, d >= 1, got r=0 t=1 d=1"),
+        (lambda: search_l1_ap(ConstantColouring(), cube(0, 3, 2), 0), ValueError, "need d >= 1, got 0"),
+    ],
+)
+def test_input_checks_raise_their_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -31,3 +31,21 @@ def test_script_runs(script, args, expect):
     )
     assert result.returncode == 0, result.stderr
     assert expect in result.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("scan_absence.py", ["--d", "2", "--pq", "1", "--n-max", "3"], "argument --pq: invalid pq_pair value: '1'"),
+        ("scan_absence.py", ["--d", "2", "--pq", "1,x", "--n-max", "3"], "argument --pq: invalid pq_pair value: '1,x'"),
+        ("explore_lattice.py", ["--box", "0..3"], "argument --box: invalid parse_box value: '0..3'"),
+        ("explore_lattice.py", ["--colouring", "foo"], "argument --colouring: unknown lattice colouring spec 'foo'"),
+    ],
+)
+def test_script_bad_flags_exit_2_with_one_error_line(script, args, message):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.endswith(f"{script}: error: {message}\n") and "Traceback" not in result.stderr

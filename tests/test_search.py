@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -35,9 +36,9 @@ from blocksets.colourings import (
     TableColouring,
     balanced_words,
     flipped_block_word,
-    packed_table_colouring,
     random_table_colouring,
     slot_word_for,
+    table_colouring,
 )
 from blocksets import search
 from blocksets.search import (
@@ -254,7 +255,7 @@ def test_hits_of_a_tampered_table_fail_their_re_check(monkeypatch, colouring, n,
 
 @pytest.mark.parametrize(
     "colouring",
-    [TableColouring({encode_word("12", 3): 0}), InducedColouring(ConstantColouring(), 1)],
+    [table_colouring({encode_word("12", 3): 0}), InducedColouring(ConstantColouring(), 1)],
     ids=["partial-table", "induced"],
 )
 def test_too_few_coordinates_are_refused_before_the_table(monkeypatch, colouring):
@@ -803,7 +804,7 @@ def test_witness_search_matches_the_listing_loop(text, sizemode, domain):
         got = _witness_outcome(witness_search, n, t, sizemode, k, budget, domain)
         if isinstance(got, TableColouring):
             assert isinstance(want, np.ndarray), (k, n, budget, want)
-            assert got.entries == packed_table_colouring(want, n, t.m, k, got.label).entries, (k, n, budget)
+            assert np.array_equal(got.ids, want), (k, n, budget)
         else:
             assert not isinstance(want, np.ndarray) and got == want, (k, n, budget, got)
 
@@ -949,7 +950,7 @@ def _position_insensitive_table(k, n, class_colours, colours):
             word = Word(tuple(syms), 3)
             key = tuple(s for s in syms if s != 3)
             entries[word] = class_colours[key]
-    return TableColouring(entries, colours, "position-insensitive")
+    return table_colouring(entries, colours, "position-insensitive")
 
 
 def _class_map(k, overrides, default=0):
@@ -1013,3 +1014,21 @@ def test_extract_requires_matching_set_size():
     homog = HomogeneousSet(8, 4, tuple(range(1, 6)), theta.colour((1, 2, 3, 4)))
     with pytest.raises(ValueError):
         extract_abccba(base, 1, homog)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: HomogeneousSet(5, 2, (2, 1), 0), ValueError, "members must be sorted"),
+        (lambda: HomogeneousSet(5, 3, (1, 2), 0), ValueError, "2 members but uniformity 3"),
+        (lambda: placements_examined_until(
+            4, T123, MixedSize(1), None, None, (make_placement(4, [[1], [2]], {3: 1, 4: 1}, MixedSize(1)), 0)
+        ), ValueError, "hit placement not in the enumerated space"),
+        (lambda: witness_search(3, T123, EqualSize(1), 0), ValueError, "need k >= 1, got 0"),
+        (lambda: homogeneous_subset_search(SubsetColouring(5, 3, lambda subset: 0), 2), ValueError,
+         "target 2 below uniformity 3"),
+    ],
+)
+def test_input_checks_raise_their_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

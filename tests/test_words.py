@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -133,3 +134,16 @@ def test_multinomial():
     assert multinomial((1, 1, 1)) == 6
     assert multinomial((0, 0, 0)) == 1
     assert multinomial((3,)) == 1
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Word((1,), 1), InvalidSymbol, "alphabet size must be in [2, 9], got 1"),
+        (lambda: Profile((1, -1)), ProfileMismatch, "negative count in (1, -1)"),
+        (lambda: decode_word(9, 2, 3), ValueError, "index 9 outside [0, 3^2)"),
+    ],
+)
+def test_input_checks_raise_their_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
