@@ -14,13 +14,14 @@ sys.path.insert(0, "src")
 
 from blocksets.cli import parse_lattice_colouring
 from blocksets.lattice import parse_box, search_l1_ap
+from flags import at_least_1
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--colouring", default="coordsum:d=2")
     parser.add_argument("--box", type=parse_box, default="0..4^3", help="lo..hi^n")
-    parser.add_argument("--d-max", type=int, default=3)
+    parser.add_argument("--d-max", type=at_least_1, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

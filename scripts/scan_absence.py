@@ -20,6 +20,7 @@ sys.path.insert(0, "src")
 from blocksets.blocks import EqualSize, MixedSize
 from blocksets.cli import degree_setup
 from blocksets.search import verify_absence
+from flags import at_least_1
 
 
 def pq_pair(text: str) -> tuple[int, int]:
@@ -30,11 +31,11 @@ def pq_pair(text: str) -> tuple[int, int]:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--d", type=int, required=True)
+    parser.add_argument("--d", type=at_least_1, required=True)
     parser.add_argument("--pq", type=pq_pair, default=None, help="override template as 1 2^p 3^q, e.g. 1,2")
     parser.add_argument("--n-max", type=int, required=True)
     parser.add_argument("--equal-size", action="store_true")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=at_least_1, default=1)
     args = parser.parse_args()
 
     template, colouring = degree_setup(args.d, args.pq)

@@ -15,13 +15,14 @@ sys.path.insert(0, "src")
 
 from blocksets.blocks import parse_sizemode, template_from_word
 from blocksets.search import BudgetExceeded, witness_search
+from flags import at_least_1
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=5)
-    parser.add_argument("--k-max", type=int, default=4)
-    parser.add_argument("--budget", type=int, default=2_000_000)
+    parser.add_argument("--k-max", type=at_least_1, default=4)
+    parser.add_argument("--budget", type=at_least_1, default=2_000_000)
     parser.add_argument("--size-mode", type=parse_sizemode, default="mixed:1", help="equal:<d> or mixed:<d>")
     args = parser.parse_args()
 

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -453,6 +454,7 @@ def _run_search_witness(args: argparse.Namespace) -> dict:
     except search.BudgetExceeded as exc:
         witness, status, nodes = None, "budget_exceeded", exc.nodes
     elapsed = (time.perf_counter() - t0) * 1000.0
+    digits = "123456789"[: args.template.m]  # the report keys each word by its digit string, with no `Word` built
     report = {
         "params": {
             "op": "witness_search",
@@ -463,7 +465,7 @@ def _run_search_witness(args: argparse.Namespace) -> dict:
             "budget": args.budget,
         },
         "status": status,
-        "colouring": None if witness is None else {str(w): c for w, c in witness.entries.items()},
+        "colouring": None if witness is None else witness.keyed(map("".join, itertools.product(digits, repeat=args.n))),
         "elapsed_ms": round(elapsed, 3),
         "budget_exhausted": nodes is not None,
     }

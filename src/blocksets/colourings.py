@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -267,9 +267,13 @@ class TableColouring(Colouring):
 
     @property
     def entries(self) -> dict[Word, int]:
-        """The coloured words and their ids, in `all_words` order (coordinate 1 first; `ids` has it least significant)."""
+        """The coloured words and their ids, in `all_words` order."""
+        return self.keyed(all_words(self.n, self.m))
+
+    def keyed(self, keys: Iterable) -> dict:
+        """Coloured ids under keys given one per word, in `all_words` order (`ids` has coordinate 1 least significant)."""
         ids = self.ids.reshape((self.m,) * self.n).transpose().ravel().tolist()
-        return {w: c for w, c in zip(all_words(self.n, self.m), ids) if c >= 0}
+        return {key: c for key, c in zip(keys, ids) if c >= 0}
 
 
 def table_colouring(entries: dict[Word, int], colour_count: Optional[int] = None, name: str = "table") -> TableColouring:

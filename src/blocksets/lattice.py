@@ -231,7 +231,11 @@ def disjoint_generator_sets(dimension: int, t: int, d: int) -> Iterator[Generato
     The vectors within a set are lexicographically increasing, and sets are
     enumerated in lexicographic order of their concatenation.
     """
-    candidates = vectors_with_l1_norm(dimension, d)
+    return _disjoint_sets(vectors_with_l1_norm(dimension, d), t)
+
+
+def _disjoint_sets(candidates: list[LatticePoint], t: int) -> Iterator[GeneratorSet]:
+    """The sets of t disjointly-supported candidates, in the order of `disjoint_generator_sets`."""
     supports = [sum(1 << i for i, x in enumerate(u) if x != 0) for u in candidates]  # one bit per nonzero coordinate
 
     def rec(chosen: tuple[LatticePoint, ...], used: int, start: int) -> Iterator[GeneratorSet]:
@@ -256,9 +260,9 @@ def _box_table(colouring: LatticeColouring | Colouring, box: Box) -> np.ndarray:
 def _ball_scan(shared: tuple, _start: int, generator_sets: list) -> Optional[tuple[LatticePoint, GeneratorSet]]:
     """Least (centre, vectors) of a monochromatic ball among a chunk of generator sets.
 
-    A set's centres are the sub-box keeping every ball offset inside the box;
-    a centre's ball is monochromatic where the table window at each offset
-    equals the window at the first, and C order is lexicographic order.
+    Every set fits the box, so its centres are a non-empty sub-box; a centre's
+    ball is monochromatic where the table window at each offset equals the
+    window at the first, and C order is lexicographic order.
     """
     table, lo, lambda_order = shared
     best = None
@@ -266,8 +270,6 @@ def _ball_scan(shared: tuple, _start: int, generator_sets: list) -> Optional[tup
         offsets = lambda_order @ np.array(g.vectors)
         first = -offsets.min(axis=0)
         stop = np.array(table.shape) - offsets.max(axis=0)
-        if np.any(first >= stop):
-            continue
         windows = (table[tuple(slice(a + o, b + o) for a, b, o in zip(first, stop, off))] for off in offsets)
         base = next(windows)
         mono = np.ones(base.shape, dtype=bool)
@@ -303,10 +305,12 @@ def search_generated_ball(
     """
     if r < 1 or t < 1 or d < 1:
         raise ValueError(f"need r, t, d >= 1, got r={r} t={t} d={d}")
-    generator_sets = list(disjoint_generator_sets(box.dimension, t, d))
+    # On coordinate i a ball spans its centre ± r|u_i|, u the one vector nonzero there: a set fits iff each u does.
+    candidates = vectors_with_l1_norm(box.dimension, d)
+    fits = [u for u in candidates if all(2 * r * abs(x) <= h - l for x, l, h in zip(u, box.lo, box.hi))]
     lambda_order = list(_lambda_tuples(t, r))
     shared = (_box_table(colouring, box), box.lo, np.array(lambda_order))
-    hits = [h for h in map_chunks(_ball_scan, shared, generator_sets, workers) if h is not None]
+    hits = [h for h in map_chunks(_ball_scan, shared, list(_disjoint_sets(fits, t)), workers) if h is not None]
     if not hits:
         return None
     centre, g = min(hits, key=lambda h: (h[0], h[1].vectors))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from blocksets import lattice
+from blocksets import cli, lattice, search
 from blocksets.blocks import MixedSize, template_from_word
 from blocksets.cli import (
     _HANDLERS,
@@ -249,6 +249,67 @@ def test_search_witness_n7_reports_are_unchanged(k):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_N7_DIGESTS[k]
+
+
+def _witness_report(monkeypatch, *argv):
+    """The report dict that `search witness --template 123 ... --stable` hands to `emit_report`."""
+    reports = []
+    monkeypatch.setattr(cli, "emit_report", lambda report, *rest: reports.append(report))
+    code, _, err = run_cli("search", "witness", "--template", "123", *argv, "--stable")
+    assert code == 0, err
+    return reports[0]
+
+
+@pytest.mark.parametrize("n, k", list(itertools.product(range(3, 6), range(2, 5))))
+def test_witness_report_colouring_is_the_table_entries_by_digit_string(monkeypatch, n, k):
+    report = _witness_report(monkeypatch, "--n", str(n), "--size-mode", "mixed:1", "--k", str(k))
+    witness = search.witness_search(n, template_from_word("123"), MixedSize(1), k)
+    assert report["status"] == "witness"
+    assert list(report["colouring"].items()) == [(str(w), c) for w, c in witness.entries.items()]
+
+
+def test_witness_report_colouring_skips_uncoloured_words(monkeypatch):
+    table = random_table_colouring(4, 3, 3, 5)
+    table.ids[::7] = -1
+    monkeypatch.setattr(search, "witness_search", lambda *args: table)
+    report = _witness_report(monkeypatch, "--n", "4", "--size-mode", "mixed:1", "--k", "3")
+    assert list(report["colouring"].items()) == [(str(w), c) for w, c in table.entries.items()]
+    assert len(report["colouring"]) == 81 - 12 and "1111" not in report["colouring"]
+
+
+WITNESS_N3_COLOURING = (
+    '{"111": 0, "112": 0, "113": 0, "121": 0, "122": 0, "123": 1, "131": 0, "132": 0, "133": 0, '
+    '"211": 0, "212": 0, "213": 0, "221": 0, "222": 0, "223": 0, "231": 0, "232": 0, "233": 0, '
+    '"311": 0, "312": 0, "313": 0, "321": 0, "322": 0, "323": 0, "331": 0, "332": 0, "333": 0}'
+)
+WITNESS_N3_PARAMS = '{"budget": 1000000, "k": 2, "n": 3, "op": "witness_search", "sizemode": "mixed:1", "template": "123"}'
+
+
+def _csv_quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+@pytest.mark.parametrize(
+    "out_format, expected",
+    [
+        (
+            "csv",
+            "budget_exhausted,colouring,elapsed_ms,params,status\n"
+            + ",".join(["False", _csv_quoted(WITNESS_N3_COLOURING), "0.0", _csv_quoted(WITNESS_N3_PARAMS), "witness\n"]),
+        ),
+        (
+            "text",
+            f"budget_exhausted: False\ncolouring: {WITNESS_N3_COLOURING}\nelapsed_ms: 0.0\n"
+            f"params: {WITNESS_N3_PARAMS}\nstatus: witness\n",
+        ),
+    ],
+)
+def test_search_witness_csv_and_text_bytes_are_pinned(out_format, expected):
+    code, out, err = run_cli(
+        "search", "witness", "--template", "123", "--n", "3", "--size-mode", "mixed:1", "--k", "2", "--stable",
+        "--format", out_format,
+    )
+    assert (code, err, out) == (0, "", expected)
 
 
 # sha256 of the `--stable` `verify thm2 --d 2 --pq 1,2` reports of the scan that visits every reference

@@ -397,6 +397,54 @@ def test_generator_sets_match_the_support_set_recursion(dimension):
         assert list(disjoint_generator_sets(dimension, t, d)) == want, (t, d)
 
 
+def _sets_passing_the_per_set_test(box, r, t, d):
+    """Oracle: the generator sets whose ball offsets leave some centre inside the box (first < stop on every axis)."""
+    lambda_order = np.array(list(_lambda_tuples(t, r)))
+    shape = np.array([h - l + 1 for l, h in zip(box.lo, box.hi)])
+    kept = []
+    for g in disjoint_generator_sets(box.dimension, t, d):
+        offsets = lambda_order @ np.array(g.vectors)
+        if np.all(-offsets.min(axis=0) < shape - offsets.max(axis=0)):
+            kept.append(g)
+    return kept
+
+
+def _scanned_sets(monkeypatch, colouring, box, r, t, d):
+    """The search's hit and every generator set its scan received, in order."""
+    scanned = []
+    scan = lattice._ball_scan
+
+    def recording_scan(shared, start, generator_sets):
+        scanned.extend(generator_sets)
+        return scan(shared, start, generator_sets)
+
+    monkeypatch.setattr(lattice, "_ball_scan", recording_scan)
+    return search_generated_ball(colouring, box, r, t, d), scanned
+
+
+def test_ball_search_scans_exactly_the_sets_that_fit(monkeypatch):
+    rng = np.random.default_rng(20)
+    boxes = [Box((0, -1, 2), (4, 1, 4)), cube(0, 5, 4), cube(-2, 1, 3)]
+    for _ in range(20):
+        dim = int(rng.integers(1, 5))
+        lo = rng.integers(-2, 3, size=dim)
+        boxes.append(Box(tuple(map(int, lo)), tuple(map(int, lo + rng.integers(0, 7, size=dim)))))
+    partial = 0
+    for box in boxes:
+        colouring = random_lattice_colouring(box, 2, 0)
+        for r, t, d in itertools.product((1, 2, 3), (1, 2), (1, 2, 3)):
+            want = _sets_passing_the_per_set_test(box, r, t, d)
+            assert _scanned_sets(monkeypatch, colouring, box, r, t, d)[1] == want, (box, r, t, d)
+            partial += 0 < len(want) < len(list(disjoint_generator_sets(box.dimension, t, d)))
+    assert partial > 0  # some cases drop part of the sets, not all or none
+
+
+def test_benchmark_ball_scans_no_set(monkeypatch):
+    """At r=2 in 0..5 every |u_i| <= 1, so a norm-3 vector needs 3 of the 4 coordinates and two never fit."""
+    hit, scanned = _scanned_sets(monkeypatch, ConstantColouring(), cube(0, 5, 4), 2, 2, 3)
+    assert hit is None and scanned == []
+
+
 def test_vectors_with_l1_norm_examples():
     assert vectors_with_l1_norm(2, 1) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     vs = vectors_with_l1_norm(3, 2)

@@ -40,6 +40,12 @@ def test_script_runs(script, args, expect):
         ("scan_absence.py", ["--d", "2", "--pq", "1,x", "--n-max", "3"], "argument --pq: invalid pq_pair value: '1,x'"),
         ("explore_lattice.py", ["--box", "0..3"], "argument --box: invalid parse_box value: '0..3'"),
         ("explore_lattice.py", ["--colouring", "foo"], "argument --colouring: unknown lattice colouring spec 'foo'"),
+        ("scan_absence.py", ["--d", "0", "--n-max", "3"], "argument --d: must be >= 1, got 0"),
+        ("scan_absence.py", ["--d", "2", "--workers", "0", "--n-max", "3"], "argument --workers: must be >= 1, got 0"),
+        ("scan_absence.py", ["--d", "x", "--n-max", "3"], "argument --d: invalid at_least_1 value: 'x'"),
+        ("witness_experiments.py", ["--n-max", "3", "--budget", "-1"], "argument --budget: must be >= 1, got -1"),
+        ("witness_experiments.py", ["--k-max", "0"], "argument --k-max: must be >= 1, got 0"),
+        ("explore_lattice.py", ["--d-max", "0"], "argument --d-max: must be >= 1, got 0"),
     ],
 )
 def test_script_bad_flags_exit_2_with_one_error_line(script, args, message):
