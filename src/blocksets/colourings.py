@@ -106,7 +106,7 @@ class ConstantColouring(Colouring):
         return self.value
 
     def colour_ids(self, words: np.ndarray) -> np.ndarray:
-        return np.full(words.shape[:-1], self.value, np.int64)
+        return np.full(words.shape[:-1], self.value)  # words or lattice points; int64, or object past it
 
     def dense_table(self, n: int, m: int) -> np.ndarray:
         return np.full(m**n, self.value, dtype=np.int64)
@@ -394,13 +394,3 @@ class InducedColouring(Colouring):
 
     def colour_id(self, x: Word) -> int:
         return vector_to_id(self.colour_tuple(x), self.base.colour_count)
-
-
-def coordinate_sum_colour(x: Sequence[int], d: int) -> int:
-    """2-colouring of integer vectors: 0 iff the coordinate sum mod 2d lies in [0, d-1].
-
-    Negative sums reduce to the canonical representative in [0, 2d).
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return 0 if sum(x) % (2 * d) < d else 1

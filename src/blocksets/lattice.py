@@ -4,9 +4,9 @@ Words with a fixed number of 1s map to points of Z^t recording how the 1s
 moved relative to a reference word.  On top of that sit exploratory searches
 for monochromatic x-v, x, x+v progressions and for monochromatic translates
 of l1 balls generated by disjointly-supported vectors, the progressions being
-the radius-1 balls of one generator.  Colourings of Z^n are evaluated once per
-point of an explicit bounded box into a dense table; candidates leaving the
-box are skipped.
+the radius-1 balls of one generator.  Colourings of Z^n are evaluated on arrays
+of points, an explicit bounded box at a time, into a dense table; candidates
+leaving the box are skipped.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .colourings import Colouring, coordinate_sum_colour
-from .search import MAX_TABLE_ENTRIES, ExtractionContradiction, map_chunks
-from .words import CapacityExceeded, Word
+from .colourings import Colouring
+from .search import ExtractionContradiction, map_chunks
+from .words import MAX_TABLE_ENTRIES, CapacityExceeded, Word
 
 LatticePoint = tuple[int, ...]
 
@@ -140,11 +140,14 @@ class Box:
         return all(l <= x <= h for x, l, h in zip(p, self.lo, self.hi))
 
     def points(self) -> Iterator[LatticePoint]:
-        """All points in lexicographic order; every caller tabulates them, so a
-        box past the colour-table limit raises CapacityExceeded instead."""
+        """All points in lexicographic order."""
+        return itertools.product(*(range(l, l + side) for l, side in zip(self.lo, self.shape())))
+
+    def shape(self) -> tuple[int, ...]:
+        """Side lengths; every caller tabulates the box, so one past the table limit raises CapacityExceeded."""
         if self.size() > MAX_TABLE_ENTRIES:
             raise CapacityExceeded(f"the box {self} has {self.size():,} points; the limit is {MAX_TABLE_ENTRIES:,}")
-        return itertools.product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
+        return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
 
     def size(self) -> int:
         out = 1
@@ -175,49 +178,61 @@ def parse_box(text: str) -> Box:
 
 
 class LatticeColouring:
-    """Pure evaluable map Z^n point -> colour id (evaluated on boxes only)."""
+    """Pure evaluable map Z^n point -> colour id; subclasses give the ids of int64 points of shape (..., n)."""
 
     name: str = "lattice"
 
     def colour_id(self, p: LatticePoint) -> int:
+        return int(self.colour_ids(np.array(p, np.int64)))
+
+    def colour_ids(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class CoordinateSumColouring(LatticeColouring):
-    """0 iff the coordinate sum mod 2d lies in [0, d-1]."""
+    """0 iff the coordinate sum mod 2d lies in [0, d-1]; negative sums reduce into [0, 2d)."""
 
     d: int
+
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
 
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"coordsum:d={self.d}"
 
-    def colour_id(self, p: LatticePoint) -> int:
-        return coordinate_sum_colour(p, self.d)
+    def colour_ids(self, points: np.ndarray) -> np.ndarray:
+        return (points.sum(axis=-1) % (2 * self.d) >= self.d).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field takes no part in == or hashing
 class LatticeTableColouring(LatticeColouring):
-    """Explicit point -> colour table (seeded-random tables in practice)."""
+    """Colouring of a box by a table: point p has colour ids[p - box.lo], `ids` shaped like the box."""
 
-    entries: dict[LatticePoint, int]
+    box: Box
+    ids: np.ndarray
     name: str = "lattice-table"
 
-    def colour_id(self, p: LatticePoint) -> int:
-        return self.entries[tuple(p)]
+    def colour_ids(self, points: np.ndarray) -> np.ndarray:
+        index = points - np.array(self.box.lo)
+        if (index < 0).any() or (index >= self.ids.shape).any():
+            raise KeyError(f"a point outside the box {self.box}")
+        return self.ids[tuple(index[..., i] for i in range(self.box.dimension))]
+
+    @property
+    def entries(self) -> dict[LatticePoint, int]:
+        """The points and their ids, in lexicographic order (built per call from `ids`)."""
+        return dict(zip(self.box.points(), self.ids.ravel().tolist()))
 
 
 def random_lattice_colouring(box: Box, k: int, seed: int) -> LatticeTableColouring:
     """Seeded uniform random k-colouring of a box."""
     if k < 1:
         raise ValueError(f"need k >= 1 colours, got {k}")
-    points = box.points()  # refuses a box past the table limit before drawing
-    ids = np.random.default_rng(seed).integers(0, k, size=box.size())
-    return LatticeTableColouring(
-        dict(zip(points, ids.tolist())),
-        f"random:k={k},seed={seed}",
-    )
+    ids = np.random.default_rng(seed).integers(0, k, size=box.shape())  # the shape refuses a box past the table limit
+    return LatticeTableColouring(box, ids, f"random:k={k},seed={seed}")
 
 
 def vectors_with_l1_norm(dimension: int, d: int) -> list[LatticePoint]:
@@ -250,13 +265,6 @@ def _disjoint_sets(candidates: list[LatticePoint], t: int) -> Iterator[Generator
     yield from rec((), 0, 0)
 
 
-def _box_table(colouring: LatticeColouring | Colouring, box: Box) -> np.ndarray:
-    """Colour classes (ids numbered by first appearance) shaped like the box."""
-    classes: dict[int, int] = {}
-    ids = (classes.setdefault(colouring.colour_id(p), len(classes)) for p in box.points())
-    return np.fromiter(ids, np.int64, box.size()).reshape([h - l + 1 for l, h in zip(box.lo, box.hi)])
-
-
 def _ball_scan(shared: tuple, _start: int, generator_sets: list) -> Optional[tuple[LatticePoint, GeneratorSet]]:
     """Least (centre, vectors) of a monochromatic ball among a chunk of generator sets.
 
@@ -277,9 +285,8 @@ def _ball_scan(shared: tuple, _start: int, generator_sets: list) -> Optional[tup
             mono &= window == base
             if not mono.any():
                 break
-        cells = np.flatnonzero(mono)
-        if cells.size:
-            index = np.unravel_index(cells[0], mono.shape)
+        if mono.any():
+            index = np.unravel_index(mono.argmax(), mono.shape)  # the first True cell
             centre = tuple(int(i + a + l) for i, a, l in zip(index, first, lo))
             if best is None or (centre, g.vectors) < (best[0], best[1].vectors):
                 best = (centre, g)
@@ -287,30 +294,36 @@ def _ball_scan(shared: tuple, _start: int, generator_sets: list) -> Optional[tup
 
 
 def search_generated_ball(
-    colouring: LatticeColouring | Colouring,
-    box: Box,
-    r: int,
-    t: int,
-    d: int,
-    workers: int = 1,
+    colouring: LatticeColouring | Colouring, box: Box, r: int, t: int, d: int, workers: int = 1
 ) -> Optional[tuple[LatticePoint, GeneratorSet]]:
     """Canonically-first monochromatic translate of a generated l1 ball.
 
     Looks for a centre and t disjointly-supported vectors of 1-norm d whose
     radius-r generated ball, translated to the centre, stays inside the box
-    and is monochromatic; the hit is the least (centre, vectors) pair.  The
-    colouring is evaluated once per box point into a dense table, the
-    generator sets are split across the workers, and the hit is re-checked
-    against the colouring itself.
+    and is monochromatic; the hit is the least (centre, vectors) pair.  If a
+    set fits, `colour_ids` fills a dense table of the box one first-coordinate
+    slice at a time, the sets are split across the workers, and the hit is
+    re-checked against the colouring itself.
     """
     if r < 1 or t < 1 or d < 1:
         raise ValueError(f"need r, t, d >= 1, got r={r} t={t} d={d}")
+    shape = box.shape()  # refuses a box past the table limit before any colour
     # On coordinate i a ball spans its centre ± r|u_i|, u the one vector nonzero there: a set fits iff each u does.
     candidates = vectors_with_l1_norm(box.dimension, d)
     fits = [u for u in candidates if all(2 * r * abs(x) <= h - l for x, l, h in zip(u, box.lo, box.hi))]
+    generator_sets = list(_disjoint_sets(fits, t))
+    if not generator_sets:
+        return None
+    points = np.empty((*shape[1:], box.dimension), np.int64)  # one first-coordinate slice of the box
+    points[..., 1:] = np.moveaxis(np.indices(shape[1:]), 0, -1) + box.lo[1:]
+    table = None
+    for i in range(shape[0]):
+        points[..., 0] = box.lo[0] + i
+        ids = colouring.colour_ids(points)
+        table = np.empty(shape, ids.dtype) if table is None else table  # int64, or object for ids past it
+        table[i] = ids
     lambda_order = list(_lambda_tuples(t, r))
-    shared = (_box_table(colouring, box), box.lo, np.array(lambda_order))
-    hits = [h for h in map_chunks(_ball_scan, shared, list(_disjoint_sets(fits, t)), workers) if h is not None]
+    hits = [h for h in map_chunks(_ball_scan, (table, box.lo, np.array(lambda_order)), generator_sets, workers) if h]
     if not hits:
         return None
     centre, g = min(hits, key=lambda h: (h[0], h[1].vectors))
@@ -323,10 +336,7 @@ def search_generated_ball(
 
 
 def search_l1_ap(
-    colouring: LatticeColouring | Colouring,
-    box: Box,
-    d: int,
-    workers: int = 1,
+    colouring: LatticeColouring | Colouring, box: Box, d: int, workers: int = 1
 ) -> Optional[tuple[LatticePoint, LatticePoint]]:
     """Canonically-first (x, v) with ||v||_1 = d and x-v, x, x+v one colour.
 

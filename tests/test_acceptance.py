@@ -34,7 +34,6 @@ from blocksets.blocks import (
 from blocksets.colourings import (
     ContributionColouring,
     balanced_words,
-    coordinate_sum_colour,
     flipped_block_word,
     random_table_colouring,
     slot_word_for,
@@ -42,6 +41,7 @@ from blocksets.colourings import (
     table_colouring,
 )
 from blocksets.lattice import (
+    CoordinateSumColouring,
     GeneratorSet,
     _lambda_tuples,
     cube,
@@ -338,7 +338,7 @@ def test_criterion_8_coordinate_sum_obstruction():
         for x in itertools.product(range(2 * d), repeat=4):
             for support in itertools.combinations(range(4), d):
                 moved = tuple(a + (1 if i in support else 0) for i, a in enumerate(x))
-                if coordinate_sum_colour(x, d) == coordinate_sum_colour(moved, d):
+                if CoordinateSumColouring(d).colour_id(x) == CoordinateSumColouring(d).colour_id(moved):
                     ok = False
     elapsed = time.perf_counter() - t0
     check(8, "adding d unit coordinates always flips the coordinate-sum colour (d <= 3)",

@@ -602,6 +602,11 @@ def test_lattice_constant_out_of_range_exits_1(argv):
     assert err.startswith("blocksets: error: need 0 <= value < colours, got ConstantColouring(")
 
 
+def test_lattice_coordsum_below_d_1_exits_1():
+    code, out, err = run_cli("lattice", "ap", "--colouring", "coordsum:d=0", "--box", "0..3^2", "--d", "1")
+    assert (code, out, err) == (1, "", "blocksets: error: d must be >= 1, got 0\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -22,7 +22,6 @@ from blocksets.colourings import (
     TableColouring,
     balanced_words,
     contribution_colour,
-    coordinate_sum_colour,
     flipped_block_word,
     id_to_vector,
     random_table_colouring,
@@ -31,6 +30,7 @@ from blocksets.colourings import (
     table_colouring,
     vector_to_id,
 )
+from blocksets.lattice import CoordinateSumColouring
 from blocksets.words import CapacityExceeded, InvalidSymbol, Word, all_words, encode_word, profile
 
 
@@ -288,17 +288,17 @@ def test_induced_value_count_bounded():
 
 def test_coordinate_sum_origin():
     for d in (1, 2, 3):
-        assert coordinate_sum_colour((0, 0, 0, 0), d) == 0
+        assert CoordinateSumColouring(d).colour_id((0, 0, 0, 0)) == 0
 
 
 def test_coordinate_sum_unit():
-    assert coordinate_sum_colour((1, 0, 0, 0), 1) == 1
+    assert CoordinateSumColouring(1).colour_id((1, 0, 0, 0)) == 1
 
 
 def test_coordinate_sum_negative_sums_use_canonical_representative():
-    assert coordinate_sum_colour((-1,), 1) == 1  # -1 mod 2 = 1
-    assert coordinate_sum_colour((-2,), 2) == 1  # -2 mod 4 = 2
-    assert coordinate_sum_colour((-4,), 2) == 0
+    assert CoordinateSumColouring(1).colour_id((-1,)) == 1  # -1 mod 2 = 1
+    assert CoordinateSumColouring(2).colour_id((-2,)) == 1  # -2 mod 4 = 2
+    assert CoordinateSumColouring(2).colour_id((-4,)) == 0
 
 
 def test_coordinate_sum_flips_when_d_unit_steps_added():
@@ -310,7 +310,7 @@ def test_coordinate_sum_flips_when_d_unit_steps_added():
                 for i in support:
                     v[i] = 1
                 moved = tuple(a + b for a, b in zip(x, v))
-                assert coordinate_sum_colour(x, d) != coordinate_sum_colour(moved, d)
+                assert CoordinateSumColouring(d).colour_id(x) != CoordinateSumColouring(d).colour_id(moved)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ def test_table_colourings_have_no_closed_form():
         (lambda: ContributionColouring(1, 1), ValueError,
          "need modulus >= 2 and length >= 1, got ContributionColouring(modulus=1, length=1)"),
         (lambda: balanced_words(-1), ValueError, "k must be >= 0, got -1"),
-        (lambda: coordinate_sum_colour((1,), 0), ValueError, "d must be >= 1, got 0"),
+        (lambda: CoordinateSumColouring(0), ValueError, "d must be >= 1, got 0"),
     ],
 )
 def test_input_checks_raise_their_error(call, error, message):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,11 +156,12 @@ def test_parse_box_rejects_dimension_below_1(text):
         parse_box(text)
 
 
-def test_box_past_the_table_limit_is_refused_before_any_colour():
-    class Unevaluable(lattice.LatticeColouring):
-        def colour_id(self, p):
-            raise AssertionError("colour evaluated")
+class Unevaluable(lattice.LatticeColouring):
+    def colour_ids(self, points):
+        raise AssertionError("colour evaluated")
 
+
+def test_box_past_the_table_limit_is_refused_before_any_colour():
     box = cube(0, 99, 9)
     with pytest.raises(CapacityExceeded, match="1,000,000,000,000,000,000 points"):
         search_generated_ball(Unevaluable(), box, 1, 1, 1)
@@ -174,6 +177,26 @@ def test_random_lattice_colouring_needs_one_colour_before_drawing(monkeypatch, k
     monkeypatch.setattr(np.random, "default_rng", refuse)
     with pytest.raises(ValueError, match=f"^need k >= 1 colours, got {k}$"):
         random_lattice_colouring(cube(0, 3, 2), k, 0)
+
+
+RANDOM_ENTRIES_DIGESTS = {  # random_lattice_colouring(cube(0, 5, 4), 2, seed): the benchmark ball op's oracle
+    0: "3b562e27b9d76a0b9770a44a583a31acf6f07185eba23a826eb28e1097c7c67e",
+    1: "ec9b28c8566561ac6bdf2d2b24e739f1b57390086dfb3a04f0cca3e5f533eebe",
+    2: "21acaaa1c24bf99846ddf8e5d510c651d515e10d3b354c61621c759e516a88b9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_ENTRIES_DIGESTS))
+def test_random_lattice_colouring_entries_are_unchanged(seed):
+    entries = sorted(random_lattice_colouring(cube(0, 5, 4), 2, seed).entries.items())
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == RANDOM_ENTRIES_DIGESTS[seed]
+
+
+def test_random_lattice_colouring_has_no_colour_below_the_box():
+    colouring = random_lattice_colouring(Box((0, 2), (3, 5)), 2, 0)
+    for p in [(-1, 2), (0, 1), (-1, 1)]:
+        with pytest.raises(KeyError):
+            colouring.colour_id(p)
 
 
 def test_box_points_are_lexicographic():
@@ -250,6 +273,18 @@ def test_ap_coordinate_sum_consistency():
     assert hit is not None and sum(hit[1]) % 4 == 0
 
 
+def test_random_ap_search_peaks_below_four_box_tables():
+    """The colouring's ids and the search's table are one int64 array of the box each, with no per-point object."""
+    box = cube(0, 20, 4)
+    tracemalloc.start()
+    try:
+        search_l1_ap(random_lattice_colouring(box, 2, 0), box, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * np.dtype(np.int64).itemsize * box.size()
+
+
 def test_ap_identical_across_worker_counts():
     box = cube(0, 3, 3)
     colouring = random_lattice_colouring(box, 2, 23)
@@ -286,7 +321,7 @@ def reference_ball_search(colouring, box, r, t, d):
     return None
 
 
-REFERENCE_BOXES = [cube(0, 3, 2), cube(0, 3, 3), Box((0, -1, 2), (4, 1, 4)), cube(-2, 1, 3)]
+REFERENCE_BOXES = [cube(0, 3, 2), cube(0, 3, 3), Box((0, -1, 2), (4, 1, 4)), cube(-2, 1, 3), Box((-3,), (4,))]
 # t = 4 exceeds every box dimension; at r = 3, d = 2 no ball fits in a side of 5 or less.
 REFERENCE_RTD = [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 1), (1, 2, 2), (1, 4, 1), (3, 1, 2)]
 
@@ -440,8 +475,11 @@ def test_ball_search_scans_exactly_the_sets_that_fit(monkeypatch):
 
 
 def test_benchmark_ball_scans_no_set(monkeypatch):
-    """At r=2 in 0..5 every |u_i| <= 1, so a norm-3 vector needs 3 of the 4 coordinates and two never fit."""
-    hit, scanned = _scanned_sets(monkeypatch, ConstantColouring(), cube(0, 5, 4), 2, 2, 3)
+    """At r=2 in 0..5 every |u_i| <= 1, so a norm-3 vector needs 3 of the 4 coordinates and two never fit.
+
+    With no set to scan, no colour is evaluated either.
+    """
+    hit, scanned = _scanned_sets(monkeypatch, Unevaluable(), cube(0, 5, 4), 2, 2, 3)
     assert hit is None and scanned == []
 
 

@@ -22,6 +22,11 @@ ROOT = Path(__file__).resolve().parents[1]
             ["--colouring", "constant:c=0,k=1", "--box", "0..3^2", "--d-max", "2"],
             "d=1: x=(0, 1) v=(0, -1) colour=0",
         ),
+        (
+            "explore_lattice.py",
+            ["--colouring", "random:k=2", "--seed", "1", "--box", "0..3^2"],
+            "d=1: x=(0, 2) v=(0, -1) colour=1\nd=2: x=(2, 1) v=(-1, -1) colour=0\n",
+        ),
     ],
 )
 def test_script_runs(script, args, expect):
@@ -46,6 +51,7 @@ def test_script_runs(script, args, expect):
         ("witness_experiments.py", ["--n-max", "3", "--budget", "-1"], "argument --budget: must be >= 1, got -1"),
         ("witness_experiments.py", ["--k-max", "0"], "argument --k-max: must be >= 1, got 0"),
         ("explore_lattice.py", ["--d-max", "0"], "argument --d-max: must be >= 1, got 0"),
+        ("explore_lattice.py", ["--colouring", "coordsum:d=0"], "argument --colouring: d must be >= 1, got 0"),
     ],
 )
 def test_script_bad_flags_exit_2_with_one_error_line(script, args, message):

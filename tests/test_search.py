@@ -567,6 +567,14 @@ def test_every_block_deletion_of_a_pq12_hit_is_a_lower_hit_of_its_colour():
         assert all((_delete_block(placement, b), colour) in lower for b in range(4))
 
 
+def test_scan_refuses_ids_past_62_bits_before_any_table(monkeypatch):
+    """A constant colour past int64 serves lattice boxes, but a word scan refuses it before evaluating a colour."""
+    for method in ("dense_table", "colour_ids", "colour_id"):
+        monkeypatch.setattr(ConstantColouring, method, lambda *args, name=method: pytest.fail(f"{name} called"))
+    with pytest.raises(CapacityExceeded, match="holding 71-bit colour ids; the limits are .* and 62-bit ids"):
+        verify_absence(ConstantColouring(2**70, 2**71), 4, template_from_word("12"), EqualSize(1))
+
+
 def test_join_counts_its_candidates_before_building_them(monkeypatch):
     """One lower hit, a block on both coordinates of [2], lifts over the 2-sets of [4] past its minimum.
 
