@@ -13,6 +13,7 @@ import csv
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 import time
@@ -127,33 +128,25 @@ def _load_table(path: str) -> colourings.TableColouring:
 # ---------------------------------------------------------------------------
 # report output
 
-# found entries formatted into one string at a time
-FOUND_BATCH = 1 << 8
-
-# the keys of the found entries that `_write_found` writes, and of their placements (`Placement.to_json_dict`)
-FOUND_KEYS = ({"colour", "placement"}, {"colour", "placement", "vector"})
-PLACEMENT_KEYS = {"blocks", "n", "pattern", "reference"}
-
-_encode = json.encoder.encode_basestring_ascii  # json.dump's string encoder (ensure_ascii)
-
 
 def emit_report(report: dict, out_format: str, stream, stable: bool = False) -> None:
     """Serialize a report dict.  JSON is schema-stable; CSV flattens the found
-    list one entry per row; text is human-oriented."""
+    list one entry per row; text is human-oriented.  A found list held as a
+    scan's `search.Found` arrays is written as its dicts would be."""
     if stable and "elapsed_ms" in report:
         report = dict(report, elapsed_ms=0.0)
-    if out_format == "json":
-        found = report.get("found")
-        if isinstance(found, list) and all(
-            entry.keys() in FOUND_KEYS and entry["placement"].keys() == PLACEMENT_KEYS for entry in found
-        ):
+    found = report.get("found")
+    if isinstance(found, search.Found):
+        if out_format == "json":
             # the pure-Python encoder that indent= runs costs as much as a scan on a long list of hits
             head, tail = json.dumps(dict(report, found=[]), sort_keys=True, indent=2).split('\n  "found": []')
             stream.write(head + '\n  "found": ')
             _write_found(found, stream)
-            stream.write(tail)
-        else:
-            json.dump(report, stream, sort_keys=True, indent=2)
+            stream.write(tail + "\n")
+            return
+        report = dict(report, found=found.json_entries())
+    if out_format == "json":
+        json.dump(report, stream, sort_keys=True, indent=2)
         stream.write("\n")
     elif out_format == "csv":
         _emit_csv(report, stream)
@@ -163,35 +156,38 @@ def emit_report(report: dict, out_format: str, stream, stable: bool = False) -> 
         raise UsageError(f"unknown format {out_format!r}")
 
 
-def _write_found(found: list[dict], stream) -> None:
-    """A report's found list, written as json.dump(report, stream, sort_keys=True, indent=2) writes it."""
-    if not found:
+def _write_found(found: search.Found, stream) -> None:
+    """A scan's found list, written as json.dump(report, stream, sort_keys=True, indent=2) writes its dicts.
+
+    The hits of a run (`Found.runs`) share their blocks, n and pattern, so a
+    run's entry text is built once, as a %-format with the reference keys
+    sorted as strings; each hit fills in its colour, reference symbols and
+    vector digits, the columns of its row that `columns` picks.
+    """
+    if not len(found):
         stream.write("[]")
         return
-    stream.write("[\n")
-    for lo in range(0, len(found), FOUND_BATCH):
-        stream.write(",\n" if lo else "")
-        stream.write(",\n".join(map(_found_entry, found[lo : lo + FOUND_BATCH])))
+    separator = "[\n"
+    for run in found.runs():
+        blocks = ",\n".join(
+            "          [\n" + ",\n".join(["            " + str(c) for c in block]) + "\n          ]"
+            for block in run.blocks
+        )
+        keys = sorted(run.free, key=str)
+        reference = "{\n" + ",\n".join([f'          "{c}": "%d"' for c in keys]) + "\n        }" if keys else "{}"
+        pattern = "null" if run.pattern is None else f'"{run.pattern}"'
+        entry = (
+            f'    {{\n      "colour": %d,\n      "placement": {{\n        "blocks": [\n{blocks}\n        ],\n'
+            f'        "n": {found.n},\n        "pattern": {pattern},\n        "reference": {reference}\n      }}'
+        )
+        digits = range(found.n + 1, len(run.rows[0]))
+        if digits:
+            entry += ',\n      "vector": [\n' + ",\n".join(["        %d"] * len(digits)) + "\n      ]"
+        entry += "\n    }"
+        columns = operator.itemgetter(0, *keys, *digits)  # one column alone comes as an int, which % takes too
+        stream.write(separator + ",\n".join([entry % columns(row) for row in run.rows]))
+        separator = ",\n"
     stream.write("\n  ]")
-
-
-def _found_entry(entry: dict) -> str:
-    """One found entry, two levels deep: its colour, placement and (for vector colours) vector, keys sorted."""
-    p = entry["placement"]
-    blocks = ",\n".join(
-        "          [\n" + ",\n".join(["            " + str(c) for c in block]) + "\n          ]"
-        for block in p["blocks"]
-    )
-    reference = ",\n".join([f"          {_encode(c)}: {_encode(sym)}" for c, sym in sorted(p["reference"].items())])
-    reference = "{\n" + reference + "\n        }" if reference else "{}"
-    pattern = "null" if p["pattern"] is None else _encode(p["pattern"])
-    text = (
-        f'    {{\n      "colour": {entry["colour"]},\n      "placement": {{\n        "blocks": [\n{blocks}\n        ],\n'
-        f'        "n": {p["n"]},\n        "pattern": {pattern},\n        "reference": {reference}\n      }}'
-    )
-    if "vector" in entry:
-        text += ',\n      "vector": [\n' + ",\n".join(["        " + str(v) for v in entry["vector"]]) + "\n      ]"
-    return text + "\n    }"
 
 
 def _emit_csv(report: dict, stream) -> None:
@@ -442,7 +438,7 @@ def _run_search_mono(args: argparse.Namespace) -> dict:
     return search.verify_absence(
         colouring, args.n, args.template, args.size_mode, args.pattern, _reference_domain(args),
         args.workers, first_only=True,
-    ).to_json_dict()
+    ).to_json_dict(entries=False)
 
 
 def _run_search_witness(args: argparse.Namespace) -> dict:
@@ -499,7 +495,7 @@ def _run_verify_thm2(args: argparse.Namespace) -> dict:
     t, colouring = degree_setup(args.d, pq)
     size = args.d if args.max_size is None else args.max_size
     sizemode = blocks.EqualSize(size) if args.equal_size else blocks.MixedSize(size)
-    return search.verify_absence(colouring, args.n, t, sizemode, workers=args.workers).to_json_dict()
+    return search.verify_absence(colouring, args.n, t, sizemode, workers=args.workers).to_json_dict(entries=False)
 
 
 def _run_extract_thm3(args: argparse.Namespace) -> dict:
@@ -565,10 +561,12 @@ def parse_and_dispatch(argv: Sequence[str], stdout=None, stderr=None) -> int:
     """Parse flags, run the matching operation, emit one report.
 
     Usage errors produce a single aggregated message on stderr and exit code
-    1, never a partial report, and so does running out of memory while the
-    report is built; a report whose status is `budget_exceeded` exits 2.  A
-    result that fails its own re-check (`ExtractionContradiction`) is an
-    internal error: one message on stderr, no report, exit code 3.
+    1, never a partial report; a report whose status is `budget_exceeded`
+    exits 2.  Running out of memory exits 1 with one message too: stdout
+    holds nothing when it happens while the report is built, and the part of
+    the report already written when it happens while a scan's found list is
+    written.  A result that fails its own re-check (`ExtractionContradiction`)
+    is an internal error: one message on stderr, no report, exit code 3.
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -576,6 +574,15 @@ def parse_and_dispatch(argv: Sequence[str], stdout=None, stderr=None) -> int:
         args = build_parser().parse_args(list(argv))
         _check_args(args)
         report = _HANDLERS[(args.command, args.subcommand)](args)
+        try:
+            if args.output:
+                with open(args.output, "w") as fh:
+                    emit_report(report, args.format, fh, args.stable)
+            else:
+                emit_report(report, args.format, stdout, args.stable)
+        except OSError as exc:
+            stderr.write(f"blocksets: error: cannot write report: {exc}\n")
+            return 1
     except (UsageError, ValueError, KeyError, OSError) as exc:
         stderr.write(f"blocksets: error: {exc}\n")
         return 1
@@ -585,15 +592,6 @@ def parse_and_dispatch(argv: Sequence[str], stdout=None, stderr=None) -> int:
     except search.ExtractionContradiction as exc:
         stderr.write(f"blocksets: internal error: {exc}\n")
         return 3
-    try:
-        if args.output:
-            with open(args.output, "w") as fh:
-                emit_report(report, args.format, fh, args.stable)
-        else:
-            emit_report(report, args.format, stdout, args.stable)
-    except OSError as exc:
-        stderr.write(f"blocksets: error: cannot write report: {exc}\n")
-        return 1
     return 2 if report.get("status") == "budget_exceeded" else 0
 
 

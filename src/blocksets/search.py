@@ -19,7 +19,7 @@ import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -58,8 +58,8 @@ R = TypeVar("R")
 # The scan's temporaries stay within a small multiple of it.
 SLAB_ENTRIES = 1 << 14
 
-# Hits handled at a time when their placements are decoded and re-checked; a
-# batch's lists and arrays stay small next to the list of found placements.
+# Hits handled at a time when they are re-checked, decoded or written; a
+# batch's arrays, lists and text stay small next to the hit arrays themselves.
 DECODE_BATCH = 1 << 10
 
 
@@ -79,30 +79,135 @@ class ExtractionContradiction(RuntimeError):
     """Extraction failed its internal verification; indicates a bug or bad input."""
 
 
+class Run(NamedTuple):
+    """Consecutive hits of one block family, as `Found.runs` yields them.
+
+    `rows` holds one list per hit: its colour id in column 0, letter c of its
+    label word in column c (the reference symbol for c in `free`), and for a
+    vector-valued colouring the digits of its colour vector from column n + 1.
+    """
+
+    blocks: tuple[tuple[int, ...], ...]  # as `Placement.blocks`
+    pattern: Optional[str]  # as `Placement.to_json_dict` reports it
+    free: tuple[int, ...]  # the coordinates outside the blocks, ascending
+    rows: list[list[int]]
+
+
+class Found(Sequence):
+    """A scan's hits as arrays: the label words at n, in canonical order, and their colour ids.
+
+    A label word holds m + j on the coordinates of block j, the blocks
+    numbered from 1 by minimum, and its reference symbol on every other
+    coordinate, so the hits of one block family are consecutive.  `len` reads
+    the arrays; reading an entry decodes every hit, once, to its
+    (Placement, colour id) pair.  The JSON forms are built from the arrays
+    (`runs`), with no `Placement` per hit.
+    """
+
+    def __init__(
+        self, n: int, m: int, sizemode: SizeMode, words: np.ndarray, colours: np.ndarray, colouring: Colouring
+    ) -> None:
+        self.n, self.m, self.sizemode, self.words, self.colours = n, m, sizemode, words, colours
+        self.colouring = colouring  # a vector-valued one reports each id's vector too
+        self._entries: Optional[list[tuple[Placement, int]]] = None
+
+    def __len__(self) -> int:
+        return len(self.colours)
+
+    def __getitem__(self, index):
+        return self.entries()[index]
+
+    def __iter__(self) -> Iterator[tuple[Placement, int]]:
+        return iter(self.entries())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Found):
+            other = other.entries()
+        return self.entries() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Found({len(self)} hits at n={self.n})"
+
+    def entries(self) -> list[tuple[Placement, int]]:
+        """Every hit as its (Placement, colour id) pair, decoded on the first call."""
+        if self._entries is None:
+            self._entries = self.decode(0, len(self))
+        return self._entries
+
+    def decode(self, lo: int, hi: int) -> list[tuple[Placement, int]]:
+        """Hits lo..hi-1 as (Placement, colour id) pairs."""
+        return [
+            (Placement(self.n, run.blocks, tuple((c, row[c]) for c in run.free), self.sizemode), row[0])
+            for run in self.runs(lo, hi)
+            for row in run.rows
+        ]
+
+    def runs(self, lo: int = 0, hi: Optional[int] = None) -> Iterator[Run]:
+        """Hits lo..hi-1 cut into runs of one block family, DECODE_BATCH hits at most each.
+
+        A run's blocks and pattern are read off its first label word: block j
+        holds the coordinates labelled m + j, and the pattern spells the
+        labels along the block coordinates, A for block 1 (`pattern_of`).
+        """
+        n, m = self.n, self.m
+        hi = len(self) if hi is None else hi
+        for start in range(lo, hi, DECODE_BATCH):
+            batch = slice(start, min(hi, start + DECODE_BATCH))
+            words, colours = self.words[batch], self.colours[batch]
+            columns = [colours[:, None], words]
+            if isinstance(self.colouring, ContributionColouring):  # digit a of an id is coordinate a of its vector
+                mod = self.colouring.modulus
+                columns.append(colours[:, None] // mod ** np.arange(self.colouring.length) % mod)
+            rows = np.column_stack(columns).tolist()
+            labels = np.where(words > m, words, 0)
+            cuts = (np.flatnonzero((labels[1:] != labels[:-1]).any(axis=1)) + 1).tolist()
+            for a, b in zip([0] + cuts, cuts + [len(rows)]):
+                word = rows[a][1 : n + 1]
+                blocks: list[list[int]] = [[] for _ in range(max(word) - m)]
+                free = []
+                for c, letter in enumerate(word, 1):
+                    (blocks[letter - m - 1] if letter > m else free).append(c)
+                pattern = "".join([chr(ord("A") - 1 - m + letter) for letter in word if letter > m])
+                yield Run(tuple(map(tuple, blocks)), pattern if len(blocks) <= 26 else None, tuple(free), rows[a:b])
+
+    def json_entries(self) -> list[dict]:
+        """Every hit as {"placement": its `Placement.to_json_dict()`, "colour": id}, plus "vector" when vector-valued."""
+        out = []
+        for run in self.runs():
+            for row in run.rows:
+                placement = {
+                    "n": self.n,
+                    "blocks": [list(block) for block in run.blocks],
+                    "reference": {str(c): str(row[c]) for c in run.free},
+                    "pattern": run.pattern,
+                }
+                out.append({"placement": placement, "colour": row[0]})
+                if len(row) > self.n + 1:
+                    out[-1]["vector"] = row[self.n + 1 :]
+        return out
+
+
 @dataclass
 class SearchReport:
     """Outcome of a placement scan; identical for any worker count."""
 
     params: dict
     examined: int
-    found: list[tuple[Placement, int]]
+    found: Found
     elapsed_ms: float
     workers: int
     budget_exhausted: bool = False
-    colouring: Optional[Colouring] = field(default=None, repr=False, compare=False)
 
-    def to_json_dict(self) -> dict:
-        found = [{"placement": p.to_json_dict(), "colour": c} for p, c in self.found]
-        if isinstance(self.colouring, ContributionColouring):  # vector-valued: report both forms
-            mod, powers = self.colouring.modulus, self.colouring.modulus ** np.arange(self.colouring.length)
-            ids = np.array([colour for _, colour in self.found], np.int64)
-            # digit a of an id is coordinate a of its vector (see `id_to_vector`)
-            for entry, vector in zip(found, (ids[:, None] // powers % mod).tolist()):
-                entry["vector"] = vector
+    def to_json_dict(self, entries: bool = True) -> dict:
+        """The report as JSON values, with one dict per hit in its found list.
+
+        With entries=False the found list is the `Found` arrays themselves,
+        which `cli.emit_report` writes as those dicts would be written.
+        """
         return {
             "params": self.params,
             "examined": self.examined,
-            "found": found,
+            "found": self.found.json_entries() if entries else self.found,
             "elapsed_ms": round(self.elapsed_ms, 3),
             "workers": self.workers,
             "budget_exhausted": self.budget_exhausted,
@@ -490,31 +595,33 @@ def _hit_points(t: Template, words: np.ndarray) -> np.ndarray:
     return letters[:, labels] + np.where(labels > 0, 0, words)
 
 
-def _recheck_hits(colouring: Colouring, t: Template, words: np.ndarray, found: list) -> None:
-    """Re-check hits, as label words with their (placement, colour) in `found`, without reading the table.
+def _recheck_hits(colouring: Colouring, t: Template, found: Found) -> None:
+    """Re-check every hit of `found` without reading the table.
 
     A closed-form colouring (one with `colour_ids`) evaluates every point of
-    every hit in numpy from the colouring's rule (`_hit_points`).  Any other
-    colouring checks each point of each hit's `blockset_points` through
-    `colour_id` (`_verify_hit`); the benchmark's tracer test pins exactly
-    those calls for a table colouring, one `blockset_points` call per hit.
-    A hit that fails raises ExtractionContradiction.
+    DECODE_BATCH hits at a time in numpy from the colouring's rule
+    (`_hit_points`), and decodes a hit to its placement only if it fails.
+    Any other colouring checks each point of each hit's `blockset_points`
+    through `colour_id` (`_verify_hit`), on the placements that then serve
+    as `found`'s entries; the benchmark's tracer test pins exactly those
+    calls for a table colouring, one `blockset_points` call per hit.  A hit
+    that fails raises ExtractionContradiction.
     """
     if not hasattr(colouring, "colour_ids"):
         for placement, colour in found:
             _verify_hit(placement, t, colouring, colour)
         return
-    points = _hit_points(t, words)
-    colours = np.array([colour for _, colour in found], np.int64)
-    ids = colouring.colour_ids(points)
-    wrong = np.argwhere(ids.T != colours[:, None])
-    if len(wrong):
-        i, a = wrong[0]
-        placement, colour = found[i]
-        raise ExtractionContradiction(
-            f"reported placement {placement} is not monochromatic: {Word(tuple(points[a, i].tolist()), t.m)} "
-            f"has colour {ids[a, i]}, expected {colour}"
-        )
+    for lo in range(0, len(found), DECODE_BATCH):
+        points = _hit_points(t, found.words[lo : lo + DECODE_BATCH])
+        ids = colouring.colour_ids(points)
+        wrong = np.argwhere(ids.T != found.colours[lo : lo + DECODE_BATCH, None])
+        if len(wrong):
+            i, a = wrong[0]
+            ((placement, colour),) = found.decode(lo + i, lo + i + 1)
+            raise ExtractionContradiction(
+                f"reported placement {placement} is not monochromatic: {Word(tuple(points[a, i].tolist()), t.m)} "
+                f"has colour {ids[a, i]}, expected {colour}"
+            )
 
 
 def find_monochromatic(
@@ -593,10 +700,11 @@ def verify_absence(
     neutral symbol on coordinates n'+1..n.  With first_only, or with no
     neutral symbol or only neutral ones in the domain, the scan runs at n
     over the whole domain.  Every hit, at n or shorter, scanned or climbed,
-    comes as a label word (see `_scan`): it is lifted into [n] and decoded
-    to its id row and reference word at n, from which its placement is
-    built.  Every hit is re-checked, DECODE_BATCH at a time, before it is
-    reported (`_recheck_hits`).
+    comes as a label word (see `_scan`): it is lifted into [n], sorted into
+    canonical order by its id row and reference word at n, and reported as
+    that label word and its colour id (`Found`), with no placement built
+    unless the report's entries are read.  Every hit is re-checked before it
+    is reported (`_recheck_hits`).
     With first_only the scan stops at the canonically first hit, and
     `examined` counts the placements up to and including it (all of them
     when there is none).
@@ -651,18 +759,13 @@ def verify_absence(
     # their id rows at n, from each block label's coordinates
     bits = np.array([sum(1 << (c - 1) for c in b) for b in blocks], np.int64)
     by_bits = np.argsort(bits).astype(np.min_scalar_type(len(blocks)))
-    masks = np.column_stack([(words == t.m + j) @ (np.int64(1) << np.arange(n)) for j in range(1, t.s + 1)])
+    # one coordinate at a time, so that no int64 array of hits x n is built
+    masks = sum((words[:, c, None] == np.arange(t.m + 1, t.m + t.s + 1)) << np.int64(c) for c in range(n))
     rows = np.sort(by_bits[np.searchsorted(bits[by_bits], masks)], axis=1)
     # canonical order: by id row, then reference word (one id row labels its blocks' coordinates alike)
-    order = np.lexsort(np.column_stack([rows, words]).T[::-1])
-    found = []
-    for lo in range(0, len(order), DECODE_BATCH):
-        batch = order[lo : lo + DECODE_BATCH]
-        for row, word, colour in zip(rows[batch].tolist(), words[batch].tolist(), colours[batch].tolist()):
-            family = tuple(sorted(blocks[i] for i in row))
-            reference = tuple((c, sym) for c, sym in enumerate(word, 1) if sym <= t.m)
-            found.append((Placement(n, family, reference, sizemode), colour))
-        _recheck_hits(colouring, t, words[batch], found[lo:])
+    order = np.lexsort([*words.T[::-1], *rows.T[::-1]])
+    found = Found(n, t.m, sizemode, words[order], colours[order], colouring)
+    _recheck_hits(colouring, t, found)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SearchReport(
         params={
@@ -678,7 +781,6 @@ def verify_absence(
         found=found,
         elapsed_ms=elapsed,
         workers=workers,
-        colouring=colouring,
     )
 
 

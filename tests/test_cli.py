@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from blocksets import cli, lattice, search
-from blocksets.blocks import MixedSize, template_from_word
+from blocksets.blocks import EqualSize, MixedSize, template_from_word
 from blocksets.cli import (
     _HANDLERS,
     UsageError,
@@ -664,28 +664,60 @@ def emitted(report: dict) -> str:
     return stream.getvalue()
 
 
+def pq(p, q, n, **kwargs):
+    """The library report of `verify thm2 --d 2 --pq p,q --n n`."""
+    template, colouring = degree_setup(2, (p, q))
+    return lambda: verify_absence(colouring, n, template, MixedSize(2), **kwargs)
+
+
+T123 = template_from_word("123")
+
+
 @pytest.mark.parametrize(
     "report",
     [
         # vector-valued colours, reference keys "10" before "9"
-        lambda: verify_absence(ContributionColouring(3, 3), 10, template_from_word("1233"), MixedSize(2)),
+        pq(1, 2, 10),
+        pq(1, 2, 9),
+        # 2,184 hits, reference keys 10 to 12 sorted as strings, runs cut at DECODE_BATCH
+        pq(1, 2, 12),
+        # a reduced scan: hits at every length lifted into [9]
+        pq(1, 1, 9),
         # no vector
-        lambda: verify_absence(ModularCountColouring(1, 3), 6, template_from_word("123"), MixedSize(2)),
-        lambda: verify_absence(
-            random_table_colouring(7, 3, 2, seed=1), 7, template_from_word("123"), MixedSize(2), first_only=True
-        ),
+        lambda: verify_absence(ModularCountColouring(1, 3), 6, T123, MixedSize(2)),
+        lambda: verify_absence(random_table_colouring(7, 3, 2, seed=1), 7, T123, MixedSize(2), first_only=True),
+        lambda: verify_absence(random_table_colouring(7, 3, 2, seed=1), 7, T123, MixedSize(2)),
+        lambda: verify_absence(random_table_colouring(8, 3, 2, seed=3), 8, T123, MixedSize(2), "ABCCBA"),
+        lambda: verify_absence(ContributionColouring(3, 3), 9, template_from_word("1233"), MixedSize(2), None, (1, 3)),
+        lambda: verify_absence(random_table_colouring(7, 3, 2, seed=2), 7, T123, EqualSize(2)),
         # nothing found
-        lambda: verify_absence(ContributionColouring(2, 2), 6, template_from_word("123"), MixedSize(1)),
+        lambda: verify_absence(ContributionColouring(2, 2), 6, T123, MixedSize(1)),
         # "pattern": null past 26 blocks
         lambda: verify_absence(ModularCountColouring(1, 1), 29, template_from_word("1" + "3" * 27), MixedSize(2)),
     ],
-    ids=["contribution", "countmod", "search-mono", "empty", "no-pattern"],
+    ids=[
+        "contribution", "pq12-n9", "pq12-n12", "pq11-n9", "countmod", "search-mono", "random-table", "pattern",
+        "reference-domain", "equal-size", "empty", "no-pattern",
+    ],
 )
 def test_found_list_writer_writes_the_bytes_of_json_dump(monkeypatch, report):
-    report = report().to_json_dict()
-    expected = json_dump_text(report)
+    """The found list written from a scan's arrays has the bytes json.dump gives its dicts (`to_json_dict`)."""
+    report = report()
+    expected = json_dump_text(report.to_json_dict())
     monkeypatch.setattr(json, "dump", None)  # the found list must not go through the encoder
-    assert emitted(report) == expected
+    assert emitted(report.to_json_dict(entries=False)) == expected
+
+
+@pytest.mark.parametrize("out_format", ["csv", "text"])
+def test_csv_and_text_of_a_scan_match_its_dicts(out_format):
+    report = dict(pq(1, 2, 10, workers=1)().to_json_dict(), elapsed_ms=0.0)
+    assert len(report["found"]) > 1
+    expected = io.StringIO()
+    emit_report(report, out_format, expected)
+    code, out, err = run_cli(
+        "verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "10", "--workers", "1", "--stable", "--format", out_format
+    )
+    assert (code, err, out) == (0, "", expected.getvalue())
 
 
 def test_found_list_writer_bytes_through_the_cli(tmp_path):
@@ -734,6 +766,31 @@ def test_out_of_memory_exits_1_without_a_report(monkeypatch):
     code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "9", "--workers", "1")
     assert (code, out) == (1, "")
     assert err == "blocksets: error: out of memory while building the report\n"
+
+
+class FullStream(io.StringIO):
+    """A stream that runs out of memory on its second write of found entries."""
+
+    def __init__(self):
+        super().__init__()
+        self.entry_writes = 0
+
+    def write(self, text):
+        self.entry_writes += '"colour"' in text
+        if self.entry_writes > 1:
+            raise MemoryError
+        return super().write(text)
+
+
+def test_out_of_memory_while_writing_exits_1():
+    """The found list is written from arrays at emit time; running out of memory there is one line, no traceback."""
+    out, err = FullStream(), io.StringIO()
+    argv = ["verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "10", "--workers", "1"]
+    assert parse_and_dispatch(argv, stdout=out, stderr=err) == 1
+    assert err.getvalue() == "blocksets: error: out of memory while building the report\n"
+    # stdout holds what was written before: the head and the entries of the first block family
+    head, entries = out.getvalue().split('\n  "found": [\n')
+    assert head.startswith('{\n  "budget_exhausted": false,') and entries.count('"colour"') == 2
 
 
 @pytest.mark.parametrize(

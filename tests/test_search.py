@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import os
@@ -12,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksets import blocks, cli
 from blocksets.blocks import (
     AmbientTooSmall,
     EqualSize,
     InvalidPlacement,
     MixedSize,
+    Placement,
     blockset_points,
     enumerate_block_families,
     enumerate_placements,
@@ -830,6 +833,49 @@ def test_witness_proven_impossible_beyond_one_colour():
     assert naive_witness_exists(3, t, MixedSize(1), 2) is False
     assert witness_search(3, t, MixedSize(1), k=2) is None
     assert witness_search(3, t, MixedSize(1), k=3) is not None
+
+
+@pytest.fixture
+def placements_built(monkeypatch):
+    """Counts of the `Placement`s built and the `pattern_of` calls made while a test runs."""
+    counts = {"Placement": 0, "pattern_of": 0}
+    post_init, pattern = Placement.__post_init__, blocks.pattern_of
+
+    def counted_post_init(self):
+        counts["Placement"] += 1
+        post_init(self)
+
+    def counted_pattern(p):
+        counts["pattern_of"] += 1
+        return pattern(p)
+
+    monkeypatch.setattr(Placement, "__post_init__", counted_post_init)
+    monkeypatch.setattr(blocks, "pattern_of", counted_pattern)
+    return counts
+
+
+def test_verify_thm2_builds_no_placement_or_entry_dict(monkeypatch, placements_built):
+    """The closed-form `verify thm2` path re-checks and writes its hits from arrays."""
+    monkeypatch.setattr(search.Found, "json_entries", None)  # no dict per hit
+    code = cli.parse_and_dispatch("verify thm2 --d 2 --pq 1,2 --n 10 --workers 1".split(), io.StringIO(), io.StringIO())
+    assert code == 0
+    assert placements_built == {"Placement": 0, "pattern_of": 0}
+
+
+@pytest.mark.parametrize(
+    "colouring, n, t",
+    [(ModularCountColouring(1, 3), 6, T123), (ContributionColouring(3, 3), 7, T123)],
+    ids=["countmod", "pq11-reduced"],
+)
+def test_found_is_decoded_only_when_read(placements_built, colouring, n, t):
+    report = verify_absence(colouring, n, t, MixedSize(2))
+    assert len(report.found) > 0 and placements_built["Placement"] == 0  # len reads the arrays
+    expected = naive_monochromatic(colouring, n, t, MixedSize(2))
+    built = placements_built["Placement"]
+    assert report.found == expected
+    assert placements_built["Placement"] == built + len(expected)  # decoded once, on the first read
+    assert report.found[:1] == expected[:1] and list(report.found) == expected
+    assert placements_built["Placement"] == built + len(expected)
 
 
 def test_reports_of_more_than_26_blocks_have_no_pattern():
