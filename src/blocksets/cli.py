@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import operator
 import os
@@ -131,20 +130,25 @@ def _load_table(path: str) -> colourings.TableColouring:
 
 def emit_report(report: dict, out_format: str, stream, stable: bool = False) -> None:
     """Serialize a report dict.  JSON is schema-stable; CSV flattens the found
-    list one entry per row; text is human-oriented.  A found list held as a
-    scan's `search.Found` arrays is written as its dicts would be."""
+    list one entry per row; text is human-oriented.  A value held as arrays
+    (`_ARRAY_VALUES`: a scan's `search.Found`, a witness's
+    `colourings.DigitKeyed`) is written in JSON from those arrays, spliced
+    into the rest of the report, as its plain form would be written; CSV and
+    text take its plain form."""
     if stable and "elapsed_ms" in report:
         report = dict(report, elapsed_ms=0.0)
-    found = report.get("found")
-    if isinstance(found, search.Found):
-        if out_format == "json":
-            # the pure-Python encoder that indent= runs costs as much as a scan on a long list of hits
-            head, tail = json.dumps(dict(report, found=[]), sort_keys=True, indent=2).split('\n  "found": []')
-            stream.write(head + '\n  "found": ')
-            _write_found(found, stream)
-            stream.write(tail + "\n")
-            return
-        report = dict(report, found=found.json_entries())
+    for key, value in report.items():
+        if type(value) in _ARRAY_VALUES:
+            write, plain = _ARRAY_VALUES[type(value)]
+            if out_format == "json":
+                # the pure-Python encoder that indent= runs costs as much as a scan on a long list of hits
+                head, tail = json.dumps(dict(report, **{key: []}), sort_keys=True, indent=2).split(f'\n  "{key}": []')
+                stream.write(f'{head}\n  "{key}": ')
+                write(value, stream)
+                stream.write(tail + "\n")
+                return
+            report = dict(report, **{key: plain(value)})
+            break
     if out_format == "json":
         json.dump(report, stream, sort_keys=True, indent=2)
         stream.write("\n")
@@ -188,6 +192,23 @@ def _write_found(found: search.Found, stream) -> None:
         stream.write(separator + ",\n".join([entry % columns(row) for row in run.rows]))
         separator = ",\n"
     stream.write("\n  ]")
+
+
+def _write_digit_keyed(view: colourings.DigitKeyed, stream) -> None:
+    """A witness table, written as json.dump(report, stream, sort_keys=True, indent=2) writes `dict(view)`.
+
+    Its keys, equal-length digit strings in `all_words` order, are already sorted.
+    """
+    ids = view.table.ordered_ids()
+    lines = [f'    "{key}": {c}' for key, c in zip(view, ids[ids >= 0].tolist())]
+    stream.write("{\n" + ",\n".join(lines) + "\n  }" if lines else "{}")
+
+
+# report values written from arrays: type -> (JSON writer, the plain form that CSV and text take)
+_ARRAY_VALUES = {
+    search.Found: (_write_found, operator.methodcaller("json_entries")),
+    colourings.DigitKeyed: (_write_digit_keyed, dict),
+}
 
 
 def _emit_csv(report: dict, stream) -> None:
@@ -450,7 +471,6 @@ def _run_search_witness(args: argparse.Namespace) -> dict:
     except search.BudgetExceeded as exc:
         witness, status, nodes = None, "budget_exceeded", exc.nodes
     elapsed = (time.perf_counter() - t0) * 1000.0
-    digits = "123456789"[: args.template.m]  # the report keys each word by its digit string, with no `Word` built
     report = {
         "params": {
             "op": "witness_search",
@@ -461,7 +481,7 @@ def _run_search_witness(args: argparse.Namespace) -> dict:
             "budget": args.budget,
         },
         "status": status,
-        "colouring": None if witness is None else witness.keyed(map("".join, itertools.product(digits, repeat=args.n))),
+        "colouring": None if witness is None else colourings.DigitKeyed(witness),
         "elapsed_ms": round(elapsed, 3),
         "budget_exhausted": nodes is not None,
     }

@@ -793,10 +793,12 @@ def _block_sets(n: int, t: Template, sizemode: SizeMode, reference_domain: Optio
 
     Each placement's points are its reference base plus the weights of its
     blocks times each arrangement's letters less one (see `_block_weights`);
-    its row is sorted, and rows of equal point sets are kept once.  The
-    entries, and the words of [m]^n that a witness colours, are counted from
-    the closed form, and refused past MAX_TABLE_ENTRIES, before anything is
-    built.
+    its row is sorted, and rows of equal point sets are kept once.  The rows
+    hold the narrowest unsigned dtype that takes every index of [m]^n
+    (`np.min_scalar_type`: uint16 up to [3]^10), so that their sorts and the
+    witness search's incidence sort run on narrow keys.  The entries, and the
+    words of [m]^n that a witness colours, are counted from the closed form,
+    and refused past MAX_TABLE_ENTRIES, before anything is built.
     """
     symbols = reference_symbols(t, reference_domain)
     arrangements = np.array(list(t.arrangements()), np.int64) - 1
@@ -804,13 +806,14 @@ def _block_sets(n: int, t: Template, sizemode: SizeMode, reference_domain: Optio
     _check_entries(f"a colouring of [{t.m}]^{n}", t.m**n)
     families = block_families(n, t, sizemode)
     points = _block_weights(families.blocks, t.m)[families.ids] @ arrangements.T
+    key = np.min_scalar_type(t.m**n - 1)
     rows = [
-        (bases[:, :, None] + points[fams, None, :]).reshape(-1, len(arrangements))
+        (bases[:, :, None] + points[fams, None, :]).reshape(-1, len(arrangements)).astype(key)
         for _, fams, bases in _reference_bases(families.masks, families.totals, n, t.m, symbols, {})
     ]
     sets = np.sort(np.concatenate(rows), axis=1)
     sets = sets[np.lexsort(sets.T[::-1])]
-    return sets[np.concatenate([[True], (np.diff(sets, axis=0) != 0).any(axis=1)])]
+    return sets[np.concatenate([[True], (sets[1:] != sets[:-1]).any(axis=1)])]
 
 
 def witness_search(
@@ -832,11 +835,14 @@ def witness_search(
     Propagation: when all but one point of some placement already share a
     colour, that colour is removed from the last point's domain.  Points are
     assigned in index order from an explicit stack, so the depth of the search
-    is not bounded by Python's recursion limit.  Colouring a point checks only
-    the block sets through it: propagation never colours a point, so any other
+    is not bounded by Python's recursion limit.  A point is named by its
+    position in that order: its block sets, domain and colour are lists
+    indexed by position, read off one stable sort of the narrow point keys,
+    so no dict has an entry per point.  Colouring a point checks only the
+    block sets through it: propagation never colours a point, so any other
     set is as its own last coloured point left it.  Each set keeps counters
-    (its uncoloured points, their index sum, a packed count per colour) that
-    colouring and uncolouring a point update, so a check reads three ints.
+    (its uncoloured points, their position sum, a packed count per colour)
+    that colouring and uncolouring a point update, so a check reads three ints.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -847,37 +853,38 @@ def witness_search(
     # each point's block sets, as rows of `sets` in ascending order: a stable sort of the points groups them
     order = np.argsort(sets.ravel(), kind="stable")
     points = sets.ravel()[order]
-    starts = np.flatnonzero(np.diff(points, prepend=-1))
-    constrained = points[starts].tolist()
+    new = np.concatenate([[True], points[1:] != points[:-1]])
+    starts = np.flatnonzero(new)
+    positions = np.empty(len(order), sets.dtype)  # each entry of `sets` as its point's position
+    positions[order] = np.cumsum(new) - 1
     owners, bounds = (order // size).tolist(), starts.tolist() + [len(order)]
-    through = {idx: owners[lo:hi] for idx, lo, hi in zip(constrained, bounds, bounds[1:])}
-    # per block set: its uncoloured points, the sum of their indices (the last one's index once one is left),
-    # and the count of each colour, `width` bits per colour.  Every count is below 2**width, so a set's tally
-    # shifted down to colour c's bits equals its coloured points only when all of them have colour c
+    through = [owners[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    # per block set: its uncoloured points, the sum of their positions (the last one's position once one is
+    # left), and the count of each colour, `width` bits per colour.  Every count is below 2**width, so a set's
+    # tally shifted down to colour c's bits equals its coloured points only when all of them have colour c
     free = [size] * len(sets)
-    free_sum = sets.sum(axis=1).tolist()
+    free_sum = positions.reshape(-1, size).sum(axis=1).tolist()
     tally = [0] * len(sets)
     width = size.bit_length()
 
-    domain = {idx: (1 << k) - 1 for idx in constrained}
-    colour: dict[int, int] = {}
+    domain = [(1 << k) - 1] * len(through)
+    colour = [0] * len(through)
     nodes = 0
-    trails: list[list[int]] = []  # the points that lost the colour of each assigned point
+    trails: list[list[int]] = []  # the positions that lost the colour of each assigned point
     pos = c = 0
-    while pos < len(constrained):
-        idx = constrained[pos]
-        while c < k and not domain[idx] & (1 << c):
+    while pos < len(through):
+        while c < k and not domain[pos] & (1 << c):
             c += 1
         if c < k:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(nodes)
-            colour[idx] = c
+            colour[pos] = c
             trails.append([])
-            rows, bit, shift = through[idx], 1 << c, c * width
+            rows, bit, shift = through[pos], 1 << c, c * width
             for row in rows:
                 free[row] -= 1
-                free_sum[row] -= idx
+                free_sum[row] -= pos
                 tally[row] += 1 << shift
             for row in rows:  # c is the only colour its coloured points can share
                 left = free[row]
@@ -896,17 +903,16 @@ def witness_search(
             return None
         else:  # every colour of this point failed: go back to the previous one
             pos -= 1
-            idx = constrained[pos]
-        c = colour.pop(idx)  # undo the colour and its propagation, then try the next
-        for row in through[idx]:
+        c = colour[pos]  # undo the colour and its propagation, then try the next
+        for row in through[pos]:
             free[row] += 1
-            free_sum[row] += idx
+            free_sum[row] += pos
             tally[row] -= 1 << c * width
         for w in trails.pop():
             domain[w] |= 1 << c
         c += 1
     ids = np.zeros(t.m**n, np.int64)  # points in no block set take colour 0
-    ids[list(colour)] = list(colour.values())
+    ids[points[starts]] = colour
     witness = TableColouring(ids, n, t.m, k, f"witness:n={n},t={t},k={k}")
     check = find_monochromatic(witness, n, t, sizemode, None, reference_domain)
     if check is not None:

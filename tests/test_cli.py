@@ -277,6 +277,66 @@ def test_witness_report_colouring_skips_uncoloured_words(monkeypatch):
     assert len(report["colouring"]) == 81 - 12 and "1111" not in report["colouring"]
 
 
+def _witness_json_and_dict_form(monkeypatch, argv, table=None):
+    """stdout of `search witness --template 123 ... --stable`, and json.dumps of its report with the colouring as a dict.
+
+    The dict maps the digit string of each coloured word of the witness (or of
+    `table`, returned in its place) to its id, built from `entries`.
+    """
+    found, reports, emit, witness_search = [], [], cli.emit_report, search.witness_search
+
+    def recorded(*args):
+        found.append(witness_search(*args) if table is None else table)
+        return found[-1]
+
+    monkeypatch.setattr(search, "witness_search", recorded)
+    monkeypatch.setattr(cli, "emit_report", lambda report, *rest: (reports.append(report), emit(report, *rest)))
+    code, out, err = run_cli("search", "witness", "--template", "123", *argv, "--stable")
+    assert code in (0, 2) and err == ""
+    witness = found[0] if found else None  # a search out of budget returns nothing
+    colouring = None if witness is None else {str(w): c for w, c in witness.entries.items()}
+    return out, json.dumps(dict(reports[0], elapsed_ms=0.0, colouring=colouring), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", str(n), "--size-mode", "mixed:1", "--k", str(k)) for n in range(3, 8) for k in range(2, 5)]
+    + [("--n", "5", "--size-mode", "mixed:2", "--k", str(k)) for k in (2, 3)]
+    + [
+        ("--n", "3", "--size-mode", "mixed:1", "--k", "1"),  # status none
+        ("--n", "5", "--size-mode", "mixed:1", "--k", "4", "--budget", "2"),  # budget_exceeded
+    ],
+    ids=" ".join,
+)
+def test_witness_json_is_the_dict_form_written_by_json_dumps(monkeypatch, argv):
+    out, want = _witness_json_and_dict_form(monkeypatch, argv)
+    assert out == want
+
+
+@pytest.mark.parametrize("uncoloured", [slice(None, None, 7), slice(None)], ids=["every-7th", "all"])
+def test_witness_json_of_a_table_with_uncoloured_words_is_the_dict_form(monkeypatch, uncoloured):
+    table = random_table_colouring(4, 3, 3, 5)
+    table.ids[uncoloured] = -1
+    out, want = _witness_json_and_dict_form(monkeypatch, ("--n", "4", "--size-mode", "mixed:1", "--k", "3"), table)
+    assert out == want and ('"1111"' not in out)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_witness_json_is_written_from_the_id_array(monkeypatch, k):
+    """Neither the word -> id dict nor json's indenting encoder is on the witness report's JSON path."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(TableColouring, "keyed", refuse)
+    monkeypatch.setattr(json, "dump", refuse)
+    code, out, _ = run_cli(
+        "search", "witness", "--template", "123", "--n", "6", "--size-mode", "mixed:1", "--k", str(k), "--stable"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_N6_DIGESTS[k]
+
+
 WITNESS_N3_COLOURING = (
     '{"111": 0, "112": 0, "113": 0, "121": 0, "122": 0, "123": 1, "131": 0, "132": 0, "133": 0, '
     '"211": 0, "212": 0, "213": 0, "221": 0, "222": 0, "223": 0, "231": 0, "232": 0, "233": 0, '

@@ -905,11 +905,34 @@ def test_block_sets_from_the_family_arrays_match_the_placement_walk(t, sizemode)
             placements = enumerate_placements(n, t, sizemode, None, domain)
             want = sorted({tuple(sorted({w.index for w in blockset_points(p, t)})) for p in placements})
             got = search._block_sets(n, t, sizemode, domain)
-            assert got.dtype == np.int64 and list(map(tuple, got.tolist())) == want, (n, domain)
+            assert got.dtype == np.min_scalar_type(t.m**n - 1) and list(map(tuple, got.tolist())) == want, (n, domain)
         with pytest.raises(AmbientTooSmall):
             search._block_sets(floor - 1, t, sizemode, domain)
         with pytest.raises(AmbientTooSmall):
             list(enumerate_placements(floor - 1, t, sizemode, None, domain))
+
+
+@pytest.mark.parametrize("m, n, key", [(4, 8, np.uint16), (9, 6, np.uint32)])
+def test_block_sets_take_the_narrowest_key_that_holds_every_index(m, n, key):
+    """[4]^8 ends at index 65,535, the last that uint16 holds; [9]^6 needs uint32."""
+    t = template_from_word("123", m=m)
+    placements = enumerate_placements(n, t, EqualSize(1))
+    want = sorted({tuple(sorted({w.index for w in blockset_points(p, t)})) for p in placements})
+    got = search._block_sets(n, t, EqualSize(1), None)
+    assert got.dtype == key and list(map(tuple, got.tolist())) == want
+
+
+def test_witness_search_on_uint16_keys_matches_the_listing_loop():
+    """At [4]^8 two colours run out of budget, and three find a witness on 46,620 points."""
+    t = template_from_word("123", m=4)
+    for k, budget in [(2, 1), (2, 2000), (3, 100), (3, 100_000)]:
+        want = _witness_outcome(_reference_witness_ids, 8, t, EqualSize(1), k, budget)
+        got = _witness_outcome(witness_search, 8, t, EqualSize(1), k, budget)
+        if isinstance(got, TableColouring):
+            assert isinstance(want, np.ndarray) and np.array_equal(got.ids, want), (k, budget)
+        else:
+            assert not isinstance(want, np.ndarray) and got == want == ("budget", budget + 1), (k, budget, got)
+    assert isinstance(got, TableColouring)
 
 
 def test_one_arrangement_template_has_no_witness():
