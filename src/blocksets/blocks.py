@@ -290,7 +290,7 @@ def block_families(n: int, t: Template, sizemode: SizeMode, pattern: Optional[st
         raise AmbientTooSmall(f"n={n} cannot hold {s} disjoint blocks of size >= {sizemode.min_size}")
     blocks = candidate_blocks(n, sizemode)
     size = np.array([len(b) for b in blocks], np.int64)
-    bits = np.array([sum(1 << (c - 1) for c in b) for b in blocks], np.int64)
+    bits = block_weights(blocks, 2)
     above = np.array([(1 << n) - (1 << b[0]) for b in blocks], np.int64)  # coordinates past each minimum
     dtype = np.min_scalar_type(len(blocks))
     step = max(1, FAMILY_BATCH // len(blocks))
@@ -335,6 +335,15 @@ def candidate_blocks(n: int, sizemode: SizeMode) -> tuple[tuple[int, ...], ...]:
     return tuple(b for d in sizemode.size_range() for b in itertools.combinations(range(1, n + 1), d))
 
 
+def block_weights(blocks: Sequence[tuple[int, ...]], base: int) -> np.ndarray:
+    """Each block's weight, the sum of base^(c-1) over its coordinates c: its coordinate mask for base 2.
+
+    A word's packed index is the sum of (symbol - 1) * m^(c-1), so a placement's
+    point is its reference's index plus each block's letter less one times its base-m weight.
+    """
+    return np.array([sum(base ** (c - 1) for c in block) for block in blocks], np.int64)
+
+
 def block_labels(blocks: Sequence[tuple[int, ...]], ids: np.ndarray, n: int) -> np.ndarray:
     """Each family's coordinates of [n] labelled by block, in first-occurrence order.
 
@@ -345,7 +354,7 @@ def block_labels(blocks: Sequence[tuple[int, ...]], ids: np.ndarray, n: int) -> 
     """
     minima = np.array([b[0] for b in blocks], np.int64)[ids]
     rank = np.argsort(np.argsort(minima, axis=1), axis=1).astype(np.int8)
-    bits = np.array([sum(1 << (c - 1) for c in b) for b in blocks], np.int64)
+    bits = block_weights(blocks, 2)
     member = (bits[:, None] >> np.arange(n) & 1).astype(np.int8)
     return sum((rank[:, j, None] + 1) * member[ids[:, j]] for j in range(ids.shape[1]))
 

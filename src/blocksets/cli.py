@@ -11,12 +11,14 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
+import itertools
 import json
 import operator
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import blocks, colourings, lattice, search
 from .words import encode_word
@@ -130,85 +132,90 @@ def _load_table(path: str) -> colourings.TableColouring:
 
 def emit_report(report: dict, out_format: str, stream, stable: bool = False) -> None:
     """Serialize a report dict.  JSON is schema-stable; CSV flattens the found
-    list one entry per row; text is human-oriented.  A value held as arrays
-    (`_ARRAY_VALUES`: a scan's `search.Found`, a witness's
-    `colourings.DigitKeyed`) is written in JSON from those arrays, spliced
-    into the rest of the report, as its plain form would be written; CSV and
-    text take its plain form."""
+    list one entry per row; text is human-oriented.  A scan's `search.Found`
+    and a witness's `colourings.TableColouring` are written from their arrays
+    in every format, as their plain forms would be: the entry dicts of
+    `SearchReport.to_json_dict()`, and the object of each coloured word's
+    digit string ("1321") and id, which is one cell or line in CSV and text."""
     if stable and "elapsed_ms" in report:
         report = dict(report, elapsed_ms=0.0)
-    for key, value in report.items():
-        if type(value) in _ARRAY_VALUES:
-            write, plain = _ARRAY_VALUES[type(value)]
-            if out_format == "json":
+    if out_format == "json":
+        for key, value in report.items():
+            if isinstance(value, (search.Found, colourings.TableColouring)):
                 # the pure-Python encoder that indent= runs costs as much as a scan on a long list of hits
                 head, tail = json.dumps(dict(report, **{key: []}), sort_keys=True, indent=2).split(f'\n  "{key}": []')
                 stream.write(f'{head}\n  "{key}": ')
-                write(value, stream)
+                if isinstance(value, search.Found):
+                    _write_found(value, stream)
+                else:
+                    stream.write(_digit_object(value, "  "))
                 stream.write(tail + "\n")
                 return
-            report = dict(report, **{key: plain(value)})
-            break
-    if out_format == "json":
         json.dump(report, stream, sort_keys=True, indent=2)
         stream.write("\n")
-    elif out_format == "csv":
-        _emit_csv(report, stream)
-    elif out_format == "text":
-        _emit_text(report, stream)
+    elif out_format in ("csv", "text"):
+        report = {k: _digit_object(v, None) if isinstance(v, colourings.TableColouring) else v for k, v in report.items()}
+        (_emit_csv if out_format == "csv" else _emit_text)(report, stream)
     else:
         raise UsageError(f"unknown format {out_format!r}")
 
 
-def _write_found(found: search.Found, stream) -> None:
-    """A scan's found list, written as json.dump(report, stream, sort_keys=True, indent=2) writes its dicts.
+def _separators(pad: Optional[str]) -> tuple[str, str, str]:
+    """What json.dumps writes after the opening bracket, between the items and before the closing bracket
+    of a list or object whose line is indented by `pad` (indent=2), or that shares its line (pad None)."""
+    return ("", ", ", "") if pad is None else (f"\n{pad}  ", f",\n{pad}  ", f"\n{pad}")
 
-    The hits of a run (`Found.runs`) share their blocks, n and pattern, so a
-    run's entry text is built once, as a %-format with the reference keys
-    sorted as strings; each hit fills in its colour, reference symbols and
-    vector digits, the columns of its row that `columns` picks.
+
+def _laid_out(brackets: str, items: list[str], separators: tuple[str, str, str]) -> str:
+    """Laid-out items in brackets, as json.dumps writes a list or object."""
+    opening, between, closing = separators
+    return f"{brackets[0]}{opening}{between.join(items)}{closing}{brackets[1]}" if items else brackets
+
+
+def _found_runs(found: search.Found, pad: Optional[str]) -> Iterator[tuple[str, list[str], Iterator]]:
+    """Each run of hits (`Found.runs`) as %-templates, and one tuple a hit that fills them in.
+
+    The templates are a found entry laid out (`_laid_out`) at `pad` and the
+    values of its keys: colour, placement and, for a vector-valued colouring,
+    vector.  The hits of a run share their blocks, n and pattern, so the
+    templates are built once, with the reference keys sorted as strings; each
+    hit fills in its colour, reference symbols and vector digits, the columns
+    of its row.
     """
+    seps = [_separators(None if pad is None else pad + "  " * depth) for depth in range(4)]  # by depth in the entry
+    for run in found.runs():
+        blocks = _laid_out("[]", [_laid_out("[]", [str(c) for c in block], seps[3]) for block in run.blocks], seps[2])
+        keys = sorted(run.free, key=str)
+        reference = _laid_out("{}", [f'"{c}": "%d"' for c in keys], seps[2])
+        pattern = "null" if run.pattern is None else f'"{run.pattern}"'
+        placement = [f'"blocks": {blocks}', f'"n": {found.n}', f'"pattern": {pattern}', f'"reference": {reference}']
+        cells = ["%d", _laid_out("{}", placement, seps[1])]
+        digits = range(found.n + 1, len(run.rows[0]))
+        if digits:
+            cells.append(_laid_out("[]", ["%d"] * len(digits), seps[1]))
+        entry = _laid_out("{}", [f'"{k}": {cell}' for k, cell in zip(("colour", "placement", "vector"), cells)], seps[0])
+        # one column alone comes as an int, which % takes too
+        yield entry, cells, map(operator.itemgetter(0, *keys, *digits), run.rows)
+
+
+def _write_found(found: search.Found, stream) -> None:
+    """A scan's found list, as json.dump(report, stream, sort_keys=True, indent=2) writes its entry dicts, one run at a time."""
     if not len(found):
         stream.write("[]")
         return
     separator = "[\n"
-    for run in found.runs():
-        blocks = ",\n".join(
-            "          [\n" + ",\n".join(["            " + str(c) for c in block]) + "\n          ]"
-            for block in run.blocks
-        )
-        keys = sorted(run.free, key=str)
-        reference = "{\n" + ",\n".join([f'          "{c}": "%d"' for c in keys]) + "\n        }" if keys else "{}"
-        pattern = "null" if run.pattern is None else f'"{run.pattern}"'
-        entry = (
-            f'    {{\n      "colour": %d,\n      "placement": {{\n        "blocks": [\n{blocks}\n        ],\n'
-            f'        "n": {found.n},\n        "pattern": {pattern},\n        "reference": {reference}\n      }}'
-        )
-        digits = range(found.n + 1, len(run.rows[0]))
-        if digits:
-            entry += ',\n      "vector": [\n' + ",\n".join(["        %d"] * len(digits)) + "\n      ]"
-        entry += "\n    }"
-        columns = operator.itemgetter(0, *keys, *digits)  # one column alone comes as an int, which % takes too
-        stream.write(separator + ",\n".join([entry % columns(row) for row in run.rows]))
+    for entry, _, hits in _found_runs(found, "    "):
+        entry = "    " + entry
+        stream.write(separator + ",\n".join([entry % hit for hit in hits]))
         separator = ",\n"
     stream.write("\n  ]")
 
 
-def _write_digit_keyed(view: colourings.DigitKeyed, stream) -> None:
-    """A witness table, written as json.dump(report, stream, sort_keys=True, indent=2) writes `dict(view)`.
-
-    Its keys, equal-length digit strings in `all_words` order, are already sorted.
-    """
-    ids = view.table.ordered_ids()
-    lines = [f'    "{key}": {c}' for key, c in zip(view, ids[ids >= 0].tolist())]
-    stream.write("{\n" + ",\n".join(lines) + "\n  }" if lines else "{}")
-
-
-# report values written from arrays: type -> (JSON writer, the plain form that CSV and text take)
-_ARRAY_VALUES = {
-    search.Found: (_write_found, operator.methodcaller("json_entries")),
-    colourings.DigitKeyed: (_write_digit_keyed, dict),
-}
+def _digit_object(table: colourings.TableColouring, pad: Optional[str]) -> str:
+    """A witness table's digit string -> id object, laid out at `pad`; `all_words` order sorts its keys."""
+    keys = map("".join, itertools.product("123456789"[: table.m], repeat=table.n))
+    items = [f'"{key}": {c}' for key, c in zip(keys, table.ordered_ids().tolist()) if c >= 0]
+    return _laid_out("{}", items, _separators(pad))
 
 
 def _emit_csv(report: dict, stream) -> None:
@@ -218,6 +225,15 @@ def _emit_csv(report: dict, stream) -> None:
         keys = sorted(report)
         writer.writerow(keys)
         writer.writerow([_cell(report[k]) for k in keys])
+        return
+    if isinstance(found, search.Found):
+        vectors = len(found) > 0 and isinstance(found.colouring, colourings.ContributionColouring)
+        writer.writerow(["colour", "placement", "vector"][: 2 + vectors])
+        for _, cells, hits in _found_runs(found, None):
+            # digits filled in for %d never change whether a cell needs quotes
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow(cells)
+            stream.write("".join([line.getvalue() % hit for hit in hits]))
         return
     keys = sorted({k for entry in found for k in entry}) or ["colour", "placement"]
     writer.writerow(keys)
@@ -238,6 +254,11 @@ def _emit_text(report: dict, stream) -> None:
         value = report[key]
         if key in ("vector", "tuple") and isinstance(value, list):
             stream.write(f"{key}: ({', '.join(str(v) for v in value)})\n")
+        elif key == "found" and isinstance(value, search.Found):
+            stream.write(f"found: {len(value)}\n")
+            for entry, _, hits in _found_runs(value, None):
+                line = f"  {entry}\n"
+                stream.write("".join([line % hit for hit in hits]))
         elif key == "found" and isinstance(value, list):
             stream.write(f"found: {len(value)}\n")
             for entry in value:
@@ -481,7 +502,7 @@ def _run_search_witness(args: argparse.Namespace) -> dict:
             "budget": args.budget,
         },
         "status": status,
-        "colouring": None if witness is None else colourings.DigitKeyed(witness),
+        "colouring": witness,
         "elapsed_ms": round(elapsed, 3),
         "budget_exhausted": nodes is not None,
     }

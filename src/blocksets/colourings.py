@@ -8,9 +8,8 @@ vectors or tuples expose both forms, with a fixed mixed-radix bijection
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -269,42 +268,11 @@ class TableColouring(Colouring):
     @property
     def entries(self) -> dict[Word, int]:
         """The coloured words and their ids, in `all_words` order."""
-        return self.keyed(all_words(self.n, self.m))
-
-    def keyed(self, keys: Iterable) -> dict:
-        """Coloured ids under keys given one per word, in `all_words` order (`ids` has coordinate 1 least significant)."""
-        return {key: c for key, c in zip(keys, self.ordered_ids().tolist()) if c >= 0}
+        return {w: c for w, c in zip(all_words(self.n, self.m), self.ordered_ids().tolist()) if c >= 0}
 
     def ordered_ids(self) -> np.ndarray:
         """The ids in `all_words` order, -1 included (`ids` has coordinate 1 least significant)."""
         return self.ids.reshape((self.m,) * self.n).transpose().ravel()
-
-
-class DigitKeyed(Mapping):
-    """A read-only view of a table colouring's coloured ids under digit-string keys ("1321").
-
-    It reads as `keyed` with the digit strings: the same keys, in `all_words`
-    order, with the uncoloured words left out, but it builds no dict.
-    """
-
-    def __init__(self, table: TableColouring) -> None:
-        self.table = table
-
-    def __iter__(self) -> Iterator[str]:
-        keys = itertools.product("123456789"[: self.table.m], repeat=self.table.n)
-        return itertools.compress(map("".join, keys), (self.table.ordered_ids() >= 0).tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.table.ids >= 0))
-
-    def __getitem__(self, key: str) -> int:
-        n, m = self.table.n, self.table.m
-        if not isinstance(key, str) or len(key) != n or not set(key) <= set("123456789"[:m]):
-            raise KeyError(key)
-        c = int(self.table.ids[sum((int(digit) - 1) * m**i for i, digit in enumerate(key))])
-        if c < 0:
-            raise KeyError(key)
-        return c
 
 
 def table_colouring(entries: dict[Word, int], colour_count: Optional[int] = None, name: str = "table") -> TableColouring:

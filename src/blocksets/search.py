@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .blocks import (
     Template,
     block_families,
     block_labels,
+    block_weights,
     blockset_points,
     candidate_blocks,
     enumerate_block_families,
@@ -46,6 +48,7 @@ from .colourings import (
     InducedColouring,
     TableColouring,
     flipped_block_word,
+    id_to_vector,
     slot_word_for,
     substitute,
 )
@@ -100,7 +103,7 @@ class Found(Sequence):
     numbered from 1 by minimum, and its reference symbol on every other
     coordinate, so the hits of one block family are consecutive.  `len` reads
     the arrays; reading an entry decodes every hit, once, to its
-    (Placement, colour id) pair.  The JSON forms are built from the arrays
+    (Placement, colour id) pair.  The CLI writes its reports from the arrays
     (`runs`), with no `Placement` per hit.
     """
 
@@ -170,22 +173,6 @@ class Found(Sequence):
                 pattern = "".join([chr(ord("A") - 1 - m + letter) for letter in word if letter > m])
                 yield Run(tuple(map(tuple, blocks)), pattern if len(blocks) <= 26 else None, tuple(free), rows[a:b])
 
-    def json_entries(self) -> list[dict]:
-        """Every hit as {"placement": its `Placement.to_json_dict()`, "colour": id}, plus "vector" when vector-valued."""
-        out = []
-        for run in self.runs():
-            for row in run.rows:
-                placement = {
-                    "n": self.n,
-                    "blocks": [list(block) for block in run.blocks],
-                    "reference": {str(c): str(row[c]) for c in run.free},
-                    "pattern": run.pattern,
-                }
-                out.append({"placement": placement, "colour": row[0]})
-                if len(row) > self.n + 1:
-                    out[-1]["vector"] = row[self.n + 1 :]
-        return out
-
 
 @dataclass
 class SearchReport:
@@ -201,13 +188,22 @@ class SearchReport:
     def to_json_dict(self, entries: bool = True) -> dict:
         """The report as JSON values, with one dict per hit in its found list.
 
+        A hit's dict holds its decoded placement (`Placement.to_json_dict`),
+        its colour id and, for a contribution colouring, its colour vector.
         With entries=False the found list is the `Found` arrays themselves,
         which `cli.emit_report` writes as those dicts would be written.
         """
+        found: Found | list[dict] = self.found
+        if entries:
+            colouring = self.found.colouring
+            found = [{"placement": p.to_json_dict(), "colour": c} for p, c in self.found]
+            if isinstance(colouring, ContributionColouring):
+                for entry in found:
+                    entry["vector"] = list(id_to_vector(entry["colour"], colouring.modulus, colouring.length))
         return {
             "params": self.params,
             "examined": self.examined,
-            "found": self.found.json_entries() if entries else self.found,
+            "found": found,
             "elapsed_ms": round(self.elapsed_ms, 3),
             "workers": self.workers,
             "budget_exhausted": self.budget_exhausted,
@@ -253,8 +249,9 @@ def map_chunks(fn: Callable[[tuple, int, list], R], shared: tuple, items: list, 
     Results come back in chunk order, so a caller that concatenates them sees
     the items' own order whatever the worker count.  Several chunks run in
     forked worker processes, serially when processes cannot be started.  The
-    workers inherit fn and shared through the fork; only chunks and results
-    are pickled.
+    pool has no more processes than chunks or CPUs, since it starts them all
+    at once.  The workers inherit fn and shared through the fork; only chunks
+    and results are pickled.
     """
     size = max(1, -(-len(items) // max(workers, 1)))
     starts = range(0, len(items), size)
@@ -262,7 +259,8 @@ def map_chunks(fn: Callable[[tuple, int, list], R], shared: tuple, items: list, 
     if len(starts) > 1:
         try:
             ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, ctx, initializer=_set_chunk_job, initargs=(fn, shared)) as pool:
+            processes = min(len(chunks), os.cpu_count() or 1)
+            with ProcessPoolExecutor(processes, ctx, initializer=_set_chunk_job, initargs=(fn, shared)) as pool:
                 return list(pool.map(_run_chunk, starts, chunks))
         except OSError:
             pass
@@ -275,16 +273,6 @@ class _Level(NamedTuple):
     n: int
     offset: int  # where the words of [m]^n', padded with a neutral symbol, start
     multiplicity: int  # placements at n behind each placement at n'
-
-
-def _block_weights(blocks: Sequence[tuple[int, ...]], m: int) -> np.ndarray:
-    """Each block's weight, the sum of m^(c-1) over its coordinates c.
-
-    A word's packed index is the sum of (symbol - 1) * m^(c-1), so the point
-    of a placement for an arrangement is its reference base plus the
-    arrangement's letters less one times the weights of the blocks they fill.
-    """
-    return np.array([sum(m ** (c - 1) for c in block) for block in blocks], np.int64)
 
 
 def _reference_bases(
@@ -401,7 +389,7 @@ def _scan(
     # the most placements (6% survive it at pq12 n=10 and 2.5% at d=2 n=13,
     # against 45% and 14% for arrangement 1)
     arrangements = np.concatenate([arrangements[:1], arrangements[:0:-1]])
-    weight = _block_weights(families.blocks, t.m)
+    weight = block_weights(families.blocks, t.m)
     levels, slabs = [], []
     # longest first, so that the shorter lengths' arrays fit where the longer ones' were
     for k in reversed(lengths):
@@ -757,7 +745,7 @@ def verify_absence(
         colours.append(colour[hit])
     words, colours = np.concatenate(words), np.concatenate(colours)
     # their id rows at n, from each block label's coordinates
-    bits = np.array([sum(1 << (c - 1) for c in b) for b in blocks], np.int64)
+    bits = block_weights(blocks, 2)
     by_bits = np.argsort(bits).astype(np.min_scalar_type(len(blocks)))
     # one coordinate at a time, so that no int64 array of hits x n is built
     masks = sum((words[:, c, None] == np.arange(t.m + 1, t.m + t.s + 1)) << np.int64(c) for c in range(n))
@@ -792,7 +780,7 @@ def _block_sets(n: int, t: Template, sizemode: SizeMode, reference_domain: Optio
     """The distinct block sets of (n, t, size mode) as packed point indices, one sorted row each, rows sorted.
 
     Each placement's points are its reference base plus the weights of its
-    blocks times each arrangement's letters less one (see `_block_weights`);
+    blocks times each arrangement's letters less one (see `block_weights`);
     its row is sorted, and rows of equal point sets are kept once.  The rows
     hold the narrowest unsigned dtype that takes every index of [m]^n
     (`np.min_scalar_type`: uint16 up to [3]^10), so that their sorts and the
@@ -805,7 +793,7 @@ def _block_sets(n: int, t: Template, sizemode: SizeMode, reference_domain: Optio
     _check_entries(f"the block sets at n={n}", placement_count(n, t, sizemode, len(symbols)) * len(arrangements))
     _check_entries(f"a colouring of [{t.m}]^{n}", t.m**n)
     families = block_families(n, t, sizemode)
-    points = _block_weights(families.blocks, t.m)[families.ids] @ arrangements.T
+    points = block_weights(families.blocks, t.m)[families.ids] @ arrangements.T
     key = np.min_scalar_type(t.m**n - 1)
     rows = [
         (bases[:, :, None] + points[fams, None, :]).reshape(-1, len(arrangements)).astype(key)

@@ -17,6 +17,7 @@ from blocksets.blocks import (
     MixedSize,
     Placement,
     block_families,
+    block_weights,
     blockset_points,
     enumerate_block_families,
     enumerate_placements,
@@ -243,6 +244,17 @@ def _array_cases():
 
 
 ARRAY_CASES = list(_array_cases())
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_block_weights_pack_the_block_coordinates(m):
+    """Base 2 gives each block's coordinate mask; base m its share of a word's packed index."""
+    candidates = blocks.candidate_blocks(6, MixedSize(3))
+    masks = block_weights(candidates, 2).tolist()
+    assert masks == [sum(1 << (c - 1) for c in b) for b in candidates]
+    for b, weight in zip(candidates, block_weights(candidates, m).tolist()):
+        word = encode_word("".join("2" if c in b else "1" for c in range(1, 7)), m)
+        assert weight == word.index
 
 
 @pytest.mark.parametrize("text", ["11", "123", "1233", "12233333333"])

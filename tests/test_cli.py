@@ -251,18 +251,16 @@ def test_search_witness_n7_reports_are_unchanged(k):
     assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_N7_DIGESTS[k]
 
 
-def _witness_report(monkeypatch, *argv):
-    """The report dict that `search witness --template 123 ... --stable` hands to `emit_report`."""
-    reports = []
-    monkeypatch.setattr(cli, "emit_report", lambda report, *rest: reports.append(report))
-    code, _, err = run_cli("search", "witness", "--template", "123", *argv, "--stable")
+def _witness_report(*argv):
+    """The JSON report of `search witness --template 123 ... --stable`, read back with its key order."""
+    code, out, err = run_cli("search", "witness", "--template", "123", *argv, "--stable")
     assert code == 0, err
-    return reports[0]
+    return json.loads(out)
 
 
 @pytest.mark.parametrize("n, k", list(itertools.product(range(3, 6), range(2, 5))))
-def test_witness_report_colouring_is_the_table_entries_by_digit_string(monkeypatch, n, k):
-    report = _witness_report(monkeypatch, "--n", str(n), "--size-mode", "mixed:1", "--k", str(k))
+def test_witness_report_colouring_is_the_table_entries_by_digit_string(n, k):
+    report = _witness_report("--n", str(n), "--size-mode", "mixed:1", "--k", str(k))
     witness = search.witness_search(n, template_from_word("123"), MixedSize(1), k)
     assert report["status"] == "witness"
     assert list(report["colouring"].items()) == [(str(w), c) for w, c in witness.entries.items()]
@@ -272,7 +270,7 @@ def test_witness_report_colouring_skips_uncoloured_words(monkeypatch):
     table = random_table_colouring(4, 3, 3, 5)
     table.ids[::7] = -1
     monkeypatch.setattr(search, "witness_search", lambda *args: table)
-    report = _witness_report(monkeypatch, "--n", "4", "--size-mode", "mixed:1", "--k", "3")
+    report = _witness_report("--n", "4", "--size-mode", "mixed:1", "--k", "3")
     assert list(report["colouring"].items()) == [(str(w), c) for w, c in table.entries.items()]
     assert len(report["colouring"]) == 81 - 12 and "1111" not in report["colouring"]
 
@@ -328,7 +326,7 @@ def test_witness_json_is_written_from_the_id_array(monkeypatch, k):
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(TableColouring, "keyed", refuse)
+    monkeypatch.setattr(TableColouring, "entries", property(refuse))
     monkeypatch.setattr(json, "dump", refuse)
     code, out, _ = run_cli(
         "search", "witness", "--template", "123", "--n", "6", "--size-mode", "mixed:1", "--k", str(k), "--stable"
@@ -733,6 +731,7 @@ def pq(p, q, n, **kwargs):
 T123 = template_from_word("123")
 
 
+@pytest.mark.parametrize("out_format", ["json", "csv", "text"])
 @pytest.mark.parametrize(
     "report",
     [
@@ -750,22 +749,26 @@ T123 = template_from_word("123")
         lambda: verify_absence(random_table_colouring(8, 3, 2, seed=3), 8, T123, MixedSize(2), "ABCCBA"),
         lambda: verify_absence(ContributionColouring(3, 3), 9, template_from_word("1233"), MixedSize(2), None, (1, 3)),
         lambda: verify_absence(random_table_colouring(7, 3, 2, seed=2), 7, T123, EqualSize(2)),
-        # nothing found
+        # nothing found: the CSV header of a vector colouring is colour,placement
         lambda: verify_absence(ContributionColouring(2, 2), 6, T123, MixedSize(1)),
+        # length-1 vectors, whose CSV cell [0] needs no quotes
+        lambda: verify_absence(ContributionColouring(2, 1), 6, T123, MixedSize(2)),
         # "pattern": null past 26 blocks
         lambda: verify_absence(ModularCountColouring(1, 1), 29, template_from_word("1" + "3" * 27), MixedSize(2)),
     ],
     ids=[
         "contribution", "pq12-n9", "pq12-n12", "pq11-n9", "countmod", "search-mono", "random-table", "pattern",
-        "reference-domain", "equal-size", "empty", "no-pattern",
+        "reference-domain", "equal-size", "empty", "vector-length-1", "no-pattern",
     ],
 )
-def test_found_list_writer_writes_the_bytes_of_json_dump(monkeypatch, report):
-    """The found list written from a scan's arrays has the bytes json.dump gives its dicts (`to_json_dict`)."""
+def test_found_list_writer_writes_the_bytes_of_the_reference_dicts(monkeypatch, report, out_format):
+    """The found list written from a scan's arrays has the bytes of its decoded dicts (`to_json_dict`), in every format."""
     report = report()
-    expected = json_dump_text(report.to_json_dict())
+    expected, got = io.StringIO(), io.StringIO()
+    emit_report(report.to_json_dict(), out_format, expected)
     monkeypatch.setattr(json, "dump", None)  # the found list must not go through the encoder
-    assert emitted(report.to_json_dict(entries=False)) == expected
+    emit_report(report.to_json_dict(entries=False), out_format, got)
+    assert got.getvalue() == expected.getvalue()
 
 
 @pytest.mark.parametrize("out_format", ["csv", "text"])

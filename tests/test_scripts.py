@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts, from the repository root, with tiny arguments."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +62,16 @@ def test_script_bad_flags_exit_2_with_one_error_line(script, args, message):
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.endswith(f"{script}: error: {message}\n") and "Traceback" not in result.stderr
+
+
+def test_scan_absence_prints_each_found_entry_as_json():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scan_absence.py"), "--d", "2", "--pq", "1,2", "--n-max", "9"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    entries = [json.loads(line) for line in result.stdout.splitlines() if line.startswith("      ")]
+    assert len(entries) == 2
+    for entry in entries:
+        assert entry.keys() == {"placement", "colour", "vector"}
+        assert entry["placement"]["n"] == 9 and len(entry["vector"]) == 3

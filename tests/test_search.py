@@ -649,6 +649,40 @@ def test_map_chunks_does_not_pickle_shared_state():
     assert chunks == [(0, [0, 3, 6, 9]), (4, [12, 15, 18])]
 
 
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked for and runs the chunks here."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "workers, items, cpus, pool",
+    [(5000, 7, 2, 2), (5000, 3, 8, 3), (5000, 7, None, 1), (5000, 1, 2, None), (2, 7, 2, 2), (1, 7, 2, None)],
+)
+def test_map_chunks_pool_has_no_more_processes_than_chunks_or_cpus(monkeypatch, workers, items, cpus, pool):
+    """The pool starts all its processes at once, so --workers 5000 must not ask for 5,000; chunks stay the same."""
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    chunks = search.map_chunks(_chunk_sum, (lambda x: 3 * x,), list(range(items)), workers)
+    size = max(1, -(-items // workers))
+    assert chunks == [(i, [3 * x for x in range(i, min(items, i + size))]) for i in range(0, items, size)]
+    assert InProcessPool.sizes == ([] if pool is None else [pool])
+
+
 def test_find_keeps_the_first_chunks_hit():
     # every placement is monochromatic, so every worker's chunk reports a hit
     colouring = ConstantColouring(0, 1)
@@ -854,11 +888,13 @@ def placements_built(monkeypatch):
     return counts
 
 
-def test_verify_thm2_builds_no_placement_or_entry_dict(monkeypatch, placements_built):
-    """The closed-form `verify thm2` path re-checks and writes its hits from arrays."""
-    monkeypatch.setattr(search.Found, "json_entries", None)  # no dict per hit
-    code = cli.parse_and_dispatch("verify thm2 --d 2 --pq 1,2 --n 10 --workers 1".split(), io.StringIO(), io.StringIO())
-    assert code == 0
+@pytest.mark.parametrize("out_format", ["json", "csv", "text"])
+def test_verify_thm2_builds_no_placement_or_entry_dict(placements_built, out_format):
+    """The closed-form `verify thm2` path re-checks and writes its hits from arrays, in every format."""
+    argv = f"verify thm2 --d 2 --pq 1,2 --n 10 --workers 1 --format {out_format}".split()
+    out = io.StringIO()
+    assert cli.parse_and_dispatch(argv, out, io.StringIO()) == 0
+    assert out.getvalue().count('blocks"') == 34  # the hits are written
     assert placements_built == {"Placement": 0, "pattern_of": 0}
 
 
