@@ -393,7 +393,7 @@ def _scan(
     levels, slabs = [], []
     # longest first, so that the shorter lengths' arrays fit where the longer ones' were
     for k in reversed(lengths):
-        offset = (pad - 1) * (len(table) - t.m**k) // (t.m - 1) if len(table) > t.m**k else 0
+        offset = _offset(table, t.m, pad, k)
         # the families at k are the families at the longest length inside [k], in the same order
         inside = np.flatnonzero(families.masks < 1 << k)
         # a slab starts at each family inside [k] whose working set starts a new budget
@@ -412,11 +412,23 @@ def _scan(
         if first_only and len(chunk_hits):
             break
     rows, hits = np.concatenate(rows), {}
+    # the chunks come back in slab order, so each level's hits are one run of rows
+    bounds = np.searchsorted(rows[:, 0], np.arange(len(levels) + 1)).tolist()
     for level, (k, _, _) in enumerate(levels):
-        fam, ref, colour = rows[rows[:, 0] == level, 1:].T
-        labels = block_labels(families.blocks, families.ids[fam], k)
-        hits[k] = (np.where(labels > 0, labels + t.m, _references(families.masks[fam], ref, k, symbols)), colour)
+        lo, hi = bounds[level], bounds[level + 1]
+        words = np.empty((hi - lo, k), np.int8)
+        for start in range(lo, hi, SLAB_ENTRIES):  # a batch at a time, so the labelling's temporaries stay small
+            fam, ref, _ = rows[start : min(start + SLAB_ENTRIES, hi), 1:].T
+            labels = block_labels(families.blocks, families.ids[fam], k)
+            references = _references(families.masks[fam], ref, k, symbols)
+            words[start - lo : start - lo + len(fam)] = np.where(labels > 0, labels + t.m, references)
+        hits[k] = (words, rows[lo:hi, 3].copy())  # a copy, not a view that keeps every row alive
     return examined, hits
+
+
+def _offset(table: np.ndarray, m: int, pad: int, k: int) -> int:
+    """Where the words of [m]^k lie in the table: its words that hold `pad` on every coordinate past k."""
+    return (pad - 1) * (len(table) - m**k) // (m - 1) if len(table) > m**k else 0
 
 
 Hits = dict[int, tuple[np.ndarray, np.ndarray]]  # length -> (label words, colour ids)
@@ -469,8 +481,91 @@ def _keys(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words).view(f"S{words.shape[1]}").ravel()
 
 
+def _lifts(lower: Hits, label: int, n: int, sizes: range) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(k, zs, counts) for each size k with lower hits at n - k: the candidates that add a block at n.
+
+    A lower hit at n - k, its blocks labelled below `label`, lifts over each
+    k-set Z of [n] whose minimum lies past the minimum of its last block, so
+    that Z becomes its block of largest minimum, labelled `label`.  `zs`
+    holds the k-sets of [n] in lexicographic order, so a hit's sets are a
+    tail of them, of length counts[i] for hit i (see `_pairs`).
+    """
+    for k in sizes:
+        if n - k in lower:
+            zs = _subsets(n, k)
+            last = np.argmax(lower[n - k][0] == label - 1, axis=1)  # the first coordinate of that block
+            yield k, zs, len(zs) - np.searchsorted(zs[:, 0], last, side="right")
+
+
+def _pairs(counts: np.ndarray, sets: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, set) index pairs of the candidates in `_lifts`: hit i takes the last counts[i] of the sets."""
+    hit = np.repeat(np.arange(len(counts)), counts)
+    return hit, np.arange(len(hit)) + np.repeat(sets - np.cumsum(counts), counts)
+
+
+def _extend(table: np.ndarray, lower: Hits, t: Template, z: int, lengths: range, sizes: range) -> Hits:
+    """The hits of t, which holds one copy of the neutral letter z, at each length from the hits of t without it.
+
+    `lower` holds the hits of t without z, as label words, at every length
+    the extension reads.  Every arrangement of t puts z on one block, and
+    deleting that block, with its coordinates, leaves a point of the deletion
+    of the same colour.  So a placement is a hit of t exactly when its s
+    one-block deletions are lower hits of one colour.  Each hit of t at n
+    thus arises once as a lower hit at n - k lifted over a k-set Z that
+    becomes its block of largest minimum (`_lifts`), and such a candidate is
+    a hit when the table gives the lower hit's colour at every arrangement
+    that puts z off Z: the others are the lower hit's own points.  A
+    candidate's points are packed indices, read from the table slice whose
+    words hold z past n: its lower hit's point (the hit's packed reference
+    index plus its block weights times the arrangement's letters less one),
+    with Z's coordinates inserted as zero digits (v -> v mod m^q +
+    (v - v mod m^q) * m for each coordinate q of Z, ascending), plus Z's
+    weight times its letter less one.  The lower hits are taken a slab of
+    about SLAB_ENTRIES entries at a time, counting their letters and their
+    candidates; each later arrangement is checked only for the candidates
+    still of their hit's colour, and only the survivors become label words.
+    """
+    m, label = t.m, t.m + t.s
+    # the template reversed first, as in `_scan`: it breaks the most candidates
+    arrangements = np.array(list(t.arrangements())[::-1], np.int64) - 1
+    arrangements = arrangements[arrangements[:, -1] != z - 1]
+    # column a weighs a lower hit's reference index by 1 and its blocks' weights by arrangement a's letters less one
+    letters = np.column_stack([np.ones(len(arrangements), np.int64), arrangements[:, :-1]]).T
+    powers = np.int64(m) ** np.arange(lengths[-1] + 1, dtype=np.int64)
+    out = {}
+    for n in lengths:
+        view = table[_offset(table, m, z, n) :]
+        words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
+        for k, zs, counts in _lifts(lower, label, n, sizes):
+            low, low_colours = lower[n - k]
+            z_powers = powers[zs]  # m^q for each coordinate q of each Z, ascending
+            z_weights = z_powers.sum(axis=1)
+            costs = counts + n - k  # a hit's candidates and its letters, as `_scan` counts a family's working set
+            budgets = (np.cumsum(costs) - costs) // SLAB_ENTRIES
+            starts = np.flatnonzero(np.diff(budgets, prepend=-1) > 0).tolist()
+            for lo, hi in zip(starts, starts[1:] + [len(low)]):
+                slab = low[lo:hi]
+                packed = [np.where(slab <= m, slab - 1, 0) @ powers[: n - k]]
+                packed += [(slab == b) @ powers[: n - k] for b in range(m + 1, label)]
+                points = (np.column_stack(packed) @ letters).T  # row a: each hit's lower point for arrangement a
+                hit, zi = _pairs(counts[lo:hi], len(zs))
+                colour = low_colours[lo:hi][hit]
+                for a, letter in enumerate(arrangements[:, -1]):
+                    if not len(hit):
+                        break
+                    point = points[a][hit]
+                    for q in z_powers.T:  # ascending, so that each coordinate is inserted where it stays
+                        point += (point - point % q[zi]) * (m - 1)
+                    keep = view[point + z_weights[zi] * letter] == colour
+                    hit, zi, colour = hit[keep], zi[keep], colour[keep]
+                words.append(_lift(slab[hit], zs[zi], np.full((len(hit), k), label, np.int8)))
+                colours.append(colour)
+        out[n] = (np.concatenate(words), np.concatenate(colours))
+    return out
+
+
 def _join(lower: Hits, blocks: int, copies: int, lengths: range, m: int, sizes: range) -> Hits:
-    """The hits of T at each length from the hits of T-, T with one of its `copies` neutral letters z fewer.
+    """The hits of T at each length from the hits of T-, T with one of its `copies` >= 2 neutral letters z fewer.
 
     `lower` holds the hits of T- (`blocks` blocks), as label words, at every
     length the join reads.  An arrangement of T puts z on `copies` blocks,
@@ -481,28 +576,21 @@ def _join(lower: Hits, blocks: int, copies: int, lengths: range, m: int, sizes: 
     blocks meet the z blocks of every arrangement and, with copies >= 2, any
     two of them take z together in some arrangement, so that their colours
     agree.  Each T hit at L thus arises once as a T- hit at L - |Z| lifted
-    over Z, with Z the new block of largest minimum, and is kept when the
-    deletions of its first s - copies blocks by minimum are among the sorted
-    lower keys.  The candidates of a length are counted, and refused past
-    MAX_TABLE_ENTRIES letters, before they are built.
+    over Z, with Z the new block of largest minimum (`_lifts`), and is kept
+    when the deletions of its first s - copies blocks by minimum are among
+    the sorted lower keys.  The candidates of a length are counted, and
+    refused past MAX_TABLE_ENTRIES letters, before they are built.
     """
     label = m + blocks + 1  # the new block's: its minimum is the largest
     keys = {k: np.sort(_keys(words)) for k, (words, _) in lower.items()}
     out = {}
     for n in lengths:
-        lifts = []
-        for k in sizes:
-            if n - k in lower:
-                zs = _subsets(n, k)
-                # zs are in lexicographic order, so the sets past a lower hit's last block are a tail of them
-                last = np.argmax(lower[n - k][0] == label - 1, axis=1)  # the first coordinate of that block
-                lifts.append((k, zs, len(zs) - np.searchsorted(zs[:, 0], last, side="right")))
+        lifts = list(_lifts(lower, label, n, sizes))
         _check_entries(f"the join at n={n}", n * sum(int(counts.sum()) for *_, counts in lifts))
         words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
         for k, zs, counts in lifts:
             low, low_colours = lower[n - k]
-            h = np.repeat(np.arange(len(low)), counts)
-            z = np.arange(len(h)) + np.repeat(len(zs) - np.cumsum(counts), counts)  # hit i takes the last counts[i]
+            h, z = _pairs(counts, len(zs))
             words.append(_lift(low[h], zs[z], np.full((len(h), k), label, np.int8)))
             colours.append(low_colours[h])
         words, colours = np.concatenate(words), np.concatenate(colours)
@@ -533,13 +621,15 @@ def _climb(
     """The hits of t at every length its placements at n delete down to, by climbing the neutral letter z.
 
     T_j is t with j of its J copies of z.  Each deletion of a block of a
-    T_j hit leaves a T_{j-1} hit of its colour (see `_join`), so J deletions
-    take a hit of t at n to a hit of T_0 no longer than n - J*min_size.  T_0
-    is scanned first, stopping at its first hit: with none, t has none.
-    Otherwise T_1 is scanned up to n - (J-1)*min_size and joined up to t.
-    Hits are label words by length, as `_scan` returns them, with their
-    references over `symbols`: with neutral references they are wanted at
-    every length, without them only at the lengths that reach n.
+    T_j hit leaves a T_{j-1} hit of its colour (see `_extend` and `_join`),
+    so J deletions take a hit of t at n to a hit of T_0 no longer than
+    n - J*min_size.  T_0 is scanned in full up to there: with no hit, t has
+    none.  Otherwise T_1 is built up to n - (J-1)*min_size by extending the
+    T_0 hits through the table (`_extend`), the T_0 hits are dropped, and
+    T_1 is joined up to t.  Hits are label words by length, as `_scan`
+    returns them, with their references over `symbols`: with neutral
+    references they are wanted at every length, without them only at the
+    lengths that reach n.
     """
     count, low, high = t.counts[z - 1], sizemode.min_size, max(sizemode.size_range())
 
@@ -550,11 +640,11 @@ def _climb(
         floor = sub(j).s * low
         return range(floor if neutral else max(floor, n - (count - j) * high), n - (count - j) * low + 1)
 
-    # one worker: the certificate stops at its first hit, sooner than a pool starts
-    _, hits = _scan(table, sub(0), sizemode, None, lengths(0), symbols, neutral, z, True, 1)
-    if not any(len(words) for words, _ in hits.values()):
+    _, lower = _scan(table, sub(0), sizemode, None, lengths(0), symbols, neutral, z, False, workers)
+    if not any(len(words) for words, _ in lower.values()):
         return {}
-    _, found = _scan(table, sub(1), sizemode, None, lengths(1), symbols, neutral, z, False, workers)
+    found = _extend(table, lower, sub(1), z, lengths(1), sizemode.size_range())
+    del lower
     for j in range(2, count + 1):
         found = _join(found, sub(j - 1).s, j, lengths(j), t.m, sizemode.size_range())
     return found
@@ -699,11 +789,12 @@ def verify_absence(
 
     A full scan with no pattern climbs instead when a template letter z is
     neutral and repeats beside other letters (the one with most copies,
-    J >= 2 of them): by the lemmas in `_climb` and `_join` the hits of t come
-    from scans of t with no z (an absence certificate) and with one z, at
-    most n - (J-1)*min_size long, then one join per further z.  `examined`
-    is then the closed-form `placement_count`, and no family array is built
-    at n.
+    J >= 2 of them): by the lemmas in `_extend` and `_join` the hits of t
+    come from a full scan of t with no z (an absence certificate when it has
+    no hit), whose hits extend through the table to the hits of t with one
+    z, at most n - (J-1)*min_size long, then one join per further z.
+    `examined` is then the closed-form `placement_count`, and no family
+    array is built at n.
     """
     t0 = time.perf_counter()
     symbols = reference_symbols(t, reference_domain)

@@ -41,6 +41,24 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, failing with the first line that differs rather than a diff of the whole texts.
+
+    Reports run to hundreds of kilobytes, and pytest's diff of two such
+    strings takes minutes; the comparison itself is plain equality.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    line = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]), None)
+    line = min(len(got_lines), len(want_lines)) if line is None else line  # one text is a prefix of the other
+    pytest.fail(
+        f"texts of {len(got)} and {len(want)} characters differ first at line {line + 1}: "
+        f"got {got_lines[line : line + 1]!r}, want {want_lines[line : line + 1]!r}",
+        pytrace=False,
+    )
+
+
 def run_json(*argv):
     code, out, err = run_cli(*argv)
     assert code == 0, err
@@ -308,7 +326,7 @@ def _witness_json_and_dict_form(monkeypatch, argv, table=None):
 )
 def test_witness_json_is_the_dict_form_written_by_json_dumps(monkeypatch, argv):
     out, want = _witness_json_and_dict_form(monkeypatch, argv)
-    assert out == want
+    assert_same_text(out, want)
 
 
 @pytest.mark.parametrize("uncoloured", [slice(None, None, 7), slice(None)], ids=["every-7th", "all"])
@@ -316,7 +334,8 @@ def test_witness_json_of_a_table_with_uncoloured_words_is_the_dict_form(monkeypa
     table = random_table_colouring(4, 3, 3, 5)
     table.ids[uncoloured] = -1
     out, want = _witness_json_and_dict_form(monkeypatch, ("--n", "4", "--size-mode", "mixed:1", "--k", "3"), table)
-    assert out == want and ('"1111"' not in out)
+    assert_same_text(out, want)
+    assert '"1111"' not in out
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -768,7 +787,7 @@ def test_found_list_writer_writes_the_bytes_of_the_reference_dicts(monkeypatch, 
     emit_report(report.to_json_dict(), out_format, expected)
     monkeypatch.setattr(json, "dump", None)  # the found list must not go through the encoder
     emit_report(report.to_json_dict(entries=False), out_format, got)
-    assert got.getvalue() == expected.getvalue()
+    assert_same_text(got.getvalue(), expected.getvalue())
 
 
 @pytest.mark.parametrize("out_format", ["csv", "text"])
@@ -780,7 +799,8 @@ def test_csv_and_text_of_a_scan_match_its_dicts(out_format):
     code, out, err = run_cli(
         "verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "10", "--workers", "1", "--stable", "--format", out_format
     )
-    assert (code, err, out) == (0, "", expected.getvalue())
+    assert (code, err) == (0, "")
+    assert_same_text(out, expected.getvalue())
 
 
 def test_found_list_writer_bytes_through_the_cli(tmp_path):
@@ -797,7 +817,7 @@ def test_found_list_writer_bytes_through_the_cli(tmp_path):
         code, out, _ = run_cli(*argv, "--output", str(path))
         text = path.read_text()
         assert (code, out) == (0, "") and "found" in json.loads(text)
-        assert text == json_dump_text(json.loads(text))
+        assert_same_text(text, json_dump_text(json.loads(text)))
 
 
 def test_reports_without_placements_keep_json_dump():

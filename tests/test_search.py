@@ -570,6 +570,83 @@ def test_every_block_deletion_of_a_pq12_hit_is_a_lower_hit_of_its_colour():
         assert all((_delete_block(placement, b), colour) in lower for b in range(4))
 
 
+def _delete_key(n, blocks, reference, b):
+    """`_delete_block` on (n, blocks, reference) keys: no `Placement` is built."""
+    kept = [c for c in range(1, n + 1) if c not in blocks[b]]
+    new = {c: i for i, c in enumerate(kept, 1)}
+    rest = tuple(tuple(new[c] for c in block) for j, block in enumerate(blocks) if j != b)
+    return len(kept), rest, tuple((new[c], sym) for c, sym in reference)
+
+
+def test_a_123_placement_is_a_hit_exactly_when_its_deletions_are_12_hits_of_one_colour():
+    """Lemma (b) for j = 1 on data, both ways: 123 holds one 3, which is neutral.
+
+    Every placement has a block of largest minimum, and deleting it leaves a
+    12 placement.  So lifting each 12 hit over each block past its last
+    block's minimum reaches every 123 placement whose deletions are all 12
+    hits; those whose three deletions share one colour must be exactly the
+    123 hits, with that colour.  Both lists come from direct scans, which
+    declare no neutral symbols.
+    """
+    colouring = DirectContribution(3, 3)
+
+    def hits(t, lengths):
+        found = [hit for n in lengths for hit in verify_absence(colouring, n, t, MixedSize(2)).found]
+        return {(p.n, p.blocks, p.reference): c for p, c in found}
+
+    lower, upper = hits(T12, range(2, 10)), hits(T123, range(3, 11))
+    joined = {}
+    for (n, blocks, reference), colour in lower.items():
+        for k in range(1, min(2, 10 - n) + 1):
+            for z in itertools.combinations(range(blocks[-1][0] + 1, n + k + 1), k):
+                kept = [c for c in range(1, n + k + 1) if c not in z]  # the 12 hit's coordinate c goes to kept[c - 1]
+                key = (
+                    n + k,
+                    tuple(tuple(kept[c - 1] for c in block) for block in blocks) + (z,),
+                    tuple((kept[c - 1], sym) for c, sym in reference),
+                )
+                if all(lower.get(_delete_key(*key, b)) == colour for b in range(3)):
+                    joined[key] = colour
+    assert len(upper) == 2 + 28 + 224 + 1384
+    assert joined == upper
+
+
+def _scan_hits(table, t, sizemode, lengths, symbols):
+    """`search._scan`'s hits of t at each length, through a table that holds the neutral symbol 3 past it."""
+    return search._scan(table, t, sizemode, None, lengths, symbols, (3,), 3, False, 1)[1]
+
+
+def _sorted_hits(words, colours):
+    """Hits as sorted (label word, colour) rows, so that lists in any order compare."""
+    return sorted(zip(map(tuple, words.tolist()), colours.tolist()))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_extension_matches_the_direct_scan_at_every_length(data):
+    """The hits of a template with one neutral 3, extended from the hits without it, are those its scan finds."""
+    if data.draw(st.booleans(), "contribution"):
+        modulus, length = data.draw(st.integers(2, 3), "modulus"), data.draw(st.integers(1, 3), "length")
+        colouring = ContributionColouring(modulus, length)
+    else:  # 3 is neutral when it is not the counted symbol
+        colouring = ModularCountColouring(data.draw(st.integers(1, 2), "symbol"), data.draw(st.integers(1, 3), "k"))
+    word = data.draw(st.sampled_from(["13", "123", "1123", "1223"]), "template")
+    t, lower_t = template_from_word(word, m=3), template_from_word(word[:-1], m=3)
+    modes = [EqualSize(1), EqualSize(2), MixedSize(1), MixedSize(2)]
+    sizemode = data.draw(st.sampled_from([mode for mode in modes if t.s * mode.min_size <= 8]), "sizemode")
+    n = data.draw(st.integers(t.s * sizemode.min_size, 8), "n")
+    symbols = blocks.reference_symbols(t, data.draw(st.sampled_from([None, (1, 2), (3,)]), "domain"))
+    table, low, lengths = colouring.dense_table(n, 3), sizemode.min_size, range(t.s * sizemode.min_size, n + 1)
+    lower = _scan_hits(table, lower_t, sizemode, range(lower_t.s * low, n - low + 1), symbols)
+    scanned = _scan_hits(table, t, sizemode, lengths, symbols)
+    with pytest.MonkeyPatch.context() as patch:  # small budgets split the lower hits into many slabs
+        patch.setattr(search, "SLAB_ENTRIES", data.draw(st.sampled_from([1, 16, 1 << 14]), "slab"))
+        extended = search._extend(table, lower, t, 3, lengths, sizemode.size_range())
+    assert extended.keys() == scanned.keys()
+    for k in lengths:
+        assert _sorted_hits(*extended[k]) == _sorted_hits(*scanned[k])
+
+
 def test_scan_refuses_ids_past_62_bits_before_any_table(monkeypatch):
     """A constant colour past int64 serves lattice boxes, but a word scan refuses it before evaluating a colour."""
     for method in ("dense_table", "colour_ids", "colour_id"):
