@@ -524,6 +524,9 @@ def _extend(table: np.ndarray, lower: Hits, t: Template, z: int, lengths: range,
     about SLAB_ENTRIES entries at a time, counting their letters and their
     candidates; each later arrangement is checked only for the candidates
     still of their hit's colour, and only the survivors become label words.
+    The candidates are at most the placements of t a scan would visit, and
+    all of them when every placement without z is a hit (a one-block t
+    without z has one arrangement); they are fewer as it has fewer hits.
     """
     m, label = t.m, t.m + t.s
     # the template reversed first, as in `_scan`: it breaks the most candidates

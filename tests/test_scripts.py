@@ -81,13 +81,10 @@ def test_scan_absence_prints_each_found_entry_as_json():
 
 
 def test_frontier_cell_hashes_the_stdout_of_its_cli_run():
-    """`scripts/frontier.py` times each cell as a CLI child process and hashes its stdout; its cells are fixed."""
+    """`scripts/frontier.py` times each cell as a CLI child process and hashes its stdout."""
     spec = importlib.util.spec_from_file_location("frontier", ROOT / "scripts" / "frontier.py")
     frontier = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(frontier)
-    assert [name for name, _ in frontier.CELLS] == [
-        "pq12 n=14", "pq12 n=15", "pq12 n=16", "pq12 n=17", "d2 n=21", "d2 n=22", "d2 n=23", "d3 n=40",
-    ]
     args = ["--d", "2", "--pq", "1,2", "--n", "9"]
     code, seconds, peak, sha = frontier.run_cell(args)
     direct = subprocess.run(
