@@ -6,8 +6,8 @@ from this checkout's `src`, interpreter start included, and prints one line:
 its exit code, wall seconds, peak RSS (the child's `ru_maxrss`, as
 RUSAGE_CHILDREN counts it) and the sha256 of its stdout, which is read in
 chunks and never held whole.  The cells are the pq12 runs at n=14..17 (n=17
-exits 1 at the listing limit), the degree-2 runs at n=21..23 and the
-degree-3 run at n=40.
+exits 1 at the listing limit), the degree-2 runs at n=21..23, the
+degree-3 run at n=40 and the degree-4 runs at n=75 and n=76.
 
 Example:
     python scripts/frontier.py
@@ -26,6 +26,7 @@ CELLS = [
     *((f"pq12 n={n}", ["--d", "2", "--pq", "1,2", "--n", str(n)]) for n in range(14, 18)),
     *((f"d2 n={n}", ["--d", "2", "--n", str(n)]) for n in range(21, 24)),
     ("d3 n=40", ["--d", "3", "--n", "40"]),
+    *((f"d4 n={n}", ["--d", "4", "--n", str(n)]) for n in (75, 76)),
 ]
 
 

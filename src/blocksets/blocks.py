@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -231,23 +232,24 @@ def blockset_points(p: Placement, t: Template) -> set[Word]:
 
     Every word equals the reference off the blocks and is constant on each
     block; the block constants run over all distinct permutations of the
-    template, so the result has multinomial(s; counts) points.
+    template, so the result has multinomial(s; counts) points.  Each point is
+    gathered from the reference symbols followed by the arrangement's
+    letters, through one map of each coordinate to its entry there.
     """
     if len(p.blocks) != t.s:
         raise ArityMismatch(f"{len(p.blocks)} blocks for template of length {t.s}")
-    base = [0] * p.n
-    for coord, symbol in p.reference:
-        if symbol > t.m:
-            raise InvalidSymbol(f"reference symbol {symbol} outside [1, {t.m}]")
-        base[coord - 1] = symbol
-    points = set()
-    for arrangement in t.arrangements():
-        syms = base[:]
-        for block, value in zip(p.blocks, arrangement):
-            for coord in block:
-                syms[coord - 1] = value
-        points.add(Word(tuple(syms), t.m))
-    return points
+    m, reference = t.m, p.reference
+    source = [0] * p.n
+    for i, (coord, symbol) in enumerate(reference):
+        if symbol > m:
+            raise InvalidSymbol(f"reference symbol {symbol} outside [1, {m}]")
+        source[coord - 1] = i
+    for j, block in enumerate(p.blocks, len(reference)):
+        for coord in block:
+            source[coord - 1] = j
+    symbols = tuple([symbol for _, symbol in reference])
+    pick = operator.itemgetter(*source) if p.n > 1 else tuple  # at n = 1 the one entry is the point
+    return {Word(pick(symbols + arrangement), m) for arrangement in t.arrangements()}
 
 
 def family_sort_key(blocks: Sequence[tuple[int, ...]]) -> tuple:

@@ -254,7 +254,7 @@ class TableColouring(Colouring):
     name: str = "table"
 
     def colour_id(self, w: Word) -> int:
-        c = int(self.ids[w.index]) if (w.n, w.m) == (self.n, self.m) else -1
+        c = self.ids.item(w.index) if len(w.symbols) == self.n and w.m == self.m else -1
         if c < 0:
             raise DomainError(f"word {w} outside table domain")
         return c

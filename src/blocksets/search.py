@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import multiprocessing
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,7 +53,7 @@ from .colourings import (
     slot_word_for,
     substitute,
 )
-from .words import MAX_TABLE_ENTRIES, CapacityExceeded, Word
+from .words import MAX_TABLE_ENTRIES, CapacityExceeded, InvalidSymbol, Word
 
 R = TypeVar("R")
 
@@ -103,8 +104,9 @@ class Found(Sequence):
     numbered from 1 by minimum, and its reference symbol on every other
     coordinate, so the hits of one block family are consecutive.  `len` reads
     the arrays; reading an entry decodes every hit, once, to its
-    (Placement, colour id) pair.  The CLI writes its reports from the arrays
-    (`runs`), with no `Placement` per hit.
+    (Placement, colour id) pair, with the constructor's checks made once per
+    run of one block family (`decode`).  The CLI writes its reports from the
+    arrays (`runs`), with no `Placement` per hit.
     """
 
     def __init__(
@@ -138,12 +140,36 @@ class Found(Sequence):
         return self._entries
 
     def decode(self, lo: int, hi: int) -> list[tuple[Placement, int]]:
-        """Hits lo..hi-1 as (Placement, colour id) pairs."""
-        return [
-            (Placement(self.n, run.blocks, tuple((c, row[c]) for c in run.free), self.sizemode), row[0])
-            for run in self.runs(lo, hi)
-            for row in run.rows
-        ]
+        """Hits lo..hi-1 as (Placement, colour id) pairs.
+
+        The hits of a run share its blocks and free coordinates, so the
+        `Placement` constructor checks them once, on the run's first hit, and
+        each hit of the run has only its own reference symbols checked (at
+        least 1; a label word's letters above m are block labels).  The
+        placements of a run share its `blocks` tuple, and their references
+        one (coordinate, symbol) pair per coordinate and symbol.
+        """
+        n, sizemode, setfield = self.n, self.sizemode, object.__setattr__
+        pairs = [{s: (c, s) for s in range(1, self.m + 1)} for c in range(n + 1)]
+        out = []
+        for run in self.runs(lo, hi):
+            blocks, free, rows = run.blocks, run.free, run.rows
+            pick = operator.itemgetter(*free) if len(free) > 1 else lambda row: tuple([row[c] for c in free])
+            Placement(n, blocks, tuple(zip(free, pick(rows[0]))), sizemode)  # raises unless the run's blocks are valid
+            shared = [pairs[c] for c in free]
+            for row in rows:
+                symbols = pick(row)
+                try:
+                    reference = tuple(map(dict.__getitem__, shared, symbols))
+                except KeyError:
+                    raise InvalidSymbol(f"reference symbol {next(s for s in symbols if s < 1)} < 1") from None
+                placement = object.__new__(Placement)  # the fields the constructor sets, with its checks made above
+                setfield(placement, "n", n)
+                setfield(placement, "blocks", blocks)
+                setfield(placement, "reference", reference)
+                setfield(placement, "sizemode", sizemode)
+                out.append((placement, row[0]))
+        return out
 
     def runs(self, lo: int = 0, hi: Optional[int] = None) -> Iterator[Run]:
         """Hits lo..hi-1 cut into runs of one block family, DECODE_BATCH hits at most each.
@@ -491,7 +517,7 @@ def _lifts(lower: Hits, label: int, n: int, sizes: range) -> Iterator[tuple[int,
     tail of them, of length counts[i] for hit i (see `_pairs`).
     """
     for k in sizes:
-        if n - k in lower:
+        if n - k in lower and len(lower[n - k][0]):
             zs = _subsets(n, k)
             last = np.argmax(lower[n - k][0] == label - 1, axis=1)  # the first coordinate of that block
             yield k, zs, len(zs) - np.searchsorted(zs[:, 0], last, side="right")
@@ -685,7 +711,11 @@ def _recheck_hits(colouring: Colouring, t: Template, found: Found) -> None:
     Any other colouring checks each point of each hit's `blockset_points`
     through `colour_id` (`_verify_hit`), on the placements that then serve
     as `found`'s entries; the benchmark's tracer test pins exactly those
-    calls for a table colouring, one `blockset_points` call per hit.  A hit
+    calls for a table colouring, one `blockset_points` call per hit and one
+    `colour_id` call per point.  So that road keeps its objects per hit and
+    makes each cheap: `found` checks a run of one block family once as it
+    decodes it, `blockset_points` gathers each point through one coordinate
+    map, and `TableColouring.colour_id` reads its id array directly.  A hit
     that fails raises ExtractionContradiction.
     """
     if not hasattr(colouring, "colour_ids"):
@@ -797,7 +827,8 @@ def verify_absence(
     no hit), whose hits extend through the table to the hits of t with one
     z, at most n - (J-1)*min_size long, then one join per further z.
     `examined` is then the closed-form `placement_count`, and no family
-    array is built at n.
+    array is built at n.  The blocks of [n] are read only to sort hits at n,
+    so a climb with none proves absence past n = 62 (`candidate_blocks`).
     """
     t0 = time.perf_counter()
     symbols = reference_symbols(t, reference_domain)
@@ -815,10 +846,9 @@ def verify_absence(
             f"{(colouring.colour_count - 1).bit_length()}-bit colour ids; "
             f"the limits are {MAX_TABLE_ENTRIES:,} entries and 62-bit ids"
         )
-    # too few coordinates, or more than 62 (`candidate_blocks`), are refused before a table is built
+    # too few coordinates are refused before a table is built; more than 62 only with hits to list
     if n < t.s * sizemode.min_size:
         raise AmbientTooSmall(f"n={n} cannot hold {t.s} disjoint blocks of size >= {sizemode.min_size}")
-    blocks = candidate_blocks(n, sizemode)
     if climb:
         examined = placement_count(n, t, sizemode, len(symbols))
         hits = _climb(colouring.dense_table(longest, t.m), t, climb, n, sizemode, scanned, neutral, workers)
@@ -831,6 +861,8 @@ def verify_absence(
     _check_entries(f"listing the {listed:,} monochromatic placements at n={n}", listed * (n + t.s))
     words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
     for k, (word, colour) in hits.items():
+        if not len(word):
+            continue
         zs = _subsets(n, n - k)
         fills = np.array(list(itertools.product(neutral, repeat=n - k)), np.int8)
         fills = fills.reshape(len(neutral) ** (n - k), n - k)
@@ -838,15 +870,18 @@ def verify_absence(
         words.append(_lift(word[hit], zs[z], fills[fill]))
         colours.append(colour[hit])
     words, colours = np.concatenate(words), np.concatenate(colours)
-    # their id rows at n, from each block label's coordinates
-    bits = block_weights(blocks, 2)
-    by_bits = np.argsort(bits).astype(np.min_scalar_type(len(blocks)))
-    # one coordinate at a time, so that no int64 array of hits x n is built
-    masks = sum((words[:, c, None] == np.arange(t.m + 1, t.m + t.s + 1)) << np.int64(c) for c in range(n))
-    rows = np.sort(by_bits[np.searchsorted(bits[by_bits], masks)], axis=1)
-    # canonical order: by id row, then reference word (one id row labels its blocks' coordinates alike)
-    order = np.lexsort([*words.T[::-1], *rows.T[::-1]])
-    found = Found(n, t.m, sizemode, words[order], colours[order], colouring)
+    if len(words):
+        # their id rows at n, from each block label's coordinates; only these read the blocks of [n]
+        blocks = candidate_blocks(n, sizemode)
+        bits = block_weights(blocks, 2)
+        by_bits = np.argsort(bits).astype(np.min_scalar_type(len(blocks)))
+        # one coordinate at a time, so that no int64 array of hits x n is built
+        masks = sum((words[:, c, None] == np.arange(t.m + 1, t.m + t.s + 1)) << np.int64(c) for c in range(n))
+        rows = np.sort(by_bits[np.searchsorted(bits[by_bits], masks)], axis=1)
+        # canonical order: by id row, then reference word (one id row labels its blocks' coordinates alike)
+        order = np.lexsort([*words.T[::-1], *rows.T[::-1]])
+        words, colours = words[order], colours[order]
+    found = Found(n, t.m, sizemode, words, colours, colouring)
     _recheck_hits(colouring, t, found)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SearchReport(

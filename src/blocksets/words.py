@@ -66,15 +66,14 @@ class Word:
     m: int
 
     def __post_init__(self) -> None:
-        _check_alphabet(self.m)
-        for s in self.symbols:
-            if not 1 <= s <= self.m:
-                raise InvalidSymbol(f"symbol {s} outside [1, {self.m}]")
-        if len(self.symbols) > _PACKED_CAPACITY[self.m]:
-            raise CapacityExceeded(
-                f"length {len(self.symbols)} exceeds packed capacity "
-                f"{_PACKED_CAPACITY[self.m]} for m={self.m}"
-            )
+        symbols, m = self.symbols, self.m
+        if not MIN_ALPHABET <= m <= MAX_ALPHABET:
+            _check_alphabet(m)  # raises
+        for s in symbols:
+            if not 1 <= s <= m:
+                raise InvalidSymbol(f"symbol {s} outside [1, {m}]")
+        if len(symbols) > _PACKED_CAPACITY[m]:
+            raise CapacityExceeded(f"length {len(symbols)} exceeds packed capacity {_PACKED_CAPACITY[m]} for m={m}")
 
     @property
     def n(self) -> int:
@@ -83,9 +82,9 @@ class Word:
     @property
     def index(self) -> int:
         """Packed index: digits symbol-1 in base m, coordinate 1 least significant."""
-        idx = 0
+        idx, m = 0, self.m
         for s in reversed(self.symbols):
-            idx = idx * self.m + (s - 1)
+            idx = idx * m + (s - 1)
         return idx
 
     def __str__(self) -> str:

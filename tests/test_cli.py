@@ -1031,18 +1031,36 @@ def test_bad_colour_bounds_exit_1(argv, message):
     assert message in err
 
 
-@pytest.mark.parametrize("n", [31, 34])
-def test_verify_thm2_degree3_reports_absence_past_the_table_limit(n):
-    """d=3 is one 1, three 2s and 27 3s with blocks of size <= 3: a direct scan would need [3]^n."""
-    report = run_json("verify", "thm2", "--d", "3", "--n", str(n), "--workers", "1")
-    examined = 0  # families of 31 blocks by size multiset, n! / ((n-b)! prod size!^count count!), 3^(n-b) references
-    for sizes in itertools.combinations_with_replacement(range(1, 4), 31):
+def _thm2_placements(d: int, n: int) -> int:
+    """Placements of the degree-d template (1 + d + d^3 blocks of size <= d) in [3]^n.
+
+    Families of b coordinates by size multiset number n! / ((n-b)! prod size!^count count!), each with
+    3^(n-b) references.
+    """
+    examined = 0
+    for sizes in itertools.combinations_with_replacement(range(1, d + 1), 1 + d + d**3):
         if sum(sizes) <= n:
             families = math.factorial(n) // math.factorial(n - sum(sizes))
             for size in set(sizes):
                 families //= math.factorial(size) ** sizes.count(size) * math.factorial(sizes.count(size))
             examined += families * 3 ** (n - sum(sizes))
-    assert (report["examined"], report["found"]) == (examined, [])
+    return examined
+
+
+@pytest.mark.parametrize("n", [31, 34])
+def test_verify_thm2_degree3_reports_absence_past_the_table_limit(n):
+    """d=3 is one 1, three 2s and 27 3s with blocks of size <= 3: a direct scan would need [3]^n."""
+    report = run_json("verify", "thm2", "--d", "3", "--n", str(n), "--workers", "1")
+    assert (report["examined"], report["found"]) == (_thm2_placements(3, n), [])
+
+
+def test_verify_thm2_degree4_reports_absence_past_n_62():
+    """d=4 (69 blocks) at n=73: its climb has no hit, so no block of [73] is ever enumerated."""
+    code, out, err = run_cli("verify", "thm2", "--d", "4", "--n", "73", "--workers", "1", "--stable")
+    report = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (report["examined"], report["found"]) == (_thm2_placements(4, 73), [])
+    assert report["examined"] == 2_205_311_015_985
 
 
 def test_scan_past_the_table_limit_exits_1_at_once():

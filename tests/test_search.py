@@ -34,6 +34,7 @@ from blocksets.colourings import (
     Colouring,
     ConstantColouring,
     ContributionColouring,
+    DomainError,
     InducedColouring,
     ModularCountColouring,
     TableColouring,
@@ -47,6 +48,7 @@ from blocksets import search
 from blocksets.search import (
     BudgetExceeded,
     ExtractionContradiction,
+    Found,
     HomogeneousSet,
     NotHomogeneous,
     SubsetColouring,
@@ -58,7 +60,7 @@ from blocksets.search import (
     verify_absence,
     witness_search,
 )
-from blocksets.words import CapacityExceeded, Word, all_words, encode_word
+from blocksets.words import CapacityExceeded, InvalidSymbol, Word, all_words, encode_word
 
 T123 = template_from_word("123")
 T12 = template_from_word("12", m=3)
@@ -670,6 +672,21 @@ def test_join_counts_its_candidates_before_building_them(monkeypatch):
     assert colours.tolist() == [7, 7, 7]
 
 
+def test_a_hitless_climb_builds_no_position_set_at_n(monkeypatch):
+    """d2 at n=19: the `122` certificate has hits at length 11, which climb to no hit of `1223` or above.
+
+    The climb lifts only lengths that hold hits, and the listing at n skips
+    every hitless length: no `_subsets(19, ...)` is built.
+    """
+    calls = []
+    subsets = search._subsets
+    monkeypatch.setattr(search, "_subsets", lambda n, r: calls.append((n, r)) or subsets(n, r))
+    t, colouring = cli.degree_setup(2, None)
+    report = verify_absence(colouring, 19, t, MixedSize(2))
+    assert len(report.found) == 0 and report.examined == placement_count(19, t, MixedSize(2), 3)
+    assert calls and max(n for n, _ in calls) < 19  # the T_0 hits were lifted, and nothing at 19
+
+
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_climb_matches_the_naive_and_the_direct_scan(data):
@@ -986,9 +1003,116 @@ def test_found_is_decoded_only_when_read(placements_built, colouring, n, t):
     expected = naive_monochromatic(colouring, n, t, MixedSize(2))
     built = placements_built["Placement"]
     assert report.found == expected
-    assert placements_built["Placement"] == built + len(expected)  # decoded once, on the first read
+    runs = sum(1 for _ in report.found.runs())  # the constructor checks the first hit of each run
+    assert placements_built["Placement"] == built + runs < built + len(expected)  # decoded once, on the first read
     assert report.found[:1] == expected[:1] and list(report.found) == expected
-    assert placements_built["Placement"] == built + len(expected)
+    assert placements_built["Placement"] == built + runs
+
+
+def _decode_reference(found):
+    """The per-hit decode: every hit of `found` through the `Placement` constructor."""
+    return [
+        (Placement(found.n, run.blocks, tuple((c, row[c]) for c in run.free), found.sizemode), row[0])
+        for run in found.runs()
+        for row in run.rows
+    ]
+
+
+def _blockset_points_reference(p, t):
+    """`blockset_points` by writing each block's coordinates once per arrangement."""
+    base = [0] * p.n
+    for coord, symbol in p.reference:
+        if symbol > t.m:
+            raise InvalidSymbol(f"reference symbol {symbol} outside [1, {t.m}]")
+        base[coord - 1] = symbol
+    points = set()
+    for arrangement in t.arrangements():
+        syms = base[:]
+        for block, value in zip(p.blocks, arrangement):
+            for coord in block:
+                syms[coord - 1] = value
+        points.add(Word(tuple(syms), t.m))
+    return points
+
+
+def _colour_id_reference(colouring, w):
+    """`TableColouring.colour_id` through the word's length and alphabet pair and a numpy scalar read."""
+    c = int(colouring.ids[w.index]) if (w.n, w.m) == (colouring.n, colouring.m) else -1
+    if c < 0:
+        raise DomainError(f"word {w} outside table domain")
+    return c
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "returns", call()
+    except (ValueError, KeyError) as error:
+        return type(error), str(error)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_colouring_hits_match_the_per_hit_references(data):
+    """The run-wise decode, the gathered points and the direct table reads give what the per-hit roads gave."""
+    m, n = data.draw(st.sampled_from([(3, 5), (3, 6), (3, 7), (3, 8), (2, 6), (3, 1)]), "space")
+    words = ["1", "2"] if n == 1 else ["11", "12"] if m == 2 else ["11", "123", "1233"]
+    t = template_from_word(data.draw(st.sampled_from(words), "template"), m=m)
+    modes = [mode for mode in (EqualSize(2), MixedSize(1), MixedSize(2)) if t.s * mode.min_size <= n]
+    sizemode = data.draw(st.sampled_from(modes), "sizemode")
+    pattern = None
+    if data.draw(st.booleans(), "with pattern"):  # the blocks one after another, of drawn sizes
+        sizes = [data.draw(st.sampled_from(sizemode.size_range()), "size") for _ in range(t.s)]
+        pattern = "".join(chr(ord("A") + j) * size for j, size in enumerate(sizes))
+        if len(pattern) > n:
+            pattern = None
+    domain = data.draw(st.sampled_from([None, (1, 2), (m,), (2, m)]), "domain")
+    colouring = random_table_colouring(n, m, data.draw(st.integers(1, 3), "k"), data.draw(st.integers(0, 99), "seed"))
+    found = verify_absence(colouring, n, t, sizemode, pattern, domain).found
+    expected = _decode_reference(found)
+    assert found.decode(0, len(found)) == expected
+    assert [hash(entry) for entry in found.entries()] == [hash(entry) for entry in expected]
+    assert found.entries() == naive_monochromatic(colouring, n, t, sizemode, pattern, domain)
+    holed = TableColouring(np.where(np.arange(m**n) % 5 == 1, -1, colouring.ids), n, m, 3)  # a partial table
+    for p, _ in expected[:: max(1, len(expected) // 300)]:
+        points = blockset_points(p, t)
+        assert list(points) == list(_blockset_points_reference(p, t))  # the same set, built in the same order
+        for w in points:
+            for table in (colouring, holed):
+                assert _outcome(lambda: table.colour_id(w)) == _outcome(lambda: _colour_id_reference(table, w))
+    for w in (Word((1,) * (n + 1), m), Word((1,) * n, m + 1)):  # outside the table's length or alphabet
+        assert _outcome(lambda: colouring.colour_id(w)) == _outcome(lambda: _colour_id_reference(colouring, w))
+        assert _outcome(lambda: colouring.colour_id(w))[0] is DomainError
+
+
+@pytest.mark.parametrize("value", [0, -1, 4, 8])
+@pytest.mark.parametrize("which", ["first", "second"])
+def test_a_tampered_label_word_raises_the_constructors_error(which, value):
+    """A reference symbol below 1, or a letter above m, on the first or a later hit of a run.
+
+    A letter above m is a block label: 4 joins a coordinate to block 1 (size 2 past mixed:1), and 8 names a
+    block past the template's, which leaves block 4 empty.  Either way the labels of that hit differ from its
+    run's, so it starts a run of its own and the constructor checks it.
+    """
+    found = verify_absence(random_table_colouring(6, 3, 2, 3), 6, T123, MixedSize(1)).found
+    start = 0
+    for run in found.runs():
+        if len(run.rows) > 1:
+            break
+        start += len(run.rows)
+    row = start + (which == "second")
+    words = found.words.copy()
+    words[row, run.free[0] - 1] = value
+    tampered = Found(found.n, found.m, found.sizemode, words, found.colours, found.colouring)
+    kind, message = _outcome(lambda: tampered.decode(0, len(tampered)))
+    assert (kind, message) == _outcome(lambda: _decode_reference(tampered))
+    block = f"block {(run.blocks[0][0], run.free[0])} violates size mode mixed:1"
+    assert (kind, message) == {
+        0: (InvalidSymbol, "reference symbol 0 < 1"),
+        -1: (InvalidSymbol, "reference symbol -1 < 1"),
+        4: (InvalidPlacement, block),
+        8: (InvalidPlacement, "empty block"),
+    }[value]
 
 
 def test_reports_of_more_than_26_blocks_have_no_pattern():
