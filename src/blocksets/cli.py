@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -546,8 +547,8 @@ def _run_extract_thm3(args: argparse.Namespace) -> dict:
     theta = search.induced_subset_colouring(base, k, args.n)
     if args.set:
         members = tuple(sorted(_int(c, "--set") for c in args.set.split(",")))
-        colour = theta.colour(members[: 2 * k + 2])
-        homog = search.HomogeneousSet(args.n, 2 * k + 2, members, colour)
+        homog = search.HomogeneousSet(args.n, 2 * k + 2, members, None)  # checks the members before any is coloured
+        homog = dataclasses.replace(homog, colour=theta.colour(members[: 2 * k + 2]))
     else:
         homog = search.homogeneous_subset_search(theta, 2 * k + 4)
         if homog is None:

@@ -359,6 +359,8 @@ def slot_word_for(positions: Sequence[int], n: int) -> Word:
     """Word over [3] with 2s at the given 1-based positions and 3s elsewhere."""
     syms = [3] * n
     for pos in positions:
+        if not 1 <= pos <= n:
+            raise ValueError(f"slot position {pos} is outside [1, {n}]")
         syms[pos - 1] = 2
     return Word(tuple(syms), 3)
 

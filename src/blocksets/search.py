@@ -246,8 +246,11 @@ class HomogeneousSet:
     colour: Hashable
 
     def __post_init__(self) -> None:
-        if tuple(sorted(self.members)) != self.members:
-            raise ValueError("members must be sorted")
+        for a, b in zip(self.members, self.members[1:]):
+            if a == b:
+                raise ValueError(f"members must be distinct: {a} repeats")
+            if a > b:
+                raise ValueError("members must be sorted")
         if len(self.members) < self.r:
             raise ValueError(f"{len(self.members)} members but uniformity {self.r}")
 
@@ -324,7 +327,7 @@ def _reference_bases(
         yield k, fams, (powers[complement].astype(np.float64) @ digit_matrices[k]).astype(np.int64)
 
 
-def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, np.ndarray]:
+def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
     """Scan contiguous slabs of block families through the colour table.
 
     Each slab is a (level, lo, hi) range of the `block_families` arrays at
@@ -341,17 +344,18 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, np.ndarra
     row's deltas are computed, and compared, only for the families with pairs
     still monochromatic.
 
-    Returns (placements examined, hits): each placement counts its level's
-    multiplicity, and a hit is a row (level, family index, reference index,
-    colour id), in canonical order within its level.  In first-only mode the
-    chunk stops after the first slab with a hit and counts the placements up
-    to and including that slab's first hit.
+    Returns (placements examined, hits as label words by length, for the
+    lengths with hits): each placement counts its level's multiplicity.  A
+    slab labels its own hits, in canonical order (see `_scan`): a hit's
+    base holds its reference symbol less one on each free coordinate and 0
+    on its blocks.  In first-only mode the chunk stops after the first slab
+    with a hit and counts the placements up to and including that slab's
+    first hit, the one hit it returns.
     """
     table, m, symbols, arrangements, weight, families, levels, first_only = shared
     count = len(arrangements)
     digit_matrices: dict[int, np.ndarray] = {}
-    examined = 0
-    hits = [np.empty((0, 4), np.int64)]
+    examined, found = 0, {}
     for level, lo, hi in slabs:
         n, offset, multiplicity = levels[level]
         view = table[offset : offset + m**n]
@@ -371,17 +375,22 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, np.ndarra
                     break
                 keep = view[bases[fi, ri] + (live_weights @ arrangements[a])[live]] == colour[fi, ri]
                 fi, ri, live = fi[keep], ri[keep], live[keep]
-            slab_hits.append((fams[fi], ri, colour[fi, ri]))
-        fam_idx, ref_idx, colours = (np.concatenate(column) for column in zip(*slab_hits))
-        order = np.lexsort((ref_idx, fam_idx))
+            slab_hits.append((fams[fi], ri, bases[fi, ri], colour[fi, ri]))
+        fam, ref, base, colours = (np.concatenate(column) for column in zip(*slab_hits))
+        order = np.lexsort((ref, fam))
         refs = len(symbols) ** (n - totals)
         if first_only and len(order):
-            f, r = int(fam_idx[order[0]]), int(ref_idx[order[0]])
-            return examined + int(refs[:f].sum()) + r + 1, np.array([[level, index[f], r, colours[order[0]]]])
-        examined += multiplicity * int(refs.sum())
-        level_hits = (np.full(len(order), level), index[fam_idx[order]], ref_idx[order], colours[order])
-        hits.append(np.column_stack(level_hits))
-    return examined, np.concatenate(hits)
+            order = order[:1]
+            examined += int(refs[: fam[order[0]]].sum()) + int(ref[order[0]]) + 1
+        else:
+            examined += multiplicity * int(refs.sum())
+        if len(order):
+            labels = block_labels(families.blocks, ids[fam[order]], n)
+            free = base[order, None] // np.int64(m) ** np.arange(n) % m + 1
+            found.setdefault(n, []).append((np.where(labels > 0, labels + m, free).astype(np.int8), colours[order]))
+            if first_only:
+                break
+    return examined, {k: tuple(map(np.concatenate, zip(*parts))) for k, parts in found.items()}
 
 
 def _scan(
@@ -403,10 +412,12 @@ def _scan(
     `pad` (a neutral symbol) past coordinate k.  A level's multiplicity counts the
     placements at the longest length behind each of its placements, their
     deleted references taking the `neutral` symbols.  Returns (placements
-    examined, hits as label words by length): a hit at k is an int8 word of
-    length k holding its reference symbol on each free coordinate, and m +
-    the `block_labels` label on each block coordinate, so equal placements
-    have equal words.
+    examined, hits as label words by length, an entry for every length): a
+    hit at k is an int8 word of length k holding its reference symbol on
+    each free coordinate, and m + the `block_labels` label on each block
+    coordinate, so equal placements have equal words.  The slabs label their
+    own hits (`_scan_chunk`), and the chunks come back in slab order, so
+    each length's hits are its chunks' parts in turn.
     """
     top = lengths[-1]
     families = block_families(top, t, sizemode, pattern)
@@ -430,26 +441,15 @@ def _scan(
         slabs.extend((len(levels), lo, hi) for lo, hi in zip(starts, starts[1:] + [len(families.totals)]))
         levels.append(_Level(k, offset, math.comb(top, k) * len(neutral) ** (top - k)))
     examined = 0
-    rows = [np.empty((0, 4), np.int64)]
+    parts = {k: [(np.empty((0, k), np.int8), np.empty(0, np.int64))] for k, _, _ in levels}
     shared = (table, t.m, symbols, arrangements, weight, families, levels, first_only)
     for chunk_examined, chunk_hits in map_chunks(_scan_chunk, shared, slabs, workers):
         examined += chunk_examined
-        rows.append(chunk_hits)
-        if first_only and len(chunk_hits):
+        for k, part in chunk_hits.items():
+            parts[k].append(part)
+        if first_only and chunk_hits:
             break
-    rows, hits = np.concatenate(rows), {}
-    # the chunks come back in slab order, so each level's hits are one run of rows
-    bounds = np.searchsorted(rows[:, 0], np.arange(len(levels) + 1)).tolist()
-    for level, (k, _, _) in enumerate(levels):
-        lo, hi = bounds[level], bounds[level + 1]
-        words = np.empty((hi - lo, k), np.int8)
-        for start in range(lo, hi, SLAB_ENTRIES):  # a batch at a time, so the labelling's temporaries stay small
-            fam, ref, _ = rows[start : min(start + SLAB_ENTRIES, hi), 1:].T
-            labels = block_labels(families.blocks, families.ids[fam], k)
-            references = _references(families.masks[fam], ref, k, symbols)
-            words[start - lo : start - lo + len(fam)] = np.where(labels > 0, labels + t.m, references)
-        hits[k] = (words, rows[lo:hi, 3].copy())  # a copy, not a view that keeps every row alive
-    return examined, hits
+    return examined, {k: tuple(map(np.concatenate, zip(*part))) for k, part in parts.items()}
 
 
 def _offset(table: np.ndarray, m: int, pad: int, k: int) -> int:
@@ -464,19 +464,6 @@ def _check_entries(what: str, entries: int) -> None:
     """Refuse an array of more than MAX_TABLE_ENTRIES entries before it is built."""
     if entries > MAX_TABLE_ENTRIES:
         raise CapacityExceeded(f"{what} needs {entries:,} entries; the limit is {MAX_TABLE_ENTRIES:,}")
-
-
-def _references(masks: np.ndarray, ref: np.ndarray, k: int, symbols: tuple[int, ...]) -> np.ndarray:
-    """Reference words at k of scan hits: 0 on the coordinates in `masks`, the digits of `ref` on the rest.
-
-    The free coordinates, last first, take the digits of the reference index.
-    """
-    word, rest = np.zeros((len(ref), k), np.int8), ref.copy()
-    for c in range(k - 1, -1, -1):
-        free = masks >> c & 1 == 0
-        word[free, c] = np.array(symbols, np.int8)[rest[free] % len(symbols)]
-        rest[free] //= len(symbols)
-    return word
 
 
 def _subsets(n: int, r: int) -> np.ndarray:

@@ -1100,6 +1100,7 @@ def table_files(tmp_path, monkeypatch):
     (tmp_path / "list.json").write_text("[]")
 
 
+THM3_N6 = ("extract", "thm3", "--colouring", "contribution:m=2,l=2", "--k", "1", "--n", "6")
 MONO_123 = ("search", "mono", "--template", "123", "--n", "4", "--size-mode", "mixed:1", "--workers", "1")
 
 
@@ -1154,6 +1155,9 @@ def test_malformed_numbers_name_their_flag_and_value(table_files, argv, message)
          "reference has 1 symbols for 2 non-block coordinates"),
         (("colour", "eval", "--colouring", "table:@t.json", "--word", "11", "--m", "2"),
          "word 11 outside table domain"),
+        (THM3_N6 + ("--set", "1,2,3,4,5,9"), "slot position 9 is outside [1, 6]"),
+        (THM3_N6 + ("--set", "0,1,2,3,4,5"), "slot position 0 is outside [1, 6]"),
+        (THM3_N6 + ("--set", "1,1,2,3,4,5"), "members must be distinct: 1 repeats"),
     ],
 )
 def test_spec_and_domain_errors_exit_1_with_one_line(table_files, argv, message):

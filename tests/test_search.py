@@ -449,6 +449,25 @@ def test_scan_working_set_is_bounded_by_the_slab_budget(case):
     assert peak - table_bytes < enumeration_peak + 16 * budget_bytes
 
 
+def test_all_hits_scan_working_set_is_bounded_by_its_hits():
+    """Under a constant colouring every placement is a hit: 432,054 of `123` mixed:2 at n=9.
+
+    The slabs label their own hits, so the scan holds the hits about twice,
+    as the slabs' label words and their concatenation, and never as wider
+    rows: its peak stays within 2.5 times the returned arrays, plus the
+    slab allowance of the scan tests above.
+    """
+    n, t, sizemode = 9, T123, MixedSize(2)
+    table = ConstantColouring(0, 1).dense_table(n, t.m)
+    (examined, hits), peak = _traced_peak(
+        lambda: search._scan(table, t, sizemode, None, range(n, n + 1), (1, 2, 3), (), 1, False, 1)
+    )
+    words, colours = hits[n]
+    assert examined == len(words) == placement_count(n, t, sizemode, 3) == 432_054
+    returned = words.nbytes + colours.nbytes
+    assert peak < 2.5 * returned + 16 * search.SLAB_ENTRIES * np.dtype(np.int64).itemsize
+
+
 # ---------------------------------------------------------------------------
 # neutral-symbol reduction
 
@@ -1334,6 +1353,7 @@ def test_extract_requires_matching_set_size():
     "call, error, message",
     [
         (lambda: HomogeneousSet(5, 2, (2, 1), 0), ValueError, "members must be sorted"),
+        (lambda: HomogeneousSet(5, 2, (1, 1, 2), 0), ValueError, "members must be distinct: 1 repeats"),
         (lambda: HomogeneousSet(5, 3, (1, 2), 0), ValueError, "2 members but uniformity 3"),
         (lambda: placements_examined_until(
             4, T123, MixedSize(1), None, None, (make_placement(4, [[1], [2]], {3: 1, 4: 1}, MixedSize(1)), 0)
