@@ -269,6 +269,7 @@ class BlockFamilies(NamedTuple):
     ids: np.ndarray
     masks: np.ndarray
     totals: np.ndarray
+    bits: np.ndarray  # each block's coordinate mask
 
 
 def block_families(n: int, t: Template, sizemode: SizeMode, pattern: Optional[str] = None) -> BlockFamilies:
@@ -278,7 +279,7 @@ def block_families(n: int, t: Template, sizemode: SizeMode, pattern: Optional[st
     block i.  Row f of `ids` is family f as a strictly increasing row of
     pairwise disjoint block ids, so lexicographic row order is
     `family_sort_key` order.  `masks[f]` has bit c-1 set for each coordinate
-    c in the family's blocks, and `totals[f]` counts those coordinates.
+    c in the family's blocks (`bits[i]`: block i's), and `totals[f]` counts them.
 
     Rows grow one block at a time: a prefix's children append a larger id
     whose block misses the prefix's coordinates and leaves room for the
@@ -323,11 +324,11 @@ def block_families(n: int, t: Template, sizemode: SizeMode, pattern: Optional[st
     if pattern is not None:
         keep = totals == len(pattern)
         ids, masks, totals = ids[keep], masks[keep], totals[keep]
-        labels = block_labels(blocks, ids, n)
+        labels = block_labels(bits, ids, n)
         want = [ord(ch) - ord("A") + 1 for ch in pattern]
         keep = (labels[labels > 0].reshape(len(ids), len(pattern)) == want).all(axis=1)
         ids, masks, totals = ids[keep], masks[keep], totals[keep]
-    return BlockFamilies(blocks, ids, masks, totals)
+    return BlockFamilies(blocks, ids, masks, totals, bits)
 
 
 def candidate_blocks(n: int, sizemode: SizeMode) -> tuple[tuple[int, ...], ...]:
@@ -346,17 +347,16 @@ def block_weights(blocks: Sequence[tuple[int, ...]], base: int) -> np.ndarray:
     return np.array([sum(base ** (c - 1) for c in block) for block in blocks], np.int64)
 
 
-def block_labels(blocks: Sequence[tuple[int, ...]], ids: np.ndarray, n: int) -> np.ndarray:
+def block_labels(bits: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     """Each family's coordinates of [n] labelled by block, in first-occurrence order.
 
     Row f holds, on each coordinate of a block of family f (`ids` rows index
-    `blocks`), 1 + the rank of that block's minimum among the family's
-    minima, and 0 on the other coordinates: the letters of `pattern_of`,
-    counted from 1.
+    `bits`, the blocks' coordinate masks), 1 + the rank of that block's
+    minimum, its lowest bit, among the family's minima, and 0 on the other
+    coordinates: the letters of `pattern_of`, counted from 1.
     """
-    minima = np.array([b[0] for b in blocks], np.int64)[ids]
-    rank = np.argsort(np.argsort(minima, axis=1), axis=1).astype(np.int8)
-    bits = block_weights(blocks, 2)
+    masks = bits[ids]
+    rank = np.argsort(np.argsort(masks & -masks, axis=1), axis=1).astype(np.int8)
     member = (bits[:, None] >> np.arange(n) & 1).astype(np.int8)
     return sum((rank[:, j, None] + 1) * member[ids[:, j]] for j in range(ids.shape[1]))
 
@@ -390,7 +390,7 @@ def enumerate_block_families(
     A decode of `block_families`: each family is a tuple of blocks sorted by
     minimum element, and the list order follows `family_sort_key`.
     """
-    blocks, ids, _, _ = block_families(n, t, sizemode, pattern)
+    blocks, ids, *_ = block_families(n, t, sizemode, pattern)
     return [tuple(sorted(blocks[i] for i in row)) for row in ids.tolist()]
 
 

@@ -22,7 +22,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -296,12 +296,26 @@ def map_chunks(fn: Callable[[tuple, int, list], R], shared: tuple, items: list, 
     return [fn(shared, start, chunk) for start, chunk in zip(starts, chunks)]
 
 
-class _Level(NamedTuple):
-    """One word length n' a scan visits, and where its words lie in the table of [m]^n."""
+def _slabs(parts: Iterable[np.ndarray]) -> list[list[tuple[int, int, int]]]:
+    """The rows of every part in turn, each part an array of their costs, cut into slabs of about SLAB_ENTRIES.
 
-    n: int
-    offset: int  # where the words of [m]^n', padded with a neutral symbol, start
-    multiplicity: int  # placements at n behind each placement at n'
+    A slab is a list of (part, lo, hi) row ranges.  It starts at each row whose working set starts a new budget
+    of the one cumulative cost, so it holds at least one row and may straddle parts.
+    """
+    slabs: list[list[tuple[int, int, int]]] = []
+    spent, last = 0, -1
+    for part, costs in enumerate(parts):
+        if not len(costs):
+            continue
+        budgets = (np.cumsum(costs) - costs + spent) // SLAB_ENTRIES
+        starts = (np.flatnonzero(budgets[1:] > budgets[:-1]) + 1).tolist()
+        if budgets[0] > last:
+            starts.insert(0, 0)
+        else:  # the part's first rows finish the slab before
+            slabs[-1].append((part, 0, (starts + [len(costs)])[0]))
+        slabs.extend([(part, lo, hi)] for lo, hi in zip(starts, starts[1:] + [len(costs)]))
+        spent, last = spent + int(costs.sum()), budgets[-1]
+    return slabs
 
 
 def _reference_bases(
@@ -315,79 +329,92 @@ def _reference_bases(
     one matrix product, complement weights (F x k) by the digit matrix of
     every reference, kept in `digit_matrices` across calls.
     """
-    powers = np.int64(m) ** np.arange(n, dtype=np.int64)
-    in_blocks = (masks[:, None] >> np.arange(n)) & 1 == 1
+    # a float product is exact here (every index is below 2^53) and much faster
+    powers = float(m) ** np.arange(n)
+    outside = (masks[:, None] >> np.arange(n)) & 1 == 0
     for k in sorted(set((n - totals).tolist())):
         fams = np.flatnonzero(totals == n - k)
         if k not in digit_matrices:  # column r spells reference r, first coordinate most significant
             digits = list(itertools.product([sym - 1 for sym in symbols], repeat=k))
             digit_matrices[k] = np.array(digits, dtype=np.float64).reshape(len(digits), k).T
-        complement = np.nonzero(~in_blocks[fams])[1].reshape(len(fams), k)
-        # a float product is exact here (every index is below 2^53) and much faster
-        yield k, fams, (powers[complement].astype(np.float64) @ digit_matrices[k]).astype(np.int64)
+        complement = np.nonzero(outside[fams])[1].reshape(len(fams), k)
+        yield k, fams, (powers[complement] @ digit_matrices[k]).astype(np.int64)
 
 
 def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
-    """Scan contiguous slabs of block families through the colour table.
+    """Scan contiguous slabs of (length, block family) rows through the colour table.
 
-    Each slab is a (level, lo, hi) range of the `block_families` arrays at
-    the longest length: the families lo..hi-1 that lie inside [n'], for the
-    level's length n', are scanned as families of [n'], whose words are read
-    from the level's slice of the table.  A block's weight sums m^(c-1) over
-    its coordinates c, so it is the same at every length, and a family's
-    weights are taken in id order: the rows of `arrangements` run over every
-    permutation of the template, so the order in which they meet the blocks
-    does not change which placements are monochromatic.  Families are grouped
-    by complement size k, and a group's reference offsets are one matrix
-    product (see `_reference_bases`).  Row 0 of `arrangements` is gathered
-    and row 1 compared for every (family, reference) pair at once; each later
-    row's deltas are computed, and compared, only for the families with pairs
-    still monochromatic.
+    A slab's (level, lo, hi) ranges hold rows lo..hi-1 of the families of
+    the `block_families` arrays at the longest length that lie inside [n'],
+    for the level's length n'.  Each row is scanned as a family of [n'],
+    through the level's slice of the table, so a slab may straddle lengths.
+    A block's weight sums m^(c-1) over its coordinates c, the same at every
+    length, and a family's weights are taken in id order: the rows of
+    `arrangements` run over every permutation of the template, so the order
+    in which they meet the blocks does not change which placements are
+    monochromatic; their last column, 1, weighs the row's table offset.
+    Rows are grouped by complement size n' - total, across lengths (the
+    coordinates past n' count as covered), and a group's reference offsets
+    are one matrix product (see `_reference_bases`).  Row 0 of
+    `arrangements` is gathered and row 1 compared for every (row, reference)
+    pair at once; each later row only for the pairs still monochromatic.
 
     Returns (placements examined, hits as label words by length, for the
     lengths with hits): each placement counts its level's multiplicity.  A
-    slab labels its own hits, in canonical order (see `_scan`): a hit's
-    base holds its reference symbol less one on each free coordinate and 0
-    on its blocks.  In first-only mode the chunk stops after the first slab
-    with a hit and counts the placements up to and including that slab's
-    first hit, the one hit it returns.
+    slab labels its own hits in canonical order (see `_scan`), each row with
+    hits once, at the slab's longest length, sliced to each n': a hit's base
+    holds its reference symbol less one on each free coordinate and 0 on its
+    blocks.  In first-only mode the chunk stops after the first slab with a
+    hit and counts the placements up to and including that slab's first
+    hit, the one hit it returns.
     """
     table, m, symbols, arrangements, weight, families, levels, first_only = shared
+    lengths, offsets, multiplicities = zip(*levels)
     count = len(arrangements)
     digit_matrices: dict[int, np.ndarray] = {}
+    # the families inside [n'], in order, for the level in hand
+    inside = functools.lru_cache(1)(lambda level: np.flatnonzero(families.masks < 1 << lengths[level]))
     examined, found = 0, {}
-    for level, lo, hi in slabs:
-        n, offset, multiplicity = levels[level]
-        view = table[offset : offset + m**n]
-        index = lo + np.flatnonzero(families.masks[lo:hi] < 1 << n)
-        ids, masks, totals = families.ids[index], families.masks[index], families.totals[index]
-        weights = weight[ids]
+    for slab in slabs:
+        index = np.concatenate([inside(level)[lo:hi] for level, lo, hi in slab])
+        spans, top = [hi - lo for _, lo, hi in slab], lengths[slab[0][0]]
+        ends = np.cumsum(spans)
+        n, offset = (np.repeat([column[level] for level, _, _ in slab], spans) for column in (lengths, offsets))
+        ids, totals = families.ids[index], families.totals[index]
+        weights = np.column_stack([weight[ids], offset])
         # a one-arrangement template compares arrangement 0 with itself
         deltas = weights @ arrangements[[0, min(1, count - 1)]].T
+        masks = families.masks[index] | (1 << top) - (1 << n)
         slab_hits = []
-        for k, fams, bases in _reference_bases(masks, totals, n, m, symbols, digit_matrices):
-            colour = view[bases + deltas[fams, :1]]
-            fi, ri = np.nonzero(view[bases + deltas[fams, 1:]] == colour)
-            first = np.diff(fi, prepend=-1) > 0  # fi is sorted: each live family's first pair
-            live, live_weights = np.cumsum(first) - 1, weights[fams[fi[first]]]
+        for k, fams, bases in _reference_bases(masks, totals + top - n, top, m, symbols, digit_matrices):
+            colour = table[bases + deltas[fams, :1]]
+            fi, ri = np.nonzero(table[bases + deltas[fams, 1:]] == colour)
             for a in range(2, count):
                 if not len(fi):
                     break
-                keep = view[bases[fi, ri] + (live_weights @ arrangements[a])[live]] == colour[fi, ri]
-                fi, ri, live = fi[keep], ri[keep], live[keep]
+                keep = table[bases[fi, ri] + weights[fams[fi]] @ arrangements[a]] == colour[fi, ri]
+                fi, ri = fi[keep], ri[keep]
             slab_hits.append((fams[fi], ri, bases[fi, ri], colour[fi, ri]))
-        fam, ref, base, colours = (np.concatenate(column) for column in zip(*slab_hits))
-        order = np.lexsort((ref, fam))
+        row, ref, base, colours = (np.concatenate(column) for column in zip(*slab_hits))
+        order = np.lexsort((ref, row))
         refs = len(symbols) ** (n - totals)
         if first_only and len(order):
             order = order[:1]
-            examined += int(refs[: fam[order[0]]].sum()) + int(ref[order[0]]) + 1
+            examined += int(refs[: row[order[0]]].sum()) + int(ref[order[0]]) + 1
         else:
-            examined += multiplicity * int(refs.sum())
+            per_level = np.add.reduceat(refs, ends - spans).tolist()
+            examined += sum(multiplicities[level] * part for (level, _, _), part in zip(slab, per_level))
         if len(order):
-            labels = block_labels(families.blocks, ids[fam[order]], n)
-            free = base[order, None] // np.int64(m) ** np.arange(n) % m + 1
-            found.setdefault(n, []).append((np.where(labels > 0, labels + m, free).astype(np.int8), colours[order]))
+            row, colours = row[order], colours[order]
+            labelled, inverse = np.unique(row, return_inverse=True)  # each row with hits is labelled once
+            labels = block_labels(families.bits, ids[labelled], top)[inverse]
+            # the reference digits, in int32 (every index is below MAX_TABLE_ENTRIES), which divides faster
+            digits = base[order].astype(np.int32)[:, None] // np.int32(m) ** np.arange(top, dtype=np.int32) % m
+            words = digits.astype(np.int8) + labels + (labels > 0) * np.int8(m - 1) + np.int8(1)  # digit 0 on a block
+            cuts = np.searchsorted(row, ends).tolist()
+            for (level, _, _), lo, hi in zip(slab, [0] + cuts, cuts):
+                if hi > lo:  # a family inside [n'] labels nothing past n'
+                    found.setdefault(lengths[level], []).append((words[lo:hi, : lengths[level]], colours[lo:hi]))
             if first_only:
                 break
     return examined, {k: tuple(map(np.concatenate, zip(*parts))) for k, parts in found.items()}
@@ -411,13 +438,15 @@ def _scan(
     the words of [m]^k are read from the slice of the table whose words hold
     `pad` (a neutral symbol) past coordinate k.  A level's multiplicity counts the
     placements at the longest length behind each of its placements, their
-    deleted references taking the `neutral` symbols.  Returns (placements
-    examined, hits as label words by length, an entry for every length): a
-    hit at k is an int8 word of length k holding its reference symbol on
-    each free coordinate, and m + the `block_labels` label on each block
-    coordinate, so equal placements have equal words.  The slabs label their
-    own hits (`_scan_chunk`), and the chunks come back in slab order, so
-    each length's hits are its chunks' parts in turn.
+    deleted references taking the `neutral` symbols.  The (length, family)
+    rows, longest length first, are cut into one slab list (`_slabs`), which
+    goes to the workers in one parallel map.  Returns (placements examined,
+    hits as label words by length, an entry for every length): a hit at k is
+    an int8 word of length k holding its reference symbol on each free
+    coordinate, and m + the `block_labels` label on each block coordinate,
+    so equal placements have equal words.  The slabs label their own hits
+    (`_scan_chunk`), and the chunks come back in slab order, so each
+    length's hits are its chunks' parts in turn.
     """
     top = lengths[-1]
     families = block_families(top, t, sizemode, pattern)
@@ -426,23 +455,13 @@ def _scan(
     # the most placements (6% survive it at pq12 n=10 and 2.5% at d=2 n=13,
     # against 45% and 14% for arrangement 1)
     arrangements = np.concatenate([arrangements[:1], arrangements[:0:-1]])
-    weight = block_weights(families.blocks, t.m)
-    levels, slabs = [], []
-    # longest first, so that the shorter lengths' arrays fit where the longer ones' were
-    for k in reversed(lengths):
-        offset = _offset(table, t.m, pad, k)
-        # the families at k are the families at the longest length inside [k], in the same order
-        inside = np.flatnonzero(families.masks < 1 << k)
-        # a slab starts at each family inside [k] whose working set starts a new budget
-        costs = len(symbols) ** (k - families.totals[inside]) + t.s + k
-        budgets = (np.cumsum(costs) - costs) // SLAB_ENTRIES
-        del costs  # one family-length array fewer while the diff runs
-        starts = inside[np.diff(budgets, prepend=-1) > 0].tolist()
-        slabs.extend((len(levels), lo, hi) for lo, hi in zip(starts, starts[1:] + [len(families.totals)]))
-        levels.append(_Level(k, offset, math.comb(top, k) * len(neutral) ** (top - k)))
-    examined = 0
-    parts = {k: [(np.empty((0, k), np.int8), np.empty(0, np.int64))] for k, _, _ in levels}
-    shared = (table, t.m, symbols, arrangements, weight, families, levels, first_only)
+    arrangements = np.column_stack([arrangements, np.ones(len(arrangements), np.int64)])  # times a row's offset
+    # per level, longest first: (length k, where its words start in the table, its multiplicity)
+    levels = [(k, _offset(table, t.m, pad, k), math.comb(top, k) * len(neutral) ** (top - k)) for k in lengths[::-1]]
+    # a row's working set: its placements, its block weights and its row of the coordinate mask
+    slabs = _slabs(len(symbols) ** (k - families.totals[families.masks < 1 << k]) + t.s + k for k, _, _ in levels)
+    examined, parts = 0, {k: [(np.empty((0, k), np.int8), np.empty(0, np.int64))] for k, _, _ in levels}
+    shared = (table, t.m, symbols, arrangements, block_weights(families.blocks, t.m), families, levels, first_only)
     for chunk_examined, chunk_hits in map_chunks(_scan_chunk, shared, slabs, workers):
         examined += chunk_examined
         for k, part in chunk_hits.items():
@@ -468,7 +487,8 @@ def _check_entries(what: str, entries: int) -> None:
 
 def _subsets(n: int, r: int) -> np.ndarray:
     """The r-subsets of the coordinates 0..n-1, one sorted row each, in lexicographic order."""
-    return np.array(list(itertools.combinations(range(n), r)), np.int64).reshape(math.comb(n, r), r)
+    rows = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+    return np.fromiter(rows, np.int64, math.comb(n, r) * r).reshape(math.comb(n, r), r)
 
 
 def _lift(words: np.ndarray, zs: np.ndarray, fills: np.ndarray) -> np.ndarray:
@@ -494,8 +514,8 @@ def _keys(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words).view(f"S{words.shape[1]}").ravel()
 
 
-def _lifts(lower: Hits, label: int, n: int, sizes: range) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(k, zs, counts) for each size k with lower hits at n - k: the candidates that add a block at n.
+def _lifts(lower: Hits, label: int, lengths: range, sizes: range) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(n, k, zs, counts) for each length n and size k with lower hits at n - k: the candidates that add a block at n.
 
     A lower hit at n - k, its blocks labelled below `label`, lifts over each
     k-set Z of [n] whose minimum lies past the minimum of its last block, so
@@ -503,17 +523,19 @@ def _lifts(lower: Hits, label: int, n: int, sizes: range) -> Iterator[tuple[int,
     holds the k-sets of [n] in lexicographic order, so a hit's sets are a
     tail of them, of length counts[i] for hit i (see `_pairs`).
     """
-    for k in sizes:
-        if n - k in lower and len(lower[n - k][0]):
-            zs = _subsets(n, k)
-            last = np.argmax(lower[n - k][0] == label - 1, axis=1)  # the first coordinate of that block
-            yield k, zs, len(zs) - np.searchsorted(zs[:, 0], last, side="right")
+    # the first coordinate of each lower hit's last block, at each lower length with hits
+    lasts = {low: np.argmax(words == label - 1, axis=1) for low, (words, _) in lower.items() if len(words)}
+    for n in lengths:
+        for k in sizes:
+            if n - k in lasts:
+                zs = _subsets(n, k)
+                yield n, k, zs, len(zs) - np.searchsorted(zs[:, 0], lasts[n - k], side="right")
 
 
-def _pairs(counts: np.ndarray, sets: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, set) index pairs of the candidates in `_lifts`: hit i takes the last counts[i] of the sets."""
+def _pairs(counts: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, set) index pairs of the candidates in `_lifts`: hit i takes the counts[i] sets before ends[i] (or ends)."""
     hit = np.repeat(np.arange(len(counts)), counts)
-    return hit, np.arange(len(hit)) + np.repeat(sets - np.cumsum(counts), counts)
+    return hit, np.arange(len(hit)) + np.repeat(ends - np.cumsum(counts), counts)
 
 
 def _extend(table: np.ndarray, lower: Hits, t: Template, z: int, lengths: range, sizes: range) -> Hits:
@@ -533,51 +555,59 @@ def _extend(table: np.ndarray, lower: Hits, t: Template, z: int, lengths: range,
     index plus its block weights times the arrangement's letters less one),
     with Z's coordinates inserted as zero digits (v -> v mod m^q +
     (v - v mod m^q) * m for each coordinate q of Z, ascending), plus Z's
-    weight times its letter less one.  The lower hits are taken a slab of
-    about SLAB_ENTRIES entries at a time, counting their letters and their
-    candidates; each later arrangement is checked only for the candidates
-    still of their hit's colour, and only the survivors become label words.
-    The candidates are at most the placements of t a scan would visit, and
-    all of them when every placement without z is a hit (a one-block t
-    without z has one arrangement); they are fewer as it has fewer hits.
+    weight times its letter less one and the slice's offset.  The candidates
+    of every length that share a Z size are checked together, in slabs of
+    about SLAB_ENTRIES entries (`_slabs`: their hits' letters and
+    candidates) that may straddle lengths; each later arrangement only for
+    the candidates still of their hit's colour.  The survivors are split by
+    length only to be lifted into label words.  The candidates are at most
+    the placements of t a scan would visit, and all of them when every
+    placement without z is a hit (a one-block t without z has one
+    arrangement); they are fewer as it has fewer hits.
     """
     m, label = t.m, t.m + t.s
     # the template reversed first, as in `_scan`: it breaks the most candidates
     arrangements = np.array(list(t.arrangements())[::-1], np.int64) - 1
     arrangements = arrangements[arrangements[:, -1] != z - 1]
-    # column a weighs a lower hit's reference index by 1 and its blocks' weights by arrangement a's letters less one
-    letters = np.column_stack([np.ones(len(arrangements), np.int64), arrangements[:, :-1]]).T
+    # row a weighs a lower hit's reference index by 1 and its blocks' weights by arrangement a's letters less one
+    letters = np.column_stack([np.ones(len(arrangements)), arrangements[:, :-1]])
     powers = np.int64(m) ** np.arange(lengths[-1] + 1, dtype=np.int64)
-    out = {}
-    for n in lengths:
-        view = table[_offset(table, m, z, n) :]
-        words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
-        for k, zs, counts in _lifts(lower, label, n, sizes):
-            low, low_colours = lower[n - k]
-            z_powers = powers[zs]  # m^q for each coordinate q of each Z, ascending
-            z_weights = z_powers.sum(axis=1)
-            costs = counts + n - k  # a hit's candidates and its letters, as `_scan` counts a family's working set
-            budgets = (np.cumsum(costs) - costs) // SLAB_ENTRIES
-            starts = np.flatnonzero(np.diff(budgets, prepend=-1) > 0).tolist()
-            for lo, hi in zip(starts, starts[1:] + [len(low)]):
-                slab = low[lo:hi]
-                packed = [np.where(slab <= m, slab - 1, 0) @ powers[: n - k]]
-                packed += [(slab == b) @ powers[: n - k] for b in range(m + 1, label)]
-                points = (np.column_stack(packed) @ letters).T  # row a: each hit's lower point for arrangement a
-                hit, zi = _pairs(counts[lo:hi], len(zs))
-                colour = low_colours[lo:hi][hit]
-                for a, letter in enumerate(arrangements[:, -1]):
-                    if not len(hit):
-                        break
-                    point = points[a][hit]
-                    for q in z_powers.T:  # ascending, so that each coordinate is inserted where it stays
-                        point += (point - point % q[zi]) * (m - 1)
-                    keep = view[point + z_weights[zi] * letter] == colour
-                    hit, zi, colour = hit[keep], zi[keep], colour[keep]
-                words.append(_lift(slab[hit], zs[zi], np.full((len(hit), k), label, np.int8)))
-                colours.append(colour)
-        out[n] = (np.concatenate(words), np.concatenate(colours))
-    return out
+    out = {n: ([np.empty((0, n), np.int8)], [np.empty(0, np.int64)]) for n in lengths}
+    lifts = list(_lifts(lower, label, lengths, sizes))
+    for k in sorted({size for _, size, _, _ in lifts}):
+        parts = [(n, *lower[n - k], counts) for n, size, _, counts in lifts if size == k]  # n, words, colours, counts
+        sets = [len(zs) for _, size, zs, _ in lifts if size == k]
+        zs, ends = np.concatenate([zs for _, size, zs, _ in lifts if size == k]), np.cumsum(sets)  # by length in turn
+        z_powers = powers[zs]  # m^q for each coordinate q of each Z, ascending
+        # row a: each Z's weight times arrangement a's letter on it, plus the offset of its length's table slice
+        offsets = np.repeat([_offset(table, m, z, n) for n, *_ in parts], sets)
+        shifts = arrangements[:, -1:] * z_powers.sum(axis=1) + offsets
+        for slab in _slabs(counts + n - k for n, *_, counts in parts):  # as `_scan` counts a working set
+            starts = np.cumsum([0] + [hi - lo for _, lo, hi in slab]).tolist()
+            # the slab's lower hits, padded with 1s (digit 0, on no block) to its longest length
+            low = np.ones((starts[-1], parts[slab[-1][0]][0] - k), np.int8)
+            for (part, lo, hi), start in zip(slab, starts):
+                low[start : start + hi - lo, : parts[part][0] - k] = parts[part][1][lo:hi]
+            # row a: each hit's lower point for arrangement a, from its digits and block coordinates as floats
+            columns = np.stack([(low - 1) * (low <= m)] + [low == b for b in range(m + 1, label)]).astype(float)
+            points = (letters @ (columns @ powers[: low.shape[1]].astype(float))).astype(np.int64)  # exact products
+            counts = np.concatenate([parts[part][3][lo:hi] for part, lo, hi in slab])
+            hit, zi = _pairs(counts, np.repeat([ends[part] for part, _, _ in slab], np.diff(starts)))
+            colour = np.concatenate([parts[part][2][lo:hi] for part, lo, hi in slab])[hit]
+            for a in range(len(arrangements)):
+                if not len(hit):
+                    break
+                point = points[a][hit]
+                for q in z_powers.T:  # ascending, so that each coordinate is inserted where it stays
+                    point += (point - point % q[zi]) * (m - 1)
+                keep = table[point + shifts[a][zi]] == colour
+                hit, zi, colour = hit[keep], zi[keep], colour[keep]
+            cuts = np.searchsorted(hit, starts).tolist()
+            for (part, _, _), a, b in zip(slab, cuts, cuts[1:]):  # each length's survivors, lifted into it
+                n = parts[part][0]
+                out[n][0].append(_lift(low[hit[a:b], : n - k], zs[zi[a:b]], np.full((b - a, k), label, np.int8)))
+                out[n][1].append(colour[a:b])
+    return {n: (np.concatenate(words), np.concatenate(colours)) for n, (words, colours) in out.items()}
 
 
 def _join(lower: Hits, blocks: int, copies: int, lengths: range, m: int, sizes: range) -> Hits:
@@ -595,32 +625,39 @@ def _join(lower: Hits, blocks: int, copies: int, lengths: range, m: int, sizes: 
     over Z, with Z the new block of largest minimum (`_lifts`), and is kept
     when the deletions of its first s - copies blocks by minimum are among
     the sorted lower keys.  The candidates of a length are counted, and
-    refused past MAX_TABLE_ENTRIES letters, before they are built.
+    refused past MAX_TABLE_ENTRIES letters, before any is built; they are
+    then built and checked a slab of about SLAB_ENTRIES letters at a time.
     """
     label = m + blocks + 1  # the new block's: its minimum is the largest
     keys = {k: np.sort(_keys(words)) for k, (words, _) in lower.items()}
+    lifts = list(_lifts(lower, label, lengths, sizes))
     out = {}
     for n in lengths:
-        lifts = list(_lifts(lower, label, n, sizes))
-        _check_entries(f"the join at n={n}", n * sum(int(counts.sum()) for *_, counts in lifts))
+        at = [lift for lift in lifts if lift[0] == n]
+        _check_entries(f"the join at n={n}", n * sum(int(counts.sum()) for *_, counts in at))
         words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
-        for k, zs, counts in lifts:
-            low, low_colours = lower[n - k]
-            h, z = _pairs(counts, len(zs))
-            words.append(_lift(low[h], zs[z], np.full((len(h), k), label, np.int8)))
-            colours.append(low_colours[h])
-        words, colours = np.concatenate(words), np.concatenate(colours)
-        for b in range(m + 1, label + 1 - copies):
-            size, keep = (words == b).sum(axis=1), np.zeros(len(words), bool)
-            for k in sizes:
-                rows = np.flatnonzero(size == k)
-                if len(rows) and len(keys[n - k]):
-                    rest = words[rows][words[rows] != b].reshape(len(rows), n - k)
-                    rest -= rest > b  # the later blocks move one label down
-                    query, found = _keys(rest), keys[n - k]
-                    keep[rows] = found[np.searchsorted(found, query).clip(max=len(found) - 1)] == query
-            words, colours = words[keep], colours[keep]
-        out[n] = (words, colours)
+        for slab in _slabs(counts * n for *_, counts in at):  # a hit's candidates, n letters each
+            parts = []
+            for part, lo, hi in slab:
+                _, k, zs, counts = at[part]
+                h, z = _pairs(counts[lo:hi], len(zs))
+                low, low_colours = lower[n - k][0][lo:hi][h], lower[n - k][1][lo:hi][h]
+                parts.append((_lift(low, zs[z], np.full((len(h), k), label, np.int8)), low_colours))
+            slab_words, slab_colours = (np.concatenate(column) for column in zip(*parts))
+            for b in range(m + 1, label + 1 - copies):
+                size, keep = (slab_words == b).sum(axis=1), np.zeros(len(slab_words), bool)
+                for k in sizes:
+                    rows = np.flatnonzero(size == k)
+                    if len(rows) and len(keys[n - k]):
+                        chosen = slab_words[rows]
+                        rest = chosen[chosen != b].reshape(len(rows), n - k)
+                        rest -= rest > b  # the later blocks move one label down
+                        query, found = _keys(rest), keys[n - k]
+                        keep[rows] = found[np.minimum(np.searchsorted(found, query), len(found) - 1)] == query
+                slab_words, slab_colours = slab_words[keep], slab_colours[keep]
+            words.append(slab_words)
+            colours.append(slab_colours)
+        out[n] = (np.concatenate(words), np.concatenate(colours))
     return out
 
 

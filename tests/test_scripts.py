@@ -56,6 +56,12 @@ def test_script_runs(script, args, expect):
         ("witness_experiments.py", ["--k-max", "0"], "argument --k-max: must be >= 1, got 0"),
         ("explore_lattice.py", ["--d-max", "0"], "argument --d-max: must be >= 1, got 0"),
         ("explore_lattice.py", ["--colouring", "coordsum:d=0"], "argument --colouring: d must be >= 1, got 0"),
+        (
+            "frontier.py",
+            ["pq12 n=14", "pq12 n=99"],
+            "unknown cell 'pq12 n=99'; the cells are: pq12 n=14, pq12 n=15, pq12 n=16, pq12 n=17, "
+            "d2 n=21, d2 n=22, d2 n=23, d3 n=40, d4 n=75, d4 n=76",
+        ),
     ],
 )
 def test_script_bad_flags_exit_2_with_one_error_line(script, args, message):
@@ -93,3 +99,19 @@ def test_frontier_cell_hashes_the_stdout_of_its_cli_run():
     )
     assert (code, sha) == (0, hashlib.sha256(direct.stdout).hexdigest())
     assert seconds > 0 and peak > 0
+
+
+def test_frontier_runs_only_the_cells_it_is_given():
+    """`--help` runs no cell, and named cells run alone, in the order given."""
+    def frontier(*args):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "frontier.py"), *args],
+            cwd=ROOT, capture_output=True, text=True, timeout=120,
+        )
+
+    helped = frontier("--help")
+    assert helped.returncode == 0 and helped.stdout.startswith("usage: frontier.py") and "peak MB" not in helped.stdout
+    ran = frontier("pq12 n=14")
+    assert ran.returncode == 0, ran.stderr
+    header, row = ran.stdout.splitlines()
+    assert header.startswith("cell") and row.startswith("pq12 n=14") and row.split()[2] == "0"

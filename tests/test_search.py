@@ -642,6 +642,55 @@ def _sorted_hits(words, colours):
     return sorted(zip(map(tuple, words.tolist()), colours.tolist()))
 
 
+@given(st.lists(st.lists(st.integers(0, 40), max_size=12), max_size=6), st.sampled_from([1, 16, 64]))
+def test_slabs_cut_every_part_by_one_cumulative_cost(parts, budget):
+    """A slab starts at each row whose cost so far, over all the parts in turn, reaches a new budget."""
+    rows = [(part, i, cost) for part, costs in enumerate(parts) for i, cost in enumerate(costs)]
+    before = np.cumsum([0] + [cost for *_, cost in rows])[:-1] // budget
+    expected: list[list[tuple[int, int, int]]] = []
+    for r, (part, i, _) in enumerate(rows):
+        if r == 0 or before[r] > before[r - 1]:
+            expected.append([])
+        if expected[-1] and expected[-1][-1][0] == part:
+            expected[-1][-1] = (part, expected[-1][-1][1], i + 1)
+        else:
+            expected[-1].append((part, i, i + 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "SLAB_ENTRIES", budget)
+        assert search._slabs(np.array(costs, np.int64) for costs in parts) == expected
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_scan_over_lengths_matches_one_scan_per_length(data):
+    """Slabs that straddle lengths find, at each length, exactly the hits of a scan of that length alone.
+
+    Each length's hits come in the same order, and the placements examined
+    are the one-length counts, each times its level's multiplicity.
+    """
+    t = template_from_word(data.draw(st.sampled_from(["12", "122", "1233"]), "template"), m=3)
+    modes = [EqualSize(1), EqualSize(2), MixedSize(1), MixedSize(2)]
+    sizemode = data.draw(st.sampled_from([mode for mode in modes if t.s * mode.min_size <= 8]), "sizemode")
+    n = data.draw(st.integers(t.s * sizemode.min_size, 8), "n")
+    lengths = range(data.draw(st.integers(t.s * sizemode.min_size, n), "shortest"), n + 1)
+    symbols, neutral = data.draw(st.sampled_from([((1, 2), (3,)), ((1,), (2, 3)), ((1, 2, 3), (3,))]), "symbols")
+    table = random_table_colouring(n, 3, 2, seed=data.draw(st.integers(0, 99), "seed")).dense_table(n, 3)
+    workers = data.draw(st.sampled_from([1, 2]), "workers")
+    with pytest.MonkeyPatch.context() as patch:  # at 64 entries a slab holds a few families, and often two lengths
+        patch.setattr(search, "SLAB_ENTRIES", data.draw(st.sampled_from([64, search.SLAB_ENTRIES]), "slab"))
+
+        def scan(lengths):
+            return search._scan(table, t, sizemode, None, lengths, symbols, neutral, neutral[-1], False, workers)
+
+        examined, hits = scan(lengths)
+        alone = {k: scan(range(k, k + 1)) for k in lengths}
+    assert list(hits) == list(reversed(lengths))
+    for k, (one_examined, one_hits) in alone.items():
+        assert hits[k][0].dtype == one_hits[k][0].dtype == np.int8
+        assert np.array_equal(hits[k][0], one_hits[k][0]) and np.array_equal(hits[k][1], one_hits[k][1])
+    assert examined == sum(math.comb(n, k) * len(neutral) ** (n - k) * alone[k][0] for k in lengths)
+
+
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_extension_matches_the_direct_scan_at_every_length(data):
@@ -658,10 +707,10 @@ def test_extension_matches_the_direct_scan_at_every_length(data):
     n = data.draw(st.integers(t.s * sizemode.min_size, 8), "n")
     symbols = blocks.reference_symbols(t, data.draw(st.sampled_from([None, (1, 2), (3,)]), "domain"))
     table, low, lengths = colouring.dense_table(n, 3), sizemode.min_size, range(t.s * sizemode.min_size, n + 1)
-    lower = _scan_hits(table, lower_t, sizemode, range(lower_t.s * low, n - low + 1), symbols)
-    scanned = _scan_hits(table, t, sizemode, lengths, symbols)
-    with pytest.MonkeyPatch.context() as patch:  # small budgets split the lower hits into many slabs
+    with pytest.MonkeyPatch.context() as patch:  # small budgets cut many slabs, which straddle lengths
         patch.setattr(search, "SLAB_ENTRIES", data.draw(st.sampled_from([1, 16, 1 << 14]), "slab"))
+        lower = _scan_hits(table, lower_t, sizemode, range(lower_t.s * low, n - low + 1), symbols)
+        scanned = _scan_hits(table, t, sizemode, lengths, symbols)
         extended = search._extend(table, lower, t, 3, lengths, sizemode.size_range())
     assert extended.keys() == scanned.keys()
     for k in lengths:
