@@ -390,6 +390,7 @@ def _check_args(args: argparse.Namespace) -> None:
             problems.append(str(exc))
     at_least("n", 0)
     at_least("d", 1)
+    at_least("k", 1)
     at_least("r", 1)
     at_least("t", 1)
     at_least("max_size", 1)

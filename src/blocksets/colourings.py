@@ -55,8 +55,9 @@ class Colouring:
 
     Evaluation must be deterministic and side-effect free; instances are safe
     to share across workers.  `neutral_symbols` holds the symbols z such that
-    deleting a coordinate holding z never changes a colour; full scans skip
-    the references that use them (see `search.verify_absence`).
+    deleting a coordinate holding z never changes a colour; unpatterned full
+    scans climb one and skip the references that use them (see
+    `search.verify_absence`).
 
     The closed-form colourings also give `colour_ids(words)`: the ids of
     int8 symbol rows of shape (..., n), computed from their rule in numpy and

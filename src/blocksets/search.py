@@ -344,10 +344,11 @@ def _reference_bases(
 def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
     """Scan contiguous slabs of (length, block family) rows through the colour table.
 
-    A slab's (level, lo, hi) ranges hold rows lo..hi-1 of the families of
-    the `block_families` arrays at the longest length that lie inside [n'],
-    for the level's length n'.  Each row is scanned as a family of [n'],
-    through the level's slice of the table, so a slab may straddle lengths.
+    A level is a (length n', table offset) pair, and a slab's (level, lo, hi)
+    ranges hold rows lo..hi-1 of the families of the `block_families` arrays
+    at the longest length that lie inside [n'].  Each row is scanned as a
+    family of [n'], through the table from the level's offset, so a slab may
+    straddle lengths.
     A block's weight sums m^(c-1) over its coordinates c, the same at every
     length, and a family's weights are taken in id order: the rows of
     `arrangements` run over every permutation of the template, so the order
@@ -360,16 +361,16 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
     pair at once; each later row only for the pairs still monochromatic.
 
     Returns (placements examined, hits as label words by length, for the
-    lengths with hits): each placement counts its level's multiplicity.  A
-    slab labels its own hits in canonical order (see `_scan`), each row with
-    hits once, at the slab's longest length, sliced to each n': a hit's base
-    holds its reference symbol less one on each free coordinate and 0 on its
+    lengths with hits): a slab examines its (row, reference) pairs.  A slab
+    labels its own hits in canonical order (see `_scan`), each row with hits
+    once, at the slab's longest length, sliced to each n': a hit's base holds
+    its reference symbol less one on each free coordinate and 0 on its
     blocks.  In first-only mode the chunk stops after the first slab with a
     hit and counts the placements up to and including that slab's first
     hit, the one hit it returns.
     """
     table, m, symbols, arrangements, weight, families, levels, first_only = shared
-    lengths, offsets, multiplicities = zip(*levels)
+    lengths, offsets = zip(*levels)
     count = len(arrangements)
     digit_matrices: dict[int, np.ndarray] = {}
     # the families inside [n'], in order, for the level in hand
@@ -402,8 +403,7 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
             order = order[:1]
             examined += int(refs[: row[order[0]]].sum()) + int(ref[order[0]]) + 1
         else:
-            per_level = np.add.reduceat(refs, ends - spans).tolist()
-            examined += sum(multiplicities[level] * part for (level, _, _), part in zip(slab, per_level))
+            examined += int(refs.sum())
         if len(order):
             row, colours = row[order], colours[order]
             labelled, inverse = np.unique(row, return_inverse=True)  # each row with hits is labelled once
@@ -427,7 +427,6 @@ def _scan(
     pattern: Optional[str],
     lengths: range,
     symbols: tuple[int, ...],
-    neutral: tuple[int, ...],
     pad: int,
     first_only: bool,
     workers: int,
@@ -436,17 +435,16 @@ def _scan(
 
     The families are the `block_families` arrays at the longest length, and
     the words of [m]^k are read from the slice of the table whose words hold
-    `pad` (a neutral symbol) past coordinate k.  A level's multiplicity counts the
-    placements at the longest length behind each of its placements, their
-    deleted references taking the `neutral` symbols.  The (length, family)
-    rows, longest length first, are cut into one slab list (`_slabs`), which
-    goes to the workers in one parallel map.  Returns (placements examined,
-    hits as label words by length, an entry for every length): a hit at k is
-    an int8 word of length k holding its reference symbol on each free
-    coordinate, and m + the `block_labels` label on each block coordinate,
-    so equal placements have equal words.  The slabs label their own hits
-    (`_scan_chunk`), and the chunks come back in slab order, so each
-    length's hits are its chunks' parts in turn.
+    `pad` (a neutral symbol, when the table is longer than k) past coordinate
+    k.  The (length, family) rows, longest length first, are cut into one slab
+    list (`_slabs`), which goes to the workers in one parallel map.  Returns
+    (placements examined, summed over the lengths, and hits as label words by
+    length, an entry for every length): a hit at k is an int8 word of length
+    k holding its reference symbol on each free coordinate, and m + the
+    `block_labels` label on each block coordinate, so equal placements have
+    equal words.  The slabs label their own hits (`_scan_chunk`), and the
+    chunks come back in slab order, so each length's hits are its chunks'
+    parts in turn.
     """
     top = lengths[-1]
     families = block_families(top, t, sizemode, pattern)
@@ -456,11 +454,11 @@ def _scan(
     # against 45% and 14% for arrangement 1)
     arrangements = np.concatenate([arrangements[:1], arrangements[:0:-1]])
     arrangements = np.column_stack([arrangements, np.ones(len(arrangements), np.int64)])  # times a row's offset
-    # per level, longest first: (length k, where its words start in the table, its multiplicity)
-    levels = [(k, _offset(table, t.m, pad, k), math.comb(top, k) * len(neutral) ** (top - k)) for k in lengths[::-1]]
+    # per level, longest first: (length k, where its words start in the table)
+    levels = [(k, _offset(table, t.m, pad, k)) for k in lengths[::-1]]
     # a row's working set: its placements, its block weights and its row of the coordinate mask
-    slabs = _slabs(len(symbols) ** (k - families.totals[families.masks < 1 << k]) + t.s + k for k, _, _ in levels)
-    examined, parts = 0, {k: [(np.empty((0, k), np.int8), np.empty(0, np.int64))] for k, _, _ in levels}
+    slabs = _slabs(len(symbols) ** (k - families.totals[families.masks < 1 << k]) + t.s + k for k, _ in levels)
+    examined, parts = 0, {k: [(np.empty((0, k), np.int8), np.empty(0, np.int64))] for k, _ in levels}
     shared = (table, t.m, symbols, arrangements, block_weights(families.blocks, t.m), families, levels, first_only)
     for chunk_examined, chunk_hits in map_chunks(_scan_chunk, shared, slabs, workers):
         examined += chunk_examined
@@ -572,7 +570,8 @@ def _extend(table: np.ndarray, lower: Hits, t: Template, z: int, lengths: range,
     # row a weighs a lower hit's reference index by 1 and its blocks' weights by arrangement a's letters less one
     letters = np.column_stack([np.ones(len(arrangements)), arrangements[:, :-1]])
     powers = np.int64(m) ** np.arange(lengths[-1] + 1, dtype=np.int64)
-    out = {n: ([np.empty((0, n), np.int8)], [np.empty(0, np.int64)]) for n in lengths}
+    # longest first, as `_scan` returns them: listed so, the hits peak lower (247 vs 266 MB at pq 0,1 n=11)
+    out = {n: ([np.empty((0, n), np.int8)], [np.empty(0, np.int64)]) for n in lengths[::-1]}
     lifts = list(_lifts(lower, label, lengths, sizes))
     for k in sorted({size for _, size, _, _ in lifts}):
         parts = [(n, *lower[n - k], counts) for n, size, _, counts in lifts if size == k]  # n, words, colours, counts
@@ -673,13 +672,16 @@ def _climb(
 ) -> Hits:
     """The hits of t at every length its placements at n delete down to, by climbing the neutral letter z.
 
-    T_j is t with j of its J copies of z.  Each deletion of a block of a
-    T_j hit leaves a T_{j-1} hit of its colour (see `_extend` and `_join`),
-    so J deletions take a hit of t at n to a hit of T_0 no longer than
-    n - J*min_size.  T_0 is scanned in full up to there: with no hit, t has
-    none.  Otherwise T_1 is built up to n - (J-1)*min_size by extending the
-    T_0 hits through the table (`_extend`), the T_0 hits are dropped, and
-    T_1 is joined up to t.  Hits are label words by length, as `_scan`
+    T_j is t with j of its J >= 0 copies of z.  Each deletion of a block of
+    a T_j hit leaves a T_{j-1} hit of its colour (see `_extend` and
+    `_join`), so J deletions take a hit of t at n to a hit of T_0 no longer
+    than n - J*min_size.  T_0 is scanned in full up to there, through the
+    table slice whose words hold z past each length: with no hit, t has
+    none, and with J = 0 these are t's hits.  With hits and J >= 1, T_1 is
+    built up to n - (J-1)*min_size by extending the T_0 hits through the
+    table (`_extend`), which replaces them, and T_1 is joined up to t.  So
+    the table need hold [m]^(n - max(J-1, 0)*min_size), and no family array
+    is built at n unless J = 0.  Hits are label words by length, as `_scan`
     returns them, with their references over `symbols`: with neutral
     references they are wanted at every length, without them only at the
     lengths that reach n.
@@ -693,11 +695,11 @@ def _climb(
         floor = sub(j).s * low
         return range(floor if neutral else max(floor, n - (count - j) * high), n - (count - j) * low + 1)
 
-    _, lower = _scan(table, sub(0), sizemode, None, lengths(0), symbols, neutral, z, False, workers)
-    if not any(len(words) for words, _ in lower.values()):
+    _, found = _scan(table, sub(0), sizemode, None, lengths(0), symbols, z, False, workers)
+    if not any(len(words) for words, _ in found.values()):
         return {}
-    found = _extend(table, lower, sub(1), z, lengths(1), sizemode.size_range())
-    del lower
+    if count:
+        found = _extend(table, found, sub(1), z, lengths(1), sizemode.size_range())
     for j in range(2, count + 1):
         found = _join(found, sub(j - 1).s, j, lengths(j), t.m, sizemode.size_range())
     return found
@@ -815,55 +817,48 @@ def verify_absence(
 ) -> SearchReport:
     """Examine the placements in canonical order and report the monochromatic ones.
 
-    The scan evaluates every placement through one dense colour table, built
-    once here at the longest length any scan reads (n, unless it climbs), so
-    tables too large to build are refused before any work starts.  The
-    families come as `block_families` id rows, already in canonical order,
-    and are cut into slabs of about SLAB_ENTRIES working-set entries each
-    (at least one family); workers take equal numbers of slabs, so their
-    shares cost about the same.
+    Every placement is evaluated through one dense colour table, built once
+    here at the longest length any scan reads, so tables too large to build
+    are refused before any work starts.  The families come as
+    `block_families` id rows, already in canonical order, and are cut into
+    slabs of about SLAB_ENTRIES working-set entries each (at least one
+    family); workers take equal numbers of slabs, so their shares cost about
+    the same.  There are two roads.
 
-    A full scan of a colouring with neutral symbols in the reference domain
-    (N: a coordinate holding one can be deleted without changing a colour)
-    scans only the references over the other symbols D, at every length n'
-    from the smallest admissible one up to n.  Deleting the r reference
+    A full scan with no pattern climbs a letter z of [m] that is neutral (a
+    coordinate holding it can be deleted without changing a colour) and has
+    J < s copies in t, the most such (see `_climb`): t's hits come from a
+    full scan of t with no z (an absence certificate when it has no hit), up
+    to n - J*min_size, extended once and joined J - 1 times when J >= 1,
+    through a table of [m]^(n - max(J-1, 0)*min_size).  The climb takes only
+    the references over the domain's other symbols D, at every length n'
+    from the smallest admissible one up to n: deleting the r reference
     coordinates that hold a neutral symbol maps each placement at n, one to
     one, onto a placement at n - r with its references in D, and keeps it
-    monochromatic or not; so `examined` is sum_r C(n, r) |N|^r E_D(n - r)
-    and each hit at n' is expanded over its position sets and neutral words.
-    The table of [m]^n' is the slice of the one table whose words hold one
-    neutral symbol on coordinates n'+1..n.  With first_only, or with no
-    neutral symbol or only neutral ones in the domain, the scan runs at n
-    over the whole domain.  Every hit, at n or shorter, scanned or climbed,
-    comes as a label word (see `_scan`): it is lifted into [n], sorted into
-    canonical order by its id row and reference word at n, and reported as
-    that label word and its colour id (`Found`), with no placement built
-    unless the report's entries are read.  Every hit is re-checked before it
-    is reported (`_recheck_hits`).
-    With first_only the scan stops at the canonically first hit, and
-    `examined` counts the placements up to and including it (all of them
-    when there is none).
+    monochromatic or not, so each hit at n' is expanded over its position
+    sets and neutral words.
+    `examined` is the closed-form `placement_count`.  The blocks of [n] are
+    read only to sort hits at n, so a climb with none proves absence past
+    n = 62 (`candidate_blocks`).
 
-    A full scan with no pattern climbs instead when a template letter z is
-    neutral and repeats beside other letters (the one with most copies,
-    J >= 2 of them): by the lemmas in `_extend` and `_join` the hits of t
-    come from a full scan of t with no z (an absence certificate when it has
-    no hit), whose hits extend through the table to the hits of t with one
-    z, at most n - (J-1)*min_size long, then one join per further z.
-    `examined` is then the closed-form `placement_count`, and no family
-    array is built at n.  The blocks of [n] are read only to sort hits at n,
-    so a climb with none proves absence past n = 62 (`candidate_blocks`).
+    Any other scan (first_only, a pattern, or no neutral letter to climb)
+    runs once at n over the whole domain.  With first_only it stops at the
+    canonically first hit, and `examined` counts the placements up to and
+    including it (all of them when there is none).
+
+    Every hit, at n or shorter, comes as a label word (see `_scan`): it is
+    lifted into [n], sorted into canonical order by its id row and reference
+    word at n, and reported as that label word and its colour id (`Found`),
+    with no placement built unless the report's entries are read.  Every
+    hit is re-checked before it is reported (`_recheck_hits`).
     """
     t0 = time.perf_counter()
     symbols = reference_symbols(t, reference_domain)
-    neutral = () if first_only else tuple(z for z in symbols if z in colouring.neutral_symbols)
-    if len(neutral) == len(symbols):
-        neutral = ()
-    scanned = tuple(z for z in symbols if z not in neutral)
-    # a neutral template letter that repeats beside other letters can be climbed
-    letters = [z for z in range(1, t.m + 1) if z in colouring.neutral_symbols and 2 <= t.counts[z - 1] < t.s]
+    # a neutral letter beside other template letters can be climbed
+    letters = [z for z in range(1, t.m + 1) if z in colouring.neutral_symbols and t.counts[z - 1] < t.s]
     climb = max(letters, key=lambda z: t.counts[z - 1]) if letters and pattern is None and not first_only else None
-    longest = n - (t.counts[climb - 1] - 1) * sizemode.min_size if climb else n
+    neutral = tuple(z for z in symbols if z in colouring.neutral_symbols) if climb else ()
+    longest = n - max(t.counts[climb - 1] - 1, 0) * sizemode.min_size if climb else n
     if t.m**longest > MAX_TABLE_ENTRIES or colouring.colour_count > 2**62:
         raise CapacityExceeded(
             f"a scan of [{t.m}]^{longest} needs {t.m**longest:,} colour-table entries holding "
@@ -875,11 +870,11 @@ def verify_absence(
         raise AmbientTooSmall(f"n={n} cannot hold {t.s} disjoint blocks of size >= {sizemode.min_size}")
     if climb:
         examined = placement_count(n, t, sizemode, len(symbols))
+        scanned = tuple(z for z in symbols if z not in neutral)
         hits = _climb(colouring.dense_table(longest, t.m), t, climb, n, sizemode, scanned, neutral, workers)
     else:
-        table, pad = colouring.dense_table(n, t.m), neutral[0] if neutral else 1
-        lengths = range(t.s * sizemode.min_size if neutral else n, n + 1)
-        examined, hits = _scan(table, t, sizemode, pattern, lengths, scanned, neutral, pad, first_only, workers)
+        table = colouring.dense_table(n, t.m)
+        examined, hits = _scan(table, t, sizemode, pattern, range(n, n + 1), symbols, 1, first_only, workers)
     # every placement at n behind the hits: the deleted coordinates hold neutral references
     listed = sum(len(word) * math.comb(n, k) * len(neutral) ** (n - k) for k, (word, _) in hits.items())
     _check_entries(f"listing the {listed:,} monochromatic placements at n={n}", listed * (n + t.s))
@@ -1127,6 +1122,8 @@ def extract_abccba(
     outside the set is 3.  All six generated points are re-evaluated before
     returning.
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if len(homog.members) != 2 * k + 4 or homog.r != 2 * k + 2:
         raise ValueError(
             f"need a homogeneous set of size {2 * k + 4} with uniformity {2 * k + 2}"

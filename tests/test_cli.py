@@ -411,8 +411,8 @@ def test_verify_thm2_pq12_reports_are_unchanged(n, workers):
     assert hashlib.sha256(out.encode()).hexdigest() == PQ12_DIGESTS[n, workers]
 
 
-# template 123 has no repeated neutral letter, so these scans do not climb: they
-# scan references without the neutral symbol 3 from n=3 up to n and lift the hits
+# template 123 holds one neutral 3, so these scans climb it from one copy: they scan
+# 12 over references without 3 from n=2 up to n - 1, extend the hits to 123 and lift them
 PQ11_DIGESTS = {
     (9, 1): "56d10a94d40064788415c6314843ea3cffa47fedd984c16563499a32c176ef51",  # 224 hits
     (9, 2): "e6be23543d8c029a80ed72966c4cff8b0ee2a4c9572c220b327f2dfb414c1e59",
@@ -759,7 +759,7 @@ T123 = template_from_word("123")
         pq(1, 2, 9),
         # 2,184 hits, reference keys 10 to 12 sorted as strings, runs cut at DECODE_BATCH
         pq(1, 2, 12),
-        # a reduced scan: hits at every length lifted into [9]
+        # a one-copy climb: hits at every length lifted into [9]
         pq(1, 1, 9),
         # no vector
         lambda: verify_absence(ModularCountColouring(1, 3), 6, T123, MixedSize(2)),
@@ -932,6 +932,19 @@ def test_verify_thm2_max_size_0_is_rejected():
     code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "9", "--max-size", "0")
     assert (code, out) == (1, "")
     assert err == "blocksets: error: --max-size must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("extract", "thm3", "--k", "0", "--n", "4", "--colouring", "constant"),
+        ("search", "witness", "--template", "12", "--n", "2", "--size-mode", "equal:1", "--k", "0"),
+    ],
+)
+def test_k_below_one_is_rejected_before_any_search(argv):
+    """k = 0 gives `extract thm3` one branch colour, which no second can agree with: a usage error, not exit 3."""
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (1, "", "blocksets: error: --k must be >= 1, got 0\n")
 
 
 def test_verify_thm2_d_and_n_problems_are_aggregated():

@@ -460,7 +460,7 @@ def test_all_hits_scan_working_set_is_bounded_by_its_hits():
     n, t, sizemode = 9, T123, MixedSize(2)
     table = ConstantColouring(0, 1).dense_table(n, t.m)
     (examined, hits), peak = _traced_peak(
-        lambda: search._scan(table, t, sizemode, None, range(n, n + 1), (1, 2, 3), (), 1, False, 1)
+        lambda: search._scan(table, t, sizemode, None, range(n, n + 1), (1, 2, 3), 1, False, 1)
     )
     words, colours = hits[n]
     assert examined == len(words) == placement_count(n, t, sizemode, 3) == 432_054
@@ -634,7 +634,7 @@ def test_a_123_placement_is_a_hit_exactly_when_its_deletions_are_12_hits_of_one_
 
 def _scan_hits(table, t, sizemode, lengths, symbols):
     """`search._scan`'s hits of t at each length, through a table that holds the neutral symbol 3 past it."""
-    return search._scan(table, t, sizemode, None, lengths, symbols, (3,), 3, False, 1)[1]
+    return search._scan(table, t, sizemode, None, lengths, symbols, 3, False, 1)[1]
 
 
 def _sorted_hits(words, colours):
@@ -666,21 +666,21 @@ def test_a_scan_over_lengths_matches_one_scan_per_length(data):
     """Slabs that straddle lengths find, at each length, exactly the hits of a scan of that length alone.
 
     Each length's hits come in the same order, and the placements examined
-    are the one-length counts, each times its level's multiplicity.
+    are the one-length counts summed.
     """
     t = template_from_word(data.draw(st.sampled_from(["12", "122", "1233"]), "template"), m=3)
     modes = [EqualSize(1), EqualSize(2), MixedSize(1), MixedSize(2)]
     sizemode = data.draw(st.sampled_from([mode for mode in modes if t.s * mode.min_size <= 8]), "sizemode")
     n = data.draw(st.integers(t.s * sizemode.min_size, 8), "n")
     lengths = range(data.draw(st.integers(t.s * sizemode.min_size, n), "shortest"), n + 1)
-    symbols, neutral = data.draw(st.sampled_from([((1, 2), (3,)), ((1,), (2, 3)), ((1, 2, 3), (3,))]), "symbols")
+    symbols, pad = data.draw(st.sampled_from([((1, 2), 3), ((1,), 3), ((1, 2, 3), 3), ((1, 3), 2)]), "symbols")
     table = random_table_colouring(n, 3, 2, seed=data.draw(st.integers(0, 99), "seed")).dense_table(n, 3)
     workers = data.draw(st.sampled_from([1, 2]), "workers")
     with pytest.MonkeyPatch.context() as patch:  # at 64 entries a slab holds a few families, and often two lengths
         patch.setattr(search, "SLAB_ENTRIES", data.draw(st.sampled_from([64, search.SLAB_ENTRIES]), "slab"))
 
         def scan(lengths):
-            return search._scan(table, t, sizemode, None, lengths, symbols, neutral, neutral[-1], False, workers)
+            return search._scan(table, t, sizemode, None, lengths, symbols, pad, False, workers)
 
         examined, hits = scan(lengths)
         alone = {k: scan(range(k, k + 1)) for k in lengths}
@@ -688,7 +688,7 @@ def test_a_scan_over_lengths_matches_one_scan_per_length(data):
     for k, (one_examined, one_hits) in alone.items():
         assert hits[k][0].dtype == one_hits[k][0].dtype == np.int8
         assert np.array_equal(hits[k][0], one_hits[k][0]) and np.array_equal(hits[k][1], one_hits[k][1])
-    assert examined == sum(math.comb(n, k) * len(neutral) ** (n - k) * alone[k][0] for k in lengths)
+    assert examined == sum(alone[k][0] for k in lengths)
 
 
 @given(st.data())
@@ -753,6 +753,56 @@ def test_a_hitless_climb_builds_no_position_set_at_n(monkeypatch):
     report = verify_absence(colouring, 19, t, MixedSize(2))
     assert len(report.found) == 0 and report.examined == placement_count(19, t, MixedSize(2), 3)
     assert calls and max(n for n, _ in calls) < 19  # the T_0 hits were lifted, and nothing at 19
+
+
+def _record(monkeypatch, calls, *names):
+    """Record the positional arguments of each call of these `search` functions, by name, then make the call."""
+    for name in names:
+        real = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *args, name=name, real=real: calls.append((name, args)) or real(*args))
+
+
+def test_a_one_copy_template_extends_its_certificate_hits_once(monkeypatch):
+    """`--pq 2,1` at n=13: 1223 holds one neutral 3, so its hits extend from those of 122, scanned up to n - 1.
+
+    122 has 256 hits at 11 over references 1 and 2, so the extension runs;
+    it finds no hit of 1223.
+    """
+    t, colouring = cli.degree_setup(2, (2, 1))
+    calls = []
+    _record(monkeypatch, calls, "block_families", "_extend", "_join")
+    report = verify_absence(colouring, 13, t, MixedSize(2))
+    assert [name for name, _ in calls] == ["block_families", "_extend"]
+    assert calls[0][1][0] == 12  # the certificate scan's longest length, n - min_size
+    assert len(report.found) == 0 and report.examined == placement_count(13, t, MixedSize(2), 3)
+
+
+def test_a_zero_copy_template_climbs_from_its_own_scan(monkeypatch):
+    """`--pq 3,0`: 1222 holds no 3, so the climb is its own scan over references without 3, from n = 4 up."""
+    t, colouring = cli.degree_setup(2, (3, 0))
+    calls = []
+    _record(monkeypatch, calls, "_climb", "_scan", "_extend", "_join")
+    report = verify_absence(colouring, 9, t, MixedSize(2))
+    assert [name for name, _ in calls] == ["_climb", "_scan"]
+    assert calls[0][1][1:3] == (t, 3)  # climbs the 3s
+    assert calls[1][1][4:6] == (range(4, 10), (1, 2))  # lengths and reference symbols
+    assert report.examined == placement_count(9, t, MixedSize(2), 3)
+    monkeypatch.undo()
+    assert _stable(report) == _stable(verify_absence(DirectContribution(3, 7), 9, t, MixedSize(2)))
+
+
+def test_a_patterned_scan_of_a_neutral_colouring_runs_once_at_n(monkeypatch):
+    """A pattern is not climbed: its families are built once, at n, and scanned at n only, over every symbol."""
+    calls = []
+    _record(monkeypatch, calls, "block_families", "_scan", "_climb")
+    report = verify_absence(ContributionColouring(3, 3), 9, T1233, MixedSize(2), "ABCDDCBA")
+    assert [(name, args[0] if name == "block_families" else args[4:6]) for name, args in calls] == [
+        ("_scan", (range(9, 10), (1, 2, 3))),
+        ("block_families", 9),
+    ]
+    assert len(report.found) == 2
+    monkeypatch.undo()
+    assert _stable(report) == _stable(verify_absence(DirectContribution(3, 3), 9, T1233, MixedSize(2), "ABCDDCBA"))
 
 
 @given(st.data())
@@ -1396,6 +1446,13 @@ def test_extract_requires_matching_set_size():
     homog = HomogeneousSet(8, 4, tuple(range(1, 6)), theta.colour((1, 2, 3, 4)))
     with pytest.raises(ValueError):
         extract_abccba(base, 1, homog)
+
+
+def test_extract_refuses_k_below_one():
+    """k = 0 gives one branch colour, which no second can agree with: bad input, not a failed extraction."""
+    homog = HomogeneousSet(4, 2, (1, 2, 3, 4), ((0,),))
+    with pytest.raises(ValueError, match=r"^need k >= 1, got 0$"):
+        extract_abccba(ConstantColouring(0, 1), 0, homog)
 
 
 @pytest.mark.parametrize(
