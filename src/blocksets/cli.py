@@ -15,6 +15,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import operator
 import os
 import sys
@@ -22,7 +23,7 @@ import time
 from typing import Iterator, Optional, Sequence
 
 from . import blocks, colourings, lattice, search
-from .words import encode_word
+from .words import check_entries, encode_word
 
 
 class UsageError(ValueError):
@@ -447,12 +448,20 @@ def _run_blockset_points(args: argparse.Namespace) -> dict:
 
 
 def _run_blockset_enum(args: argparse.Namespace) -> dict:
+    """The placements, counted first and refused as a scan's listing is: n + s entries a placement."""
+    n, t, sizemode, pattern, domain = args.n, args.template, args.size_mode, args.pattern, _reference_domain(args)
+    symbols = len(blocks.reference_symbols(t, domain))
+    if pattern is None:
+        count = blocks.placement_count(n, t, sizemode, symbols)
+    else:  # s first-occurrence letters, each a block of an allowed size, fit each |pattern|-subset of [n] once
+        letters = [chr(ord("A") + j) for j in range(t.s)]
+        fits = list(dict.fromkeys(pattern)) == letters and all(pattern.count(c) in sizemode.size_range() for c in letters)
+        count = math.comb(n, len(pattern)) * symbols ** max(n - len(pattern), 0) if fits else 0
+    count = count if args.limit is None else min(count, args.limit)
+    check_entries(f"listing the {count:,} placements at n={n}", count * (n + t.s))
     out = []
     truncated = False
-    placements = blocks.enumerate_placements(
-        args.n, args.template, args.size_mode, args.pattern, _reference_domain(args)
-    )
-    for placement in placements:
+    for placement in blocks.enumerate_placements(n, t, sizemode, pattern, domain):
         if args.limit is not None and len(out) >= args.limit:
             truncated = True
             break

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .words import MAX_ALPHABET, MAX_TABLE_ENTRIES, CapacityExceeded, InvalidSymbol, Word, all_words, profile
+from .words import MAX_ALPHABET, InvalidSymbol, Word, all_words, check_entries, profile
 
 
 class DomainError(KeyError):
@@ -282,8 +282,7 @@ def table_colouring(entries: dict[Word, int], colour_count: Optional[int] = None
     if len(shapes) != 1 or min(entries.values()) < 0:
         raise DomainError(f"table {name} needs words of one length and alphabet, with ids >= 0")
     ((n, m),) = shapes
-    if m**n > MAX_TABLE_ENTRIES:
-        raise CapacityExceeded(f"table {name} of [{m}]^{n} needs {m**n:,} entries; the limit is {MAX_TABLE_ENTRIES:,}")
+    check_entries(f"table {name} of [{m}]^{n}", m**n)
     ids = np.full(m**n, -1, np.int64)
     ids[[w.index for w in entries]] = list(entries.values())
     return TableColouring(ids, n, m, max(entries.values()) + 1 if colour_count is None else colour_count, name)
@@ -293,8 +292,9 @@ def random_table_colouring(n: int, m: int, k: int, seed: int) -> TableColouring:
     """Seeded uniform random k-colouring of [m]^n (reproducible across runs)."""
     if k < 1:
         raise ValueError(f"need k >= 1 colours, got {k}")
-    rng = np.random.default_rng(seed)
-    return TableColouring(rng.integers(0, k, size=m**n), n, m, k, f"random:k={k},seed={seed}")
+    name = f"random:k={k},seed={seed}"
+    check_entries(f"table {name} of [{m}]^{n}", m**n)
+    return TableColouring(np.random.default_rng(seed).integers(0, k, size=m**n), n, m, k, name)
 
 
 def substitute(x: Word, w: Word) -> Word:

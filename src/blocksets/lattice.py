@@ -19,7 +19,7 @@ import numpy as np
 
 from .colourings import Colouring
 from .search import ExtractionContradiction, map_chunks
-from .words import MAX_TABLE_ENTRIES, CapacityExceeded, Word
+from .words import Word, check_entries
 
 LatticePoint = tuple[int, ...]
 
@@ -145,8 +145,7 @@ class Box:
 
     def shape(self) -> tuple[int, ...]:
         """Side lengths; every caller tabulates the box, so one past the table limit raises CapacityExceeded."""
-        if self.size() > MAX_TABLE_ENTRIES:
-            raise CapacityExceeded(f"the box {self} has {self.size():,} points; the limit is {MAX_TABLE_ENTRIES:,}")
+        check_entries(f"the box {self}", self.size())
         return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
 
     def size(self) -> int:

@@ -53,7 +53,7 @@ from .colourings import (
     slot_word_for,
     substitute,
 )
-from .words import MAX_TABLE_ENTRIES, CapacityExceeded, InvalidSymbol, Word
+from .words import CapacityExceeded, InvalidSymbol, Word, check_entries
 
 R = TypeVar("R")
 
@@ -477,12 +477,6 @@ def _offset(table: np.ndarray, m: int, pad: int, k: int) -> int:
 Hits = dict[int, tuple[np.ndarray, np.ndarray]]  # length -> (label words, colour ids)
 
 
-def _check_entries(what: str, entries: int) -> None:
-    """Refuse an array of more than MAX_TABLE_ENTRIES entries before it is built."""
-    if entries > MAX_TABLE_ENTRIES:
-        raise CapacityExceeded(f"{what} needs {entries:,} entries; the limit is {MAX_TABLE_ENTRIES:,}")
-
-
 def _subsets(n: int, r: int) -> np.ndarray:
     """The r-subsets of the coordinates 0..n-1, one sorted row each, in lexicographic order."""
     rows = itertools.chain.from_iterable(itertools.combinations(range(n), r))
@@ -633,7 +627,7 @@ def _join(lower: Hits, blocks: int, copies: int, lengths: range, m: int, sizes: 
     out = {}
     for n in lengths:
         at = [lift for lift in lifts if lift[0] == n]
-        _check_entries(f"the join at n={n}", n * sum(int(counts.sum()) for *_, counts in at))
+        check_entries(f"the join at n={n}", n * sum(int(counts.sum()) for *_, counts in at))
         words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
         for slab in _slabs(counts * n for *_, counts in at):  # a hit's candidates, n letters each
             parts = []
@@ -859,12 +853,9 @@ def verify_absence(
     climb = max(letters, key=lambda z: t.counts[z - 1]) if letters and pattern is None and not first_only else None
     neutral = tuple(z for z in symbols if z in colouring.neutral_symbols) if climb else ()
     longest = n - max(t.counts[climb - 1] - 1, 0) * sizemode.min_size if climb else n
-    if t.m**longest > MAX_TABLE_ENTRIES or colouring.colour_count > 2**62:
-        raise CapacityExceeded(
-            f"a scan of [{t.m}]^{longest} needs {t.m**longest:,} colour-table entries holding "
-            f"{(colouring.colour_count - 1).bit_length()}-bit colour ids; "
-            f"the limits are {MAX_TABLE_ENTRIES:,} entries and 62-bit ids"
-        )
+    if colouring.colour_count > 2**62:
+        raise CapacityExceeded(f"a scan holds colour ids below 2**62; {colouring.name} has {colouring.colour_count:,} colours")
+    check_entries(f"a scan of [{t.m}]^{longest}", t.m**longest)
     # too few coordinates are refused before a table is built; more than 62 only with hits to list
     if n < t.s * sizemode.min_size:
         raise AmbientTooSmall(f"n={n} cannot hold {t.s} disjoint blocks of size >= {sizemode.min_size}")
@@ -877,7 +868,7 @@ def verify_absence(
         examined, hits = _scan(table, t, sizemode, pattern, range(n, n + 1), symbols, 1, first_only, workers)
     # every placement at n behind the hits: the deleted coordinates hold neutral references
     listed = sum(len(word) * math.comb(n, k) * len(neutral) ** (n - k) for k, (word, _) in hits.items())
-    _check_entries(f"listing the {listed:,} monochromatic placements at n={n}", listed * (n + t.s))
+    check_entries(f"listing the {listed:,} monochromatic placements at n={n}", listed * (n + t.s))
     words, colours = [np.empty((0, n), np.int8)], [np.empty(0, np.int64)]
     for k, (word, colour) in hits.items():
         if not len(word):
@@ -938,8 +929,8 @@ def _block_sets(n: int, t: Template, sizemode: SizeMode, reference_domain: Optio
     """
     symbols = reference_symbols(t, reference_domain)
     arrangements = np.array(list(t.arrangements()), np.int64) - 1
-    _check_entries(f"the block sets at n={n}", placement_count(n, t, sizemode, len(symbols)) * len(arrangements))
-    _check_entries(f"a colouring of [{t.m}]^{n}", t.m**n)
+    check_entries(f"the block sets at n={n}", placement_count(n, t, sizemode, len(symbols)) * len(arrangements))
+    check_entries(f"a colouring of [{t.m}]^{n}", t.m**n)
     families = block_families(n, t, sizemode)
     points = block_weights(families.blocks, t.m)[families.ids] @ arrangements.T
     key = np.min_scalar_type(t.m**n - 1)

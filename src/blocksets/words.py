@@ -33,10 +33,16 @@ MIN_ALPHABET = 2
 MAX_ALPHABET = 9  # keeps the digit-string format unambiguous
 
 # Largest colour table a scan builds (400 MB of int64): [3]^16 fits, [3]^17 not.
-# Table colourings, the candidate words of a join and the listed hits are held to
-# it too; a listed hit is its label word (n int8 letters) and colour id, and is
-# decoded to a `Placement` only for a table colouring's re-check or on request.
+# Colourings, boxes, joins, block sets and listings are held to it too; a listed
+# hit is its label word (n int8 letters) and colour id, and is decoded to a
+# `Placement` only for a table colouring's re-check or on request.
 MAX_TABLE_ENTRIES = 50_000_000
+
+
+def check_entries(what: str, entries: int) -> None:
+    """Refuse an array of more than MAX_TABLE_ENTRIES entries before it is built; no other code reads the limit."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise CapacityExceeded(f"{what} needs {entries:,} entries; the limit is {MAX_TABLE_ENTRIES:,}")
 
 
 def packed_capacity(m: int) -> int:

@@ -389,6 +389,48 @@ def test_search_witness_csv_and_text_bytes_are_pinned(out_format, expected):
     assert (code, err, out) == (0, "", expected)
 
 
+NONE_N3_PARAMS = '{"budget": 1000000, "k": 1, "n": 3, "op": "witness_search", "sizemode": "mixed:1", "template": "123"}'
+BUDGET_N5_PARAMS = '{"budget": 2, "k": 4, "n": 5, "op": "witness_search", "sizemode": "mixed:1", "template": "123"}'
+
+
+@pytest.mark.parametrize(
+    "argv, out_format, code, expected",
+    [
+        (
+            ("--n", "3", "--k", "1"), "csv", 0,
+            f"budget_exhausted,colouring,elapsed_ms,params,status\nFalse,,0.0,{_csv_quoted(NONE_N3_PARAMS)},none\n",
+        ),
+        (
+            ("--n", "3", "--k", "1"), "text", 0,
+            f"budget_exhausted: False\ncolouring: \nelapsed_ms: 0.0\nparams: {NONE_N3_PARAMS}\nstatus: none\n",
+        ),
+        (
+            ("--n", "5", "--k", "4", "--budget", "2"), "csv", 2,
+            "budget_exhausted,colouring,elapsed_ms,nodes,params,status\n"
+            f"True,,0.0,3,{_csv_quoted(BUDGET_N5_PARAMS)},budget_exceeded\n",
+        ),
+        (
+            ("--n", "5", "--k", "4", "--budget", "2"), "text", 2,
+            "budget_exhausted: True\ncolouring: \nelapsed_ms: 0.0\nnodes: 3\n"
+            f"params: {BUDGET_N5_PARAMS}\nstatus: budget_exceeded\n",
+        ),
+    ],
+    ids=["none-csv", "none-text", "budget-csv", "budget-text"],
+)
+def test_search_witness_reports_without_a_colouring_are_pinned(argv, out_format, code, expected):
+    """No witness leaves the colouring cell empty in CSV and text."""
+    got = run_cli(
+        "search", "witness", "--template", "123", "--size-mode", "mixed:1", *argv, "--stable", "--format", out_format
+    )
+    assert got == (code, expected, "")
+
+
+def test_a_witness_failing_its_absence_check_exits_3_without_a_report(monkeypatch):
+    monkeypatch.setattr(search, "find_monochromatic", lambda *args: object())
+    code, out, err = run_cli("search", "witness", "--template", "123", "--n", "4", "--size-mode", "mixed:1", "--k", "4")
+    assert (code, out, err) == (3, "", "blocksets: internal error: witness failed its own absence check\n")
+
+
 # sha256 of the `--stable` `verify thm2 --d 2 --pq 1,2` reports of the scan that visits every reference
 PQ12_DIGESTS = {
     (9, 1): "39bcf9f433adba27648ea6ac2d4d7a8a08a15978890fc41c15f04c88b230316b",
@@ -605,8 +647,7 @@ def test_lattice_box_past_the_table_limit_exits_1_at_once(verb, colouring):
     )
     assert time.perf_counter() - t0 < 2.0
     assert code == 1 and out == ""
-    assert "the box 0..99^9 has 1,000,000,000,000,000,000 points" in err
-    assert "the limit is 50,000,000" in err
+    assert err == "blocksets: error: the box 0..99^9 needs 1,000,000,000,000,000,000 entries; the limit is 50,000,000\n"
 
 
 def test_lattice_box_dimension_below_1_exits_1():
@@ -962,6 +1003,43 @@ def test_blockset_enum_negative_limit_is_rejected():
     assert (report["count"], report["truncated"]) == (0, True)
 
 
+def test_blockset_enum_past_the_table_limit_exits_1_before_listing(monkeypatch):
+    """n=11 has 12,148,785 placements, of n + s = 14 entries each, as a scan's listing counts them."""
+    monkeypatch.setattr(cli.blocks, "enumerate_placements", lambda *args: pytest.fail("placements were listed"))
+    t0 = time.perf_counter()
+    code, out, err = run_cli("blockset", "enum", "--template", "123", "--n", "11", "--size-mode", "mixed:2")
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "blocksets: error: listing the 12,148,785 placements at n=11 needs 170,082,990 entries; "
+        "the limit is 50,000,000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--template", "123", "--n", "6", "--size-mode", "mixed:2"),
+        ("--template", "1233", "--n", "6", "--size-mode", "equal:1", "--reference-domain", "12"),
+        ("--template", "123", "--n", "7", "--size-mode", "mixed:2", "--pattern", "ABBC"),
+        ("--template", "123", "--n", "6", "--size-mode", "equal:2", "--pattern", "ABCCBA"),
+        ("--template", "123", "--n", "6", "--size-mode", "mixed:1", "--pattern", "ABA"),  # a block of size 2: none
+        ("--template", "123", "--n", "6", "--size-mode", "mixed:1", "--pattern", "ABCD"),  # four blocks: none
+        ("--template", "123", "--n", "6", "--size-mode", "mixed:2", "--limit", "100"),
+    ],
+)
+def test_blockset_enum_counts_exactly_what_it_lists(monkeypatch, argv):
+    """A limit of the listing's placements x (n + s) entries lets it through, and one entry less refuses it."""
+    report = run_json("blockset", "enum", *argv)
+    entries = report["count"] * (report["params"]["n"] + len(report["params"]["template"]))
+    monkeypatch.setattr("blocksets.words.MAX_TABLE_ENTRIES", entries)
+    assert run_json("blockset", "enum", *argv) == report
+    monkeypatch.setattr("blocksets.words.MAX_TABLE_ENTRIES", entries - 1)
+    code, out, err = run_cli("blockset", "enum", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"blocksets: error: listing the {report['count']:,} placements at n=")
+
+
 def test_output_file_and_unwritable_path(tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -1082,8 +1160,26 @@ def test_scan_past_the_table_limit_exits_1_at_once():
     code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "18", "--workers", "1")
     assert time.perf_counter() - t0 < 2.0
     assert code == 1 and out == ""
-    assert "a scan of [3]^17 needs 129,140,163 colour-table entries" in err
-    assert "the limits are 50,000,000 entries" in err
+    assert err == "blocksets: error: a scan of [3]^17 needs 129,140,163 entries; the limit is 50,000,000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("search", "mono", "--template", "123", "--n", "17", "--size-mode", "mixed:2", "--workers", "1"),
+            "table random:k=2,seed=0 of [3]^17 needs 129,140,163 entries",
+        ),
+        (("colour", "eval", "--word", "1" * 20), "table random:k=2,seed=0 of [3]^20 needs 3,486,784,401 entries"),
+    ],
+    ids=["search-mono", "colour-eval"],
+)
+def test_random_table_past_the_table_limit_exits_1_before_drawing(monkeypatch, argv, message):
+    monkeypatch.setattr(cli.colourings.np.random, "default_rng", lambda *args: pytest.fail("colours were drawn"))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(*argv, "--colouring", "random:k=2")
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out, err) == (1, "", f"blocksets: error: {message}; the limit is 50,000,000\n")
 
 
 def test_hits_past_the_listing_limit_exit_1():

@@ -342,6 +342,13 @@ def test_random_table_colouring_needs_one_colour_before_drawing(monkeypatch, k):
         random_table_colouring(2, 3, k, seed=0)
 
 
+def test_random_table_colouring_past_the_limit_is_refused_before_drawing(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("colours were drawn"))
+    message = r"^table random:k=2,seed=0 of \[3\]\^17 needs 129,140,163 entries; the limit is 50,000,000$"
+    with pytest.raises(CapacityExceeded, match=message):
+        random_table_colouring(17, 3, 2, seed=0)
+
+
 @pytest.mark.parametrize("n, m", [(0, 3), (1, 2), (4, 3), (3, 4)])
 def test_random_table_colouring_draws_by_packed_index(n, m):
     """Entry w is draw w.index of the seeded generator, in all_words order."""

@@ -163,7 +163,8 @@ class Unevaluable(lattice.LatticeColouring):
 
 def test_box_past_the_table_limit_is_refused_before_any_colour():
     box = cube(0, 99, 9)
-    with pytest.raises(CapacityExceeded, match="1,000,000,000,000,000,000 points"):
+    message = r"^the box 0\.\.99\^9 needs 1,000,000,000,000,000,000 entries; the limit is 50,000,000$"
+    with pytest.raises(CapacityExceeded, match=message):
         search_generated_ball(Unevaluable(), box, 1, 1, 1)
     with pytest.raises(CapacityExceeded):
         random_lattice_colouring(box, 2, 0)

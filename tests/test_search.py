@@ -721,7 +721,8 @@ def test_scan_refuses_ids_past_62_bits_before_any_table(monkeypatch):
     """A constant colour past int64 serves lattice boxes, but a word scan refuses it before evaluating a colour."""
     for method in ("dense_table", "colour_ids", "colour_id"):
         monkeypatch.setattr(ConstantColouring, method, lambda *args, name=method: pytest.fail(f"{name} called"))
-    with pytest.raises(CapacityExceeded, match="holding 71-bit colour ids; the limits are .* and 62-bit ids"):
+    message = r"^a scan holds colour ids below 2\*\*62; constant:\d+ has 2,361,183,241,434,822,606,848 colours$"
+    with pytest.raises(CapacityExceeded, match=message):
         verify_absence(ConstantColouring(2**70, 2**71), 4, template_from_word("12"), EqualSize(1))
 
 
@@ -731,10 +732,10 @@ def test_join_counts_its_candidates_before_building_them(monkeypatch):
     Those are {2,3}, {2,4} and {3,4}: 3 candidates of 4 letters.
     """
     lower = {2: (np.array([[4, 4]], np.int8), np.array([7]))}
-    monkeypatch.setattr(search, "MAX_TABLE_ENTRIES", 3 * 4 - 1)
+    monkeypatch.setattr("blocksets.words.MAX_TABLE_ENTRIES", 3 * 4 - 1)
     with pytest.raises(CapacityExceeded, match="the join at n=4 needs 12 entries"):
         search._join(lower, 1, 2, range(4, 5), 3, range(1, 3))
-    monkeypatch.setattr(search, "MAX_TABLE_ENTRIES", 3 * 4)
+    monkeypatch.setattr("blocksets.words.MAX_TABLE_ENTRIES", 3 * 4)
     words, colours = search._join(lower, 1, 2, range(4, 5), 3, range(1, 3))[4]
     assert words.tolist() == [[4, 5, 5, 4], [4, 5, 4, 5], [4, 4, 5, 5]]
     assert colours.tolist() == [7, 7, 7]
@@ -1071,6 +1072,12 @@ def test_witness_at_n8_passes_the_absence_scan():
     assert w is not None
     report = verify_absence(w, 8, T123, MixedSize(1))
     assert (report.examined, report.found) == (placements_examined_until(8, T123, MixedSize(1), None, None, None), [])
+
+
+def test_a_witness_failing_its_absence_check_is_a_contradiction(monkeypatch):
+    monkeypatch.setattr(search, "find_monochromatic", lambda *args: object())
+    with pytest.raises(ExtractionContradiction, match="^witness failed its own absence check$"):
+        witness_search(4, T123, MixedSize(1), 4)
 
 
 def test_witness_proven_impossible_beyond_one_colour():
