@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -362,21 +361,19 @@ def block_labels(bits: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
 
 
 def placement_count(n: int, t: Template, sizemode: SizeMode, symbols: int) -> int:
-    """Closed-form number of placements with `symbols` reference symbols and no pattern.
+    """Number of placements with `symbols` reference symbols and no pattern.
 
-    A block-size multiset of total b gives n! / ((n-b)! prod size! prod
-    multiplicity!) families, each with symbols^(n-b) references.
+    P(N, k), the partitions of N coordinates into k blocks of allowed sizes,
+    counts by the block of the first coordinate: P(N, k) = sum over sizes r
+    of C(N-1, r-1) P(N-r, k-1).  A family of s blocks over N coordinates of
+    [n] picks those coordinates, and has symbols^(n-N) references.
     """
     if n < t.s * sizemode.min_size:
         raise AmbientTooSmall(f"n={n} cannot hold {t.s} disjoint blocks of size >= {sizemode.min_size}")
-    total = 0
-    for sizes in itertools.combinations_with_replacement(sizemode.size_range(), t.s):
-        if sum(sizes) <= n:
-            families = math.factorial(n) // math.factorial(n - sum(sizes))
-            for size, count in Counter(sizes).items():
-                families //= math.factorial(size) ** count * math.factorial(count)
-            total += families * symbols ** (n - sum(sizes))
-    return total
+    partitions, sizes = [1] + [0] * n, sizemode.size_range()  # P(N, 0)
+    for _ in range(t.s):
+        partitions = [sum(math.comb(N - 1, r - 1) * partitions[N - r] for r in sizes if r <= N) for N in range(n + 1)]
+    return sum(math.comb(n, N) * partitions[N] * symbols ** (n - N) for N in range(n + 1))
 
 
 def enumerate_block_families(

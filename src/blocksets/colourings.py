@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .words import MAX_ALPHABET, InvalidSymbol, Word, all_words, check_entries, profile
+from .words import MAX_ALPHABET, CapacityExceeded, InvalidSymbol, Word, all_words, check_entries, profile
 
 
 class DomainError(KeyError):
@@ -61,8 +61,8 @@ class Colouring:
 
     The closed-form colourings also give `colour_ids(words)`: the ids of
     int8 symbol rows of shape (..., n), computed from their rule in numpy and
-    never from `dense_table`, so that `search.verify_absence` can re-check
-    the hits its table scan reports independently of that table.
+    never from a table, so that `search.verify_absence` can re-check the
+    hits its table scan reports independently of that table.
     """
 
     name: str = "colouring"
@@ -82,6 +82,38 @@ class Colouring:
         for w in all_words(n, m):
             table[w.index] = self.colour_id(w)
         return table
+
+    def alphabet_table(self, n: int, m: int, letters: tuple[int, ...]) -> np.ndarray:
+        """Colour ids of the words over `letters`, ascending symbols of [m], of every length up to n.
+
+        A word of length k is entry b^k + i, where i is its packed index over
+        the letters (a letter's digit is its rank, coordinate 1 least
+        significant) in base b = `alphabet_base(len(letters))`: its packed
+        index with a digit 1 past its last coordinate, which stays past it
+        when digits are inserted or deleted below.  The table has 2*b^n
+        entries; those of no word hold -1.  Subclasses may override with a
+        per-length recurrence; the generic path walks every word.
+        """
+        words = ([self.colour_id(Word(w[::-1], m)) for w in itertools.product(letters, repeat=k)] for k in range(n + 1))
+        return _alphabet_table(list(words), len(letters))
+
+
+def alphabet_base(letters: int) -> int:
+    """The base of an alphabet table's packed indices: the least power of 2 that is 2 or more and `letters` or more."""
+    return 1 << max(1, (letters - 1).bit_length())
+
+
+def _alphabet_table(slices: Sequence, letters: int) -> np.ndarray:
+    """The alphabet table (see `Colouring.alphabet_table`) of each length's ids in packed order, length 0 first."""
+    base = alphabet_base(letters)
+    table = np.full(2 * base ** (len(slices) - 1), -1, np.int64)
+    for k, ids in enumerate(slices):
+        if letters < base:  # a length's words are not contiguous: lay them out in base `base`
+            index = sum(np.indices((letters,) * k)[c] * base**c for c in range(k)) if k else np.zeros((), int)
+            table[base**k + index.ravel(order="F")] = ids
+        else:
+            table[base**k : base**k + letters**k] = ids
+    return table
 
 
 @dataclass(frozen=True)
@@ -154,6 +186,14 @@ class ModularCountColouring(Colouring):
             table = np.concatenate([bumped if s == self.symbol else table for s in range(1, m + 1)])
         return table
 
+    def alphabet_table(self, n: int, m: int, letters: tuple[int, ...]) -> np.ndarray:
+        """Per-length recurrence: the words of length k + 1 are those of length k with each letter appended as coordinate k + 1."""
+        tables = [np.zeros(1, dtype=np.int64)]
+        for _ in range(n):
+            bumped = (tables[-1] + 1) % self.modulus
+            tables.append(np.concatenate([bumped if s == self.symbol else tables[-1] for s in letters]))
+        return _alphabet_table(tables, len(letters))
+
 
 def contribution_colour(x: Word, modulus: int, length: int) -> tuple[int, ...]:
     """Layered colouring of words over [3]: each 1 adds a basis vector.
@@ -206,13 +246,21 @@ class ContributionColouring(Colouring):
         return vector_to_id(self.vector(w), self.modulus)
 
     def colour_ids(self, words: np.ndarray) -> np.ndarray:
-        """`colour_id` of int8 words over [3]: the 1 at i adds e_a, a = the 1s and 2s before i mod `length`."""
+        """`colour_id` of int8 words over [3]: the 1 at i adds e_a, a = the 1s and 2s before i mod `length`.
+
+        Only the digits a below the words' largest count of 1s and 2s (and
+        below `length`) can be nonzero, so only those are summed; ids that
+        could reach 2**63 are refused.
+        """
         if words.size and (words.min() < 1 or words.max() > 3):
             raise InvalidSymbol("contribution colouring needs alphabet [3]")
         ones, counted = words == 1, words <= 2
+        reach = min(self.length, int(counted.sum(axis=-1).max(initial=0)))
+        if self.modulus**reach > 2**63:
+            raise CapacityExceeded(f"{self.name} ids of words with {reach} or more 1s and 2s pass int64")
         slot = (np.cumsum(counted, axis=-1, dtype=np.min_scalar_type(words.shape[-1])) - counted) % self.length
         ids = np.zeros(words.shape[:-1], np.int64)
-        for a in range(self.length):  # the id's digit a, modulus^a, is coordinate a of the vector
+        for a in range(reach):  # the id's digit a, modulus^a, is coordinate a of the vector
             ids += (ones & (slot == a)).sum(axis=-1, dtype=np.int64) % self.modulus * self.modulus**a
         return ids
 
@@ -242,6 +290,20 @@ class ContributionColouring(Colouring):
             count12[size : 2 * size] = (count12[:size] + 1) % length
             count12[:size] = count12[size : 2 * size]
         return table
+
+    def alphabet_table(self, n: int, m: int, letters: tuple[int, ...]) -> np.ndarray:
+        """Per-length recurrence over words of 1s and 2s: appending a 1 to a word of k letters adds e_(k mod length).
+
+        A word with 3s, neutral here, takes the generic walk.
+        """
+        if m != 3 or not set(letters) <= {1, 2}:
+            return super().alphabet_table(n, m, letters)
+        mod, tables = self.modulus, [np.zeros(1, dtype=np.int64)]
+        for k in range(n):
+            table, power = tables[-1], mod ** (k % self.length)
+            bumped = table + np.where(table // power % mod == mod - 1, (1 - mod) * power, power)
+            tables.append(np.concatenate([bumped if s == 1 else table for s in letters]))
+        return _alphabet_table(tables, len(letters))
 
 
 @dataclass(frozen=True, eq=False)  # an array field takes no part in == or hashing

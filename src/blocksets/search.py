@@ -48,6 +48,7 @@ from .colourings import (
     ContributionColouring,
     InducedColouring,
     TableColouring,
+    alphabet_base,
     flipped_block_word,
     id_to_vector,
     slot_word_for,
@@ -319,26 +320,44 @@ def _slabs(parts: Iterable[np.ndarray]) -> list[list[tuple[int, int, int]]]:
 
 
 def _reference_bases(
-    masks: np.ndarray, totals: np.ndarray, n: int, m: int, symbols: tuple[int, ...], digit_matrices: dict
+    masks: np.ndarray, totals: np.ndarray, n: int, base: int, symbols: tuple[int, ...], digit_matrices: dict
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(k, families, bases) for each complement size k of the families with these masks and totals.
 
     `families` indexes the families with k coordinates outside their blocks,
-    and row f of `bases` holds the packed index, 0 on the blocks, of each of
-    their |symbols|^k references in lexicographic order over the complement:
-    one matrix product, complement weights (F x k) by the digit matrix of
-    every reference, kept in `digit_matrices` across calls.
+    and row f of `bases` holds the packed index in `base`, 0 on the blocks,
+    of each of their |symbols|^k references (`symbols` as digits, ascending)
+    in lexicographic order over the complement: one matrix product,
+    complement weights (F x k) by the digit matrix of every reference, kept
+    in `digit_matrices` across calls.
     """
     # a float product is exact here (every index is below 2^53) and much faster
-    powers = float(m) ** np.arange(n)
+    powers = float(base) ** np.arange(n)
     outside = (masks[:, None] >> np.arange(n)) & 1 == 0
     for k in sorted(set((n - totals).tolist())):
         fams = np.flatnonzero(totals == n - k)
         if k not in digit_matrices:  # column r spells reference r, first coordinate most significant
-            digits = list(itertools.product([sym - 1 for sym in symbols], repeat=k))
+            digits = list(itertools.product(symbols, repeat=k))
             digit_matrices[k] = np.array(digits, dtype=np.float64).reshape(len(digits), k).T
         complement = np.nonzero(outside[fams])[1].reshape(len(fams), k)
         yield k, fams, (powers[complement] @ digit_matrices[k]).astype(np.int64)
+
+
+class WordTable(NamedTuple):
+    """The colour ids that a scan reads, one per word over `letters` (ascending symbols of [m]).
+
+    A word of length k is entry mark*base^k + i, where i is its packed index
+    in `base`: the sum of digit_c * base^(c-1) over its coordinates c, a
+    letter's digit its rank in `letters`.  A table of [m]^n has mark 0,
+    base m and the one length n (`Colouring.dense_table`); an alphabet table
+    has mark 1, a digit 1 past a word's last coordinate, and every length up
+    to its longest (`Colouring.alphabet_table`).
+    """
+
+    ids: np.ndarray
+    letters: tuple[int, ...]
+    base: int
+    mark: int
 
 
 def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
@@ -348,12 +367,13 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
     ranges hold rows lo..hi-1 of the families of the `block_families` arrays
     at the longest length that lie inside [n'].  Each row is scanned as a
     family of [n'], through the table from the level's offset, so a slab may
-    straddle lengths.
-    A block's weight sums m^(c-1) over its coordinates c, the same at every
-    length, and a family's weights are taken in id order: the rows of
-    `arrangements` run over every permutation of the template, so the order
-    in which they meet the blocks does not change which placements are
-    monochromatic; their last column, 1, weighs the row's table offset.
+    straddle lengths.  Points are packed as the table packs its words (see
+    `WordTable`).  A block's weight sums base^(c-1) over its coordinates c,
+    the same at every length, and a family's weights are taken in id order:
+    the rows of `arrangements` (letters as digits) run over every
+    permutation of the template, so the order in which they meet the blocks
+    does not change which placements are monochromatic; their last column,
+    1, weighs the row's table offset.
     Rows are grouped by complement size n' - total, across lengths (the
     coordinates past n' count as covered), and a group's reference offsets
     are one matrix product (see `_reference_bases`).  Row 0 of
@@ -364,12 +384,12 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
     lengths with hits): a slab examines its (row, reference) pairs.  A slab
     labels its own hits in canonical order (see `_scan`), each row with hits
     once, at the slab's longest length, sliced to each n': a hit's base holds
-    its reference symbol less one on each free coordinate and 0 on its
+    its reference symbol's digit on each free coordinate and 0 on its
     blocks.  In first-only mode the chunk stops after the first slab with a
     hit and counts the placements up to and including that slab's first
     hit, the one hit it returns.
     """
-    table, m, symbols, arrangements, weight, families, levels, first_only = shared
+    table, base, m, letters, symbols, arrangements, weight, families, levels, first_only = shared
     lengths, offsets = zip(*levels)
     count = len(arrangements)
     digit_matrices: dict[int, np.ndarray] = {}
@@ -387,7 +407,7 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
         deltas = weights @ arrangements[[0, min(1, count - 1)]].T
         masks = families.masks[index] | (1 << top) - (1 << n)
         slab_hits = []
-        for k, fams, bases in _reference_bases(masks, totals + top - n, top, m, symbols, digit_matrices):
+        for k, fams, bases in _reference_bases(masks, totals + top - n, top, base, symbols, digit_matrices):
             colour = table[bases + deltas[fams, :1]]
             fi, ri = np.nonzero(table[bases + deltas[fams, 1:]] == colour)
             for a in range(2, count):
@@ -396,7 +416,7 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
                 keep = table[bases[fi, ri] + weights[fams[fi]] @ arrangements[a]] == colour[fi, ri]
                 fi, ri = fi[keep], ri[keep]
             slab_hits.append((fams[fi], ri, bases[fi, ri], colour[fi, ri]))
-        row, ref, base, colours = (np.concatenate(column) for column in zip(*slab_hits))
+        row, ref, base_index, colours = (np.concatenate(column) for column in zip(*slab_hits))
         order = np.lexsort((ref, row))
         refs = len(symbols) ** (n - totals)
         if first_only and len(order):
@@ -408,9 +428,14 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
             row, colours = row[order], colours[order]
             labelled, inverse = np.unique(row, return_inverse=True)  # each row with hits is labelled once
             labels = block_labels(families.bits, ids[labelled], top)[inverse]
-            # the reference digits, in int32 (every index is below MAX_TABLE_ENTRIES), which divides faster
-            digits = base[order].astype(np.int32)[:, None] // np.int32(m) ** np.arange(top, dtype=np.int32) % m
-            words = digits.astype(np.int8) + labels + (labels > 0) * np.int8(m - 1) + np.int8(1)  # digit 0 on a block
+            # the reference digits, in int32 (every index is below MAX_TABLE_ENTRIES), which divides faster;
+            # an alphabet table's base is a power of 2, whose digits are bit fields
+            index, place = base_index[order].astype(np.int32)[:, None], np.arange(top, dtype=np.int32)
+            if base & base - 1:
+                digits = index // np.int32(base) ** place % base
+            else:
+                digits = index >> np.int32(base.bit_length() - 1) * place & base - 1
+            words = letters[digits] + labels + (labels > 0) * np.int8(m - letters[0])  # digit 0 on a block
             cuts = np.searchsorted(row, ends).tolist()
             for (level, _, _), lo, hi in zip(slab, [0] + cuts, cuts):
                 if hi > lo:  # a family inside [n'] labels nothing past n'
@@ -421,45 +446,54 @@ def _scan_chunk(shared: tuple, _start: int, slabs: list) -> tuple[int, Hits]:
 
 
 def _scan(
-    table: np.ndarray,
+    table: WordTable,
     t: Template,
     sizemode: SizeMode,
     pattern: Optional[str],
     lengths: range,
     symbols: tuple[int, ...],
-    pad: int,
     first_only: bool,
     workers: int,
 ) -> tuple[int, Hits]:
     """Scan t's families at every length in `lengths`, longest first, through the table.
 
-    The families are the `block_families` arrays at the longest length, and
-    the words of [m]^k are read from the slice of the table whose words hold
-    `pad` (a neutral symbol, when the table is longer than k) past coordinate
-    k.  The (length, family) rows, longest length first, are cut into one slab
-    list (`_slabs`), which goes to the workers in one parallel map.  Returns
-    (placements examined, summed over the lengths, and hits as label words by
-    length, an entry for every length): a hit at k is an int8 word of length
-    k holding its reference symbol on each free coordinate, and m + the
-    `block_labels` label on each block coordinate, so equal placements have
-    equal words.  The slabs label their own hits (`_scan_chunk`), and the
-    chunks come back in slab order, so each length's hits are its chunks'
-    parts in turn.
+    The table holds the words over t's letters and the reference `symbols`
+    at each length in `lengths`.  The families are the `block_families`
+    arrays at the longest length.  The (length, family) rows, longest length
+    first, are cut into one slab list (`_slabs`), which goes to the workers
+    in one parallel map.  Returns (placements examined, summed over the
+    lengths, and hits as label words by length, an entry for every length):
+    a hit at k is an int8 word of length k holding its reference symbol on
+    each free coordinate, and m + the `block_labels` label on each block
+    coordinate, so equal placements have equal words.  The slabs label their
+    own hits (`_scan_chunk`), and the chunks come back in slab order, so each
+    length's hits are its chunks' parts in turn.
     """
-    top = lengths[-1]
+    top, digit = lengths[-1], {letter: d for d, letter in enumerate(table.letters)}
     families = block_families(top, t, sizemode, pattern)
-    arrangements = np.array(list(t.arrangements()), dtype=np.int64) - 1
+    arrangements = np.array([[digit[letter] for letter in a] for a in t.arrangements()], dtype=np.int64)
     # compare the template reversed first: it moves every letter, so it breaks
     # the most placements (6% survive it at pq12 n=10 and 2.5% at d=2 n=13,
     # against 45% and 14% for arrangement 1)
     arrangements = np.concatenate([arrangements[:1], arrangements[:0:-1]])
     arrangements = np.column_stack([arrangements, np.ones(len(arrangements), np.int64)])  # times a row's offset
     # per level, longest first: (length k, where its words start in the table)
-    levels = [(k, _offset(table, t.m, pad, k)) for k in lengths[::-1]]
+    levels = [(k, table.mark * table.base**k) for k in lengths[::-1]]
     # a row's working set: its placements, its block weights and its row of the coordinate mask
     slabs = _slabs(len(symbols) ** (k - families.totals[families.masks < 1 << k]) + t.s + k for k, _ in levels)
     examined, parts = 0, {k: [(np.empty((0, k), np.int8), np.empty(0, np.int64))] for k, _ in levels}
-    shared = (table, t.m, symbols, arrangements, block_weights(families.blocks, t.m), families, levels, first_only)
+    shared = (
+        table.ids,
+        table.base,
+        t.m,
+        np.array(table.letters, np.int8),
+        tuple(digit[symbol] for symbol in symbols),
+        arrangements,
+        block_weights(families.blocks, table.base),
+        families,
+        levels,
+        first_only,
+    )
     for chunk_examined, chunk_hits in map_chunks(_scan_chunk, shared, slabs, workers):
         examined += chunk_examined
         for k, part in chunk_hits.items():
@@ -467,11 +501,6 @@ def _scan(
         if first_only and chunk_hits:
             break
     return examined, {k: tuple(map(np.concatenate, zip(*part))) for k, part in parts.items()}
-
-
-def _offset(table: np.ndarray, m: int, pad: int, k: int) -> int:
-    """Where the words of [m]^k lie in the table: its words that hold `pad` on every coordinate past k."""
-    return (pad - 1) * (len(table) - m**k) // (m - 1) if len(table) > m**k else 0
 
 
 Hits = dict[int, tuple[np.ndarray, np.ndarray]]  # length -> (label words, colour ids)
@@ -530,7 +559,7 @@ def _pairs(counts: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:
     return hit, np.arange(len(hit)) + np.repeat(ends - np.cumsum(counts), counts)
 
 
-def _extend(table: np.ndarray, lower: Hits, t: Template, z: int, lengths: range, sizes: range) -> Hits:
+def _extend(table: WordTable, lower: Hits, t: Template, z: int, lengths: range, sizes: range) -> Hits:
     """The hits of t, which holds one copy of the neutral letter z, at each length from the hits of t without it.
 
     `lower` holds the hits of t without z, as label words, at every length
@@ -541,64 +570,99 @@ def _extend(table: np.ndarray, lower: Hits, t: Template, z: int, lengths: range,
     thus arises once as a lower hit at n - k lifted over a k-set Z that
     becomes its block of largest minimum (`_lifts`), and such a candidate is
     a hit when the table gives the lower hit's colour at every arrangement
-    that puts z off Z: the others are the lower hit's own points.  A
-    candidate's points are packed indices, read from the table slice whose
-    words hold z past n: its lower hit's point (the hit's packed reference
-    index plus its block weights times the arrangement's letters less one),
-    with Z's coordinates inserted as zero digits (v -> v mod m^q +
-    (v - v mod m^q) * m for each coordinate q of Z, ascending), plus Z's
-    weight times its letter less one and the slice's offset.  The candidates
-    of every length that share a Z size are checked together, in slabs of
-    about SLAB_ENTRIES entries (`_slabs`: their hits' letters and
-    candidates) that may straddle lengths; each later arrangement only for
-    the candidates still of their hit's colour.  The survivors are split by
-    length only to be lifted into label words.  The candidates are at most
-    the placements of t a scan would visit, and all of them when every
-    placement without z is a hit (a one-block t without z has one
-    arrangement); they are fewer as it has fewer hits.
+    that puts z off Z: the others are the lower hit's own points.  Such a
+    point has the colour of the word left once its block that takes z, a
+    lower block B, is deleted, a word over the table's letters: the table
+    is an alphabet table (`WordTable`), whose base is a power of 2, so a
+    word's entry is its digits as bit fields under the mark bit.  The entry
+    of each lower hit with B deleted is packed once per lower hit, B and
+    arrangement: its reference digits and each other block's coordinates
+    times the arrangement's digit on it, the fields above each coordinate
+    of B moved down one.  A candidate's Z digits are then inserted into it,
+    the highest first, each at its lower coordinate less the coordinates of
+    B below it, which moves the fields above up one.  The candidates of
+    every length that share a Z size are checked together, in slabs of about
+    SLAB_ENTRIES entries (`_slabs`: their hits' letters and candidates) that
+    may straddle lengths; each later arrangement only for the candidates
+    still of their hit's colour.  The survivors are split by length only to
+    be lifted into label words.  The candidates are at most the placements
+    of t a scan would visit, and all of them when every placement without z
+    is a hit (a one-block t without z has one arrangement); they are fewer
+    as it has fewer hits.
     """
-    m, label = t.m, t.m + t.s
+    m, label, bits = t.m, t.m + t.s, table.base.bit_length() - 1
     # the template reversed first, as in `_scan`: it breaks the most candidates
-    arrangements = np.array(list(t.arrangements())[::-1], np.int64) - 1
-    arrangements = arrangements[arrangements[:, -1] != z - 1]
-    # row a weighs a lower hit's reference index by 1 and its blocks' weights by arrangement a's letters less one
-    letters = np.column_stack([np.ones(len(arrangements)), arrangements[:, :-1]])
-    powers = np.int64(m) ** np.arange(lengths[-1] + 1, dtype=np.int64)
+    arrangements = np.array(list(t.arrangements())[::-1], np.int64)
+    arrangements = arrangements[arrangements[:, -1] != z]
+    carrier = np.argmax(arrangements[:, :-1] == z, axis=1)  # B, the lower block that takes z
+    rank = {letter: r for r, letter in enumerate(table.letters)}
+    # row a weighs a lower word's reference digits by 1 and each block by arrangement a's digit on it, B by none
+    rows = np.array([[1] + [rank.get(letter, 0) for letter in a[:-1]] for a in arrangements], float)
+    rows[np.arange(len(rows)), 1 + carrier] = 0
+    z_digits = [rank[letter] for letter in arrangements[:, -1].tolist()]
+    below = (np.int64(1) << np.arange(lengths[-1] + 1, dtype=np.int64)) - 1  # the coordinates below each
+    # every lower hit, by length in turn and padded with 0s (no letter, on no block): its blocks' coordinates
+    # as bit masks, and its entry for each arrangement, SLAB_ENTRIES hits at a time
+    widths = [k for k in sorted(lower) if len(lower[k][0])]
+    first = dict(zip(widths, np.cumsum([0] + [len(lower[k][0]) for k in widths]).tolist()))
+    width = max(widths, default=0)
+    low = np.zeros((sum(len(lower[k][0]) for k in widths), width), np.int8)
+    for k in widths:
+        low[first[k] : first[k] + len(lower[k][0]), :k] = lower[k][0]
+    ends = np.repeat(widths, [len(lower[k][0]) for k in widths])  # each one's length
+    points, masks = np.empty((len(arrangements), len(low)), np.int64), np.empty((t.s - 1, len(low)), np.int64)
+    weights = np.column_stack([2.0 ** (bits * np.arange(width)), 2.0 ** np.arange(width)])
+    for lo in range(0, len(low), SLAB_ENTRIES):
+        chunk, at = low[lo : lo + SLAB_ENTRIES], slice(lo, lo + SLAB_ENTRIES)
+        digits = np.zeros(chunk.shape, np.int8)
+        for letter, r in rank.items():
+            digits += (chunk == letter) * np.int8(r)
+        # the reference digits and each block's coordinates as fields (exact products), and as bits
+        packed = np.stack([digits] + [chunk == b for b in range(m + 1, label)]) @ weights
+        masks[:, at] = packed[1:, :, 1]
+        point, left = (rows @ packed[:, :, 0]).astype(np.int64), masks[carrier, at]
+        for gone in range(int(np.bitwise_count(left).max(initial=0))):  # B's coordinates deleted, lowest first
+            lowest = left & -left
+            keep = (lowest >> gone) ** bits - 1  # the fields below that coordinate's, or all when it is none
+            point = point & keep | point >> bits & ~keep
+            left ^= lowest
+        # and the mark past the word's last field: its length less B's
+        points[:, at] = point + (np.int64(1) << bits * (ends[at] - np.bitwise_count(masks[carrier, at]).astype(np.int64)))
     # longest first, as `_scan` returns them: listed so, the hits peak lower (247 vs 266 MB at pq 0,1 n=11)
     out = {n: ([np.empty((0, n), np.int8)], [np.empty(0, np.int64)]) for n in lengths[::-1]}
     lifts = list(_lifts(lower, label, lengths, sizes))
     for k in sorted({size for _, size, _, _ in lifts}):
         parts = [(n, *lower[n - k], counts) for n, size, _, counts in lifts if size == k]  # n, words, colours, counts
         sets = [len(zs) for _, size, zs, _ in lifts if size == k]
-        zs, ends = np.concatenate([zs for _, size, zs, _ in lifts if size == k]), np.cumsum(sets)  # by length in turn
-        z_powers = powers[zs]  # m^q for each coordinate q of each Z, ascending
-        # row a: each Z's weight times arrangement a's letter on it, plus the offset of its length's table slice
-        offsets = np.repeat([_offset(table, m, z, n) for n, *_ in parts], sets)
-        shifts = arrangements[:, -1:] * z_powers.sum(axis=1) + offsets
+        zs, last = np.concatenate([zs for _, size, zs, _ in lifts if size == k]), np.cumsum(sets)  # by length in turn
+        places = (zs - np.arange(k))[:, ::-1].T.copy()  # the lower coordinate before which each of Z's goes, descending
         for slab in _slabs(counts + n - k for n, *_, counts in parts):  # as `_scan` counts a working set
             starts = np.cumsum([0] + [hi - lo for _, lo, hi in slab]).tolist()
-            # the slab's lower hits, padded with 1s (digit 0, on no block) to its longest length
-            low = np.ones((starts[-1], parts[slab[-1][0]][0] - k), np.int8)
-            for (part, lo, hi), start in zip(slab, starts):
-                low[start : start + hi - lo, : parts[part][0] - k] = parts[part][1][lo:hi]
-            # row a: each hit's lower point for arrangement a, from its digits and block coordinates as floats
-            columns = np.stack([(low - 1) * (low <= m)] + [low == b for b in range(m + 1, label)]).astype(float)
-            points = (letters @ (columns @ powers[: low.shape[1]].astype(float))).astype(np.int64)  # exact products
             counts = np.concatenate([parts[part][3][lo:hi] for part, lo, hi in slab])
-            hit, zi = _pairs(counts, np.repeat([ends[part] for part, _, _ in slab], np.diff(starts)))
+            hit, zi = _pairs(counts, np.repeat([last[part] for part, _, _ in slab], np.diff(starts)))
             colour = np.concatenate([parts[part][2][lo:hi] for part, lo, hi in slab])[hit]
-            for a in range(len(arrangements)):
+            # the slab's lower hits, as rows of `low`, `points` and `masks`
+            rows_at = np.concatenate([np.arange(lo, hi) + first[parts[part][0] - k] for part, lo, hi in slab])
+            slab_points, slab_masks = points[:, rows_at], masks[:, rows_at]
+            for a, j in enumerate(carrier.tolist()):
                 if not len(hit):
                     break
-                point = points[a][hit]
-                for q in z_powers.T:  # ascending, so that each coordinate is inserted where it stays
-                    point += (point - point % q[zi]) * (m - 1)
-                keep = table[point + shifts[a][zi]] == colour
+                point, mask = slab_points[a][hit], slab_masks[j][hit]
+                for place in places:  # the highest first, each at its place in the word so far
+                    place = place[zi]
+                    field = place - np.bitwise_count(mask & below[place])
+                    if bits > 1:
+                        field *= bits
+                    point += (point >> field << field) * (table.base - 1)
+                    if z_digits[a]:
+                        point += np.int64(z_digits[a]) << field
+                keep = table.ids[point] == colour
                 hit, zi, colour = hit[keep], zi[keep], colour[keep]
             cuts = np.searchsorted(hit, starts).tolist()
             for (part, _, _), a, b in zip(slab, cuts, cuts[1:]):  # each length's survivors, lifted into it
                 n = parts[part][0]
-                out[n][0].append(_lift(low[hit[a:b], : n - k], zs[zi[a:b]], np.full((b - a, k), label, np.int8)))
+                words = low[rows_at[hit[a:b]], : n - k]
+                out[n][0].append(_lift(words, zs[zi[a:b]], np.full((b - a, k), label, np.int8)))
                 out[n][1].append(colour[a:b])
     return {n: (np.concatenate(words), np.concatenate(colours)) for n, (words, colours) in out.items()}
 
@@ -655,7 +719,7 @@ def _join(lower: Hits, blocks: int, copies: int, lengths: range, m: int, sizes: 
 
 
 def _climb(
-    table: np.ndarray,
+    table: WordTable,
     t: Template,
     z: int,
     n: int,
@@ -669,16 +733,17 @@ def _climb(
     T_j is t with j of its J >= 0 copies of z.  Each deletion of a block of
     a T_j hit leaves a T_{j-1} hit of its colour (see `_extend` and
     `_join`), so J deletions take a hit of t at n to a hit of T_0 no longer
-    than n - J*min_size.  T_0 is scanned in full up to there, through the
-    table slice whose words hold z past each length: with no hit, t has
-    none, and with J = 0 these are t's hits.  With hits and J >= 1, T_1 is
-    built up to n - (J-1)*min_size by extending the T_0 hits through the
-    table (`_extend`), which replaces them, and T_1 is joined up to t.  So
-    the table need hold [m]^(n - max(J-1, 0)*min_size), and no family array
-    is built at n unless J = 0.  Hits are label words by length, as `_scan`
-    returns them, with their references over `symbols`: with neutral
-    references they are wanted at every length, without them only at the
-    lengths that reach n.
+    than n - J*min_size.  T_0 is scanned in full up to there: with no hit, t
+    has none, and with J = 0 these are t's hits.  With hits and J >= 1, T_1
+    is built up to n - (J-1)*min_size by extending the T_0 hits through the
+    table (`_extend`), which replaces them, and T_1 is joined up to t.  The
+    table is the alphabet table of T_0's letters and the reference
+    `symbols` up to n - max(J-1, 0)*min_size: every colour the scan and the
+    extension read is one of such a word, and the joins read none.  No
+    family array is built at n unless J = 0.  Hits are label words by
+    length, as `_scan` returns them, with their references over `symbols`:
+    with neutral references they are wanted at every length, without them
+    only at the lengths that reach n.
     """
     count, low, high = t.counts[z - 1], sizemode.min_size, max(sizemode.size_range())
 
@@ -689,7 +754,7 @@ def _climb(
         floor = sub(j).s * low
         return range(floor if neutral else max(floor, n - (count - j) * high), n - (count - j) * low + 1)
 
-    _, found = _scan(table, sub(0), sizemode, None, lengths(0), symbols, z, False, workers)
+    _, found = _scan(table, sub(0), sizemode, None, lengths(0), symbols, False, workers)
     if not any(len(words) for words, _ in found.values()):
         return {}
     if count:
@@ -853,19 +918,32 @@ def verify_absence(
     climb = max(letters, key=lambda z: t.counts[z - 1]) if letters and pattern is None and not first_only else None
     neutral = tuple(z for z in symbols if z in colouring.neutral_symbols) if climb else ()
     longest = n - max(t.counts[climb - 1] - 1, 0) * sizemode.min_size if climb else n
-    if colouring.colour_count > 2**62:
+    # a contribution colouring's ids on words of L letters are below modulus^min(L, length)
+    if isinstance(colouring, ContributionColouring):
+        bound = colouring.modulus ** min(longest, colouring.length)
+    else:
+        bound = colouring.colour_count
+    if bound > 2**62:
         raise CapacityExceeded(f"a scan holds colour ids below 2**62; {colouring.name} has {colouring.colour_count:,} colours")
-    check_entries(f"a scan of [{t.m}]^{longest}", t.m**longest)
+    if climb:
+        scanned = tuple(z for z in symbols if z not in neutral)
+        # the climb reads words over the scanned symbols and the letters of t without z
+        letters = tuple(sorted({*scanned, *(a for a in range(1, t.m + 1) if t.counts[a - 1] and a != climb)}))
+        base = alphabet_base(len(letters))
+        words = ", ".join(map(str, letters))
+        check_entries(f"a scan of the words over {{{words}}} up to length {longest}", 2 * base**longest)
+    else:
+        check_entries(f"a scan of [{t.m}]^{n}", t.m**n)
     # too few coordinates are refused before a table is built; more than 62 only with hits to list
     if n < t.s * sizemode.min_size:
         raise AmbientTooSmall(f"n={n} cannot hold {t.s} disjoint blocks of size >= {sizemode.min_size}")
     if climb:
         examined = placement_count(n, t, sizemode, len(symbols))
-        scanned = tuple(z for z in symbols if z not in neutral)
-        hits = _climb(colouring.dense_table(longest, t.m), t, climb, n, sizemode, scanned, neutral, workers)
+        table = WordTable(colouring.alphabet_table(longest, t.m, letters), letters, base, 1)
+        hits = _climb(table, t, climb, n, sizemode, scanned, neutral, workers)
     else:
-        table = colouring.dense_table(n, t.m)
-        examined, hits = _scan(table, t, sizemode, pattern, range(n, n + 1), symbols, 1, first_only, workers)
+        table = WordTable(colouring.dense_table(n, t.m), tuple(range(1, t.m + 1)), t.m, 0)
+        examined, hits = _scan(table, t, sizemode, pattern, range(n, n + 1), symbols, first_only, workers)
     # every placement at n behind the hits: the deleted coordinates hold neutral references
     listed = sum(len(word) * math.comb(n, k) * len(neutral) ** (n - k) for k, (word, _) in hits.items())
     check_entries(f"listing the {listed:,} monochromatic placements at n={n}", listed * (n + t.s))
@@ -936,7 +1014,7 @@ def _block_sets(n: int, t: Template, sizemode: SizeMode, reference_domain: Optio
     key = np.min_scalar_type(t.m**n - 1)
     rows = [
         (bases[:, :, None] + points[fams, None, :]).reshape(-1, len(arrangements)).astype(key)
-        for _, fams, bases in _reference_bases(families.masks, families.totals, n, t.m, symbols, {})
+        for _, fams, bases in _reference_bases(families.masks, families.totals, n, t.m, tuple(s - 1 for s in symbols), {})
     ]
     sets = np.sort(np.concatenate(rows), axis=1)
     sets = sets[np.lexsort(sets.T[::-1])]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -407,3 +408,56 @@ def test_random_placements_generate_multinomial_points(m, data):
 def test_input_checks_raise_their_error(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# placement counts
+
+
+def _closed_form_count(n, t, sizemode, symbols):
+    """Placements summed over block-size multisets: n! / ((n-b)! prod size!^count count!) families of b coordinates.
+
+    Each family has symbols^(n-b) references.  This loops over every size
+    multiset, so it serves only as an oracle for `placement_count`.
+    """
+    total = 0
+    for sizes in itertools.combinations_with_replacement(sizemode.size_range(), t.s):
+        if sum(sizes) <= n:
+            families = math.factorial(n) // math.factorial(n - sum(sizes))
+            for size in set(sizes):
+                families //= math.factorial(size) ** sizes.count(size) * math.factorial(sizes.count(size))
+            total += families * symbols ** (n - sum(sizes))
+    return total
+
+
+@pytest.mark.parametrize(
+    "counts, sizemode, n",
+    [
+        ((1, 1, 1), MixedSize(1), 9),  # d1
+        ((1, 2, 8), MixedSize(2), 23),  # d2
+        ((1, 3, 27), MixedSize(3), 40),  # d3
+        ((1, 4, 64), MixedSize(4), 76),  # d4
+        ((1, 1, 2), MixedSize(2), 11),  # pq12
+        ((1, 1, 2), MixedSize(2), 17),
+    ],
+    ids=["d1-n9", "d2-n23", "d3-n40", "d4-n76", "pq12-n11", "pq12-n17"],
+)
+def test_placement_count_matches_the_closed_form_on_the_frontier(counts, sizemode, n):
+    t = template_from_counts(3, counts)
+    assert blocks.placement_count(n, t, sizemode, 3) == _closed_form_count(n, t, sizemode, 3)
+
+
+def test_placement_count_matches_the_closed_form_on_small_cells():
+    rng = random.Random(31)
+    for _ in range(300):
+        m = rng.randint(2, 4)
+        t = template_from_counts(m, [rng.randint(0, 3) for _ in range(m - 1)] + [rng.randint(1, 3)])
+        sizemode = rng.choice([EqualSize, MixedSize])(rng.randint(1, 3))
+        n = rng.randint(t.s * sizemode.min_size, t.s * sizemode.min_size + 8)
+        symbols = rng.randint(1, 4)
+        assert blocks.placement_count(n, t, sizemode, symbols) == _closed_form_count(n, t, sizemode, symbols)
+
+
+def test_placement_count_refuses_too_few_coordinates():
+    with pytest.raises(AmbientTooSmall, match="n=5 cannot hold 3 disjoint blocks of size >= 2"):
+        blocks.placement_count(5, template_from_word("123"), EqualSize(2), 3)

@@ -874,8 +874,8 @@ def test_reports_without_placements_keep_json_dump():
 
 def test_failed_re_check_exits_3_without_a_report(monkeypatch):
     """A scan whose hits fail their re-check is an internal error: exit 3, one message, no traceback or report."""
-    dense_table = ContributionColouring.dense_table
-    monkeypatch.setattr(ContributionColouring, "dense_table", lambda self, n, m: dense_table(self, n, m) % 2)
+    alphabet_table = ContributionColouring.alphabet_table  # the pq12 climb's table
+    monkeypatch.setattr(ContributionColouring, "alphabet_table", lambda self, *args: alphabet_table(self, *args) % 2)
     code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "9", "--workers", "1")
     assert (code, out) == (3, "")
     assert err.startswith("blocksets: internal error: reported placement Placement(n=9,")
@@ -1155,12 +1155,28 @@ def test_verify_thm2_degree4_reports_absence_past_n_62():
 
 
 def test_scan_past_the_table_limit_exits_1_at_once():
-    # the pq12 template 1233 climbs its two 3s, so its longest scan at n=18 is [3]^17
+    # the pq12 template 1233 climbs its two 3s, so at n=27 it reads the words over {1, 2} of up to 26 letters
     t0 = time.perf_counter()
-    code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "18", "--workers", "1")
+    code, out, err = run_cli("verify", "thm2", "--d", "2", "--pq", "1,2", "--n", "27", "--workers", "1")
     assert time.perf_counter() - t0 < 2.0
     assert code == 1 and out == ""
-    assert err == "blocksets: error: a scan of [3]^17 needs 129,140,163 entries; the limit is 50,000,000\n"
+    assert err == (
+        "blocksets: error: a scan of the words over {1, 2} up to length 26 needs 134,217,728 entries; "
+        "the limit is 50,000,000\n"
+    )
+
+
+def test_verify_thm2_degree5_reports_absence():
+    """d=5 is one 1, five 2s and 125 3s, colours in Z_6^26: its climb reads words of 1s and 2s of up to 7 letters.
+
+    At n=131 the 131 blocks are the singletons of [131]: one placement, which is no hit.
+    """
+    t0 = time.perf_counter()
+    code, out, err = run_cli("verify", "thm2", "--d", "5", "--n", "131", "--workers", "1", "--stable")
+    assert time.perf_counter() - t0 < 10.0
+    report = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (report["examined"], report["found"]) == (1, [])
 
 
 @pytest.mark.parametrize(

@@ -445,6 +445,27 @@ def test_closed_form_colour_ids_match_colour_id(colouring, m, n):
     assert colouring.colour_ids(np.stack([rows, rows[::-1]])).tolist() == [ids.tolist(), ids[::-1].tolist()]
 
 
+def test_contribution_colour_ids_of_the_degree5_colouring_match_colour_id():
+    """m=6, l=26: 6^26 passes int64, but a word of 24 letters reaches only the digits below 24."""
+    colouring, rng = ContributionColouring(6, 26), np.random.default_rng(5)
+    for n in [0, 1, 12, 23, 24]:
+        rows = rng.integers(1, 4, size=(50, n)).astype(np.int8)
+        rows[0] = rng.choice([1, 2], size=n)  # every letter counts
+        expected = [colouring.colour_id(Word(tuple(row), 3)) for row in rows.tolist()]
+        assert colouring.colour_ids(rows).tolist() == expected
+
+
+def test_contribution_colour_ids_past_int64_are_refused():
+    """25 1s and 2s reach digit 24, and ids up to 6^25 - 1, past int64; 3s do not count."""
+    colouring = ContributionColouring(6, 26)
+    assert colouring.colour_ids(np.array([[1] * 24 + [3] * 10], np.int8)).tolist() == [
+        colouring.colour_id(Word((1,) * 24 + (3,) * 10, 3))
+    ]
+    message = "contribution:m=6,l=26 ids of words with 25 or more 1s and 2s pass int64"
+    with pytest.raises(CapacityExceeded, match=message):
+        colouring.colour_ids(np.array([[2] * 25], np.int8))
+
+
 def test_contribution_colour_ids_reject_symbols_outside_3():
     with pytest.raises(InvalidSymbol):
         ContributionColouring(3, 3).colour_ids(np.array([[1, 4, 2]], np.int8))

@@ -60,7 +60,8 @@ def test_script_runs(script, args, expect):
             "frontier.py",
             ["pq12 n=14", "pq12 n=99"],
             "unknown cell 'pq12 n=99'; the cells are: pq12 n=14, pq12 n=15, pq12 n=16, pq12 n=17, "
-            "d2 n=21, d2 n=22, d2 n=23, d3 n=40, d4 n=75, d4 n=76",
+            "d2 n=21, d2 n=22, d2 n=23, d2 n=24, d2 n=25, d3 n=40, d3 n=41, d4 n=75, d4 n=76, "
+            "d5 n=131, d5 n=132, d5 n=133, d5 n=134, d5 n=135, d5 n=136, d5 n=137",
         ),
     ],
 )

@@ -38,6 +38,7 @@ from blocksets.colourings import (
     InducedColouring,
     ModularCountColouring,
     TableColouring,
+    alphabet_base,
     balanced_words,
     flipped_block_word,
     random_table_colouring,
@@ -68,9 +69,10 @@ T1233 = template_from_word("1233")
 
 
 class UntabulatedColouring(ModularCountColouring):
-    """Builds its table by the generic per-word walk (and stays picklable for worker tests)."""
+    """Builds its tables by the generic per-word walk (and stays picklable for worker tests)."""
 
     dense_table = Colouring.dense_table
+    alphabet_table = Colouring.alphabet_table
 
 
 def naive_find(colouring, n, t, sizemode):
@@ -251,9 +253,12 @@ def test_hits_of_a_tampered_table_fail_their_re_check(monkeypatch, colouring, n,
     With the table's colours taken mod 2, placements whose points have two
     colours of one parity scan as hits.  The closed forms re-check them in
     numpy (`colour_ids`), the table colouring point by point (`colour_id`).
+    The closed forms have a neutral letter, so their scans climb through an
+    alphabet table; the table colouring's scan reads its dense table.
     """
-    dense_table = type(colouring).dense_table
+    dense_table, alphabet_table = type(colouring).dense_table, type(colouring).alphabet_table
     monkeypatch.setattr(type(colouring), "dense_table", lambda self, k, m: dense_table(self, k, m) % 2)
+    monkeypatch.setattr(type(colouring), "alphabet_table", lambda self, *args: alphabet_table(self, *args) % 2)
     with pytest.raises(ExtractionContradiction, match="is not monochromatic"):
         verify_absence(colouring, n, t, MixedSize(2))
 
@@ -360,7 +365,7 @@ def test_slab_scan_matches_the_naive_scan(monkeypatch, colouring, n, t, sizemode
 
 @dataclass(frozen=True)
 class ParentOnlyTable(ModularCountColouring):
-    """Builds its dense table only in the process that created it."""
+    """Builds its tables only in the process that created it."""
 
     owner: int = field(default_factory=os.getpid)
 
@@ -368,6 +373,11 @@ class ParentOnlyTable(ModularCountColouring):
         if os.getpid() != self.owner:
             raise RuntimeError("dense_table called in a worker process")
         return super().dense_table(n, m)
+
+    def alphabet_table(self, n, m, letters):
+        if os.getpid() != self.owner:
+            raise RuntimeError("alphabet_table called in a worker process")
+        return super().alphabet_table(n, m, letters)
 
 
 def test_colour_table_is_built_once_in_the_calling_process(monkeypatch):
@@ -387,6 +397,11 @@ class PrebuiltTable(ContributionColouring):
 
     def dense_table(self, n, m):
         assert len(self.table) == m**n, f"table prebuilt with {len(self.table)} entries, scan asks for [{m}]^{n}"
+        return self.table.copy()
+
+    def alphabet_table(self, n, m, letters):
+        entries = 2 * alphabet_base(len(letters)) ** n
+        assert len(self.table) == entries, f"table prebuilt with {len(self.table)} entries, climb asks for {entries}"
         return self.table.copy()
 
 
@@ -409,19 +424,19 @@ def _degree2_prebuilt():
     from blocksets.cli import degree_setup
 
     t, base = degree_setup(2)
-    # the climb over the eight 3s of 12233333333 reads [3]^(n - 7)
-    return PrebuiltTable(base.modulus, base.length, base.dense_table(6, 3)), 13, t, MixedSize(2), False, 6
+    # the climb over the eight 3s of 12233333333 reads the words over {1, 2} up to n - 7 letters
+    return PrebuiltTable(base.modulus, base.length, base.alphabet_table(6, 3, (1, 2))), 13, t, MixedSize(2), False
 
 
 def _degree2_direct():
     from blocksets.cli import degree_setup
 
     t, base = degree_setup(2)
-    return DirectPrebuiltTable(base.modulus, base.length, base.dense_table(13, 3)), 13, t, MixedSize(2), False, 13
+    return DirectPrebuiltTable(base.modulus, base.length, base.dense_table(13, 3)), 13, t, MixedSize(2), False
 
 
 def _constant_first_only():
-    return ConstantColouring(0, 1), 12, template_from_word("1233333"), MixedSize(1), True, 12
+    return ConstantColouring(0, 1), 12, template_from_word("1233333"), MixedSize(1), True
 
 
 @pytest.mark.parametrize(
@@ -440,8 +455,8 @@ def test_scan_working_set_is_bounded_by_the_slab_budget(case):
     constant colouring every placement survives every arrangement, so the
     compare arrays are as large as the slab's placements.
     """
-    colouring, n, t, sizemode, first_only, table_length = case()
-    table_bytes = colouring.dense_table(table_length, t.m).nbytes
+    colouring, n, t, sizemode, first_only = case()
+    table_bytes = colouring.table.nbytes if isinstance(colouring, PrebuiltTable) else colouring.dense_table(n, t.m).nbytes
     _, enumeration_peak = _traced_peak(lambda: enumerate_block_families(n, t, sizemode))
     report, peak = _traced_peak(lambda: verify_absence(colouring, n, t, sizemode, first_only=first_only))
     assert report.examined == placements_examined_until(n, t, sizemode, None, None, report.found[0] if report.found else None)
@@ -458,9 +473,9 @@ def test_all_hits_scan_working_set_is_bounded_by_its_hits():
     slab allowance of the scan tests above.
     """
     n, t, sizemode = 9, T123, MixedSize(2)
-    table = ConstantColouring(0, 1).dense_table(n, t.m)
+    table = search.WordTable(ConstantColouring(0, 1).dense_table(n, t.m), (1, 2, 3), 3, 0)
     (examined, hits), peak = _traced_peak(
-        lambda: search._scan(table, t, sizemode, None, range(n, n + 1), (1, 2, 3), 1, False, 1)
+        lambda: search._scan(table, t, sizemode, None, range(n, n + 1), (1, 2, 3), False, 1)
     )
     words, colours = hits[n]
     assert examined == len(words) == placement_count(n, t, sizemode, 3) == 432_054
@@ -533,6 +548,12 @@ class CountedTable(ContributionColouring):
         self.built.append(n)
         return super().dense_table(n, m)
 
+    def alphabet_table(self, n, m, letters):
+        if os.getpid() != self.owner:
+            raise RuntimeError("alphabet_table called in a worker process")
+        self.built.append(n)
+        return super().alphabet_table(n, m, letters)
+
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_reduced_scan_builds_one_table_at_the_longest_scanned_length(monkeypatch, workers):
@@ -546,7 +567,7 @@ def test_reduced_scan_builds_one_table_at_the_longest_scanned_length(monkeypatch
 def test_reduced_scan_working_set_is_bounded_by_the_slab_budget():
     """The bound of the direct scan's test holds for a reduced scan, all its lengths together."""
     n = 10
-    colouring = PrebuiltTable(3, 3, ContributionColouring(3, 3).dense_table(n - 1, 3))  # the climb's longest scan
+    colouring = PrebuiltTable(3, 3, ContributionColouring(3, 3).alphabet_table(n - 1, 3, (1, 2)))  # the climb's table
     table_bytes = colouring.table.nbytes
     _, enumeration_peak = _traced_peak(lambda: enumerate_block_families(n, T1233, MixedSize(2)))
     report, peak = _traced_peak(lambda: verify_absence(colouring, n, T1233, MixedSize(2)))
@@ -633,8 +654,8 @@ def test_a_123_placement_is_a_hit_exactly_when_its_deletions_are_12_hits_of_one_
 
 
 def _scan_hits(table, t, sizemode, lengths, symbols):
-    """`search._scan`'s hits of t at each length, through a table that holds the neutral symbol 3 past it."""
-    return search._scan(table, t, sizemode, None, lengths, symbols, 3, False, 1)[1]
+    """`search._scan`'s hits of t at each length, through an alphabet table."""
+    return search._scan(table, t, sizemode, None, lengths, symbols, False, 1)[1]
 
 
 def _sorted_hits(words, colours):
@@ -673,14 +694,17 @@ def test_a_scan_over_lengths_matches_one_scan_per_length(data):
     sizemode = data.draw(st.sampled_from([mode for mode in modes if t.s * mode.min_size <= 8]), "sizemode")
     n = data.draw(st.integers(t.s * sizemode.min_size, 8), "n")
     lengths = range(data.draw(st.integers(t.s * sizemode.min_size, n), "shortest"), n + 1)
-    symbols, pad = data.draw(st.sampled_from([((1, 2), 3), ((1,), 3), ((1, 2, 3), 3), ((1, 3), 2)]), "symbols")
-    table = random_table_colouring(n, 3, 2, seed=data.draw(st.integers(0, 99), "seed")).dense_table(n, 3)
+    symbols = data.draw(st.sampled_from([(1, 2), (1,), (1, 2, 3), (1, 3)]), "symbols")
+    letters = tuple(sorted({*symbols, *(a for a in range(1, 4) if t.counts[a - 1])}))
+    # a random 2-colouring of the words over the letters, as an alphabet table lays them out
+    rng = np.random.default_rng(data.draw(st.integers(0, 99), "seed"))
+    table = search.WordTable(rng.integers(0, 2, 2 * alphabet_base(len(letters)) ** n), letters, alphabet_base(len(letters)), 1)
     workers = data.draw(st.sampled_from([1, 2]), "workers")
     with pytest.MonkeyPatch.context() as patch:  # at 64 entries a slab holds a few families, and often two lengths
         patch.setattr(search, "SLAB_ENTRIES", data.draw(st.sampled_from([64, search.SLAB_ENTRIES]), "slab"))
 
         def scan(lengths):
-            return search._scan(table, t, sizemode, None, lengths, symbols, pad, False, workers)
+            return search._scan(table, t, sizemode, None, lengths, symbols, False, workers)
 
         examined, hits = scan(lengths)
         alone = {k: scan(range(k, k + 1)) for k in lengths}
@@ -706,7 +730,8 @@ def test_extension_matches_the_direct_scan_at_every_length(data):
     sizemode = data.draw(st.sampled_from([mode for mode in modes if t.s * mode.min_size <= 8]), "sizemode")
     n = data.draw(st.integers(t.s * sizemode.min_size, 8), "n")
     symbols = blocks.reference_symbols(t, data.draw(st.sampled_from([None, (1, 2), (3,)]), "domain"))
-    table, low, lengths = colouring.dense_table(n, 3), sizemode.min_size, range(t.s * sizemode.min_size, n + 1)
+    table = search.WordTable(colouring.alphabet_table(n, 3, (1, 2, 3)), (1, 2, 3), alphabet_base(3), 1)
+    low, lengths = sizemode.min_size, range(t.s * sizemode.min_size, n + 1)
     with pytest.MonkeyPatch.context() as patch:  # small budgets cut many slabs, which straddle lengths
         patch.setattr(search, "SLAB_ENTRIES", data.draw(st.sampled_from([1, 16, 1 << 14]), "slab"))
         lower = _scan_hits(table, lower_t, sizemode, range(lower_t.s * low, n - low + 1), symbols)
@@ -724,6 +749,24 @@ def test_scan_refuses_ids_past_62_bits_before_any_table(monkeypatch):
     message = r"^a scan holds colour ids below 2\*\*62; constant:\d+ has 2,361,183,241,434,822,606,848 colours$"
     with pytest.raises(CapacityExceeded, match=message):
         verify_absence(ConstantColouring(2**70, 2**71), 4, template_from_word("12"), EqualSize(1))
+
+
+def test_the_colour_id_guard_reads_the_table_that_the_scan_builds(monkeypatch):
+    """A contribution colouring's ids on words of L letters are below modulus^min(L, length).
+
+    The degree-5 colouring has 6^26 colours, but its climb at n=131 reads
+    words of at most 7 letters, whose ids are below 6^7.  A scan of `12` at
+    n=24 reads words of 24 letters, whose ids reach 6^24 > 2^62: it is
+    refused before any table, in the sentence that names the colour count.
+    """
+    t, colouring = cli.degree_setup(5)
+    report = verify_absence(colouring, 131, t, MixedSize(5))
+    assert (report.examined, len(report.found)) == (1, 0)
+    for method in ("dense_table", "alphabet_table"):
+        monkeypatch.setattr(ContributionColouring, method, lambda *args, name=method: pytest.fail(f"{name} called"))
+    message = r"^a scan holds colour ids below 2\*\*62; contribution:m=6,l=26 has 170,581,728,179,578,208,256 colours$"
+    with pytest.raises(CapacityExceeded, match=message):
+        verify_absence(colouring, 24, template_from_word("12", m=3), EqualSize(1))
 
 
 def test_join_counts_its_candidates_before_building_them(monkeypatch):
