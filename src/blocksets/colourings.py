@@ -8,6 +8,7 @@ vectors or tuples expose both forms, with a fixed mixed-radix bijection
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -250,19 +251,22 @@ class ContributionColouring(Colouring):
 
         Only the digits a below the words' largest count of 1s and 2s (and
         below `length`) can be nonzero, so only those are summed; ids that
-        could reach 2**63 are refused.
+        could reach 2**63 are refused.  The words are read a coordinate at a
+        time, as contiguous rows, so that the running counts run down them.
         """
         if words.size and (words.min() < 1 or words.max() > 3):
             raise InvalidSymbol("contribution colouring needs alphabet [3]")
-        ones, counted = words == 1, words <= 2
-        reach = min(self.length, int(counted.sum(axis=-1).max(initial=0)))
+        rows = np.ascontiguousarray(words.reshape(math.prod(words.shape[:-1]), words.shape[-1]).T)
+        ones, counted = rows == 1, rows <= 2
+        upto = np.cumsum(counted, axis=0, dtype=np.min_scalar_type(len(rows)))
+        reach = min(self.length, int(upto[-1].max(initial=0)) if len(rows) else 0)
         if self.modulus**reach > 2**63:
             raise CapacityExceeded(f"{self.name} ids of words with {reach} or more 1s and 2s pass int64")
-        slot = (np.cumsum(counted, axis=-1, dtype=np.min_scalar_type(words.shape[-1])) - counted) % self.length
-        ids = np.zeros(words.shape[:-1], np.int64)
+        slot = (upto - counted) % self.length
+        ids = np.zeros(rows.shape[1:], np.int64)
         for a in range(reach):  # the id's digit a, modulus^a, is coordinate a of the vector
-            ids += (ones & (slot == a)).sum(axis=-1, dtype=np.int64) % self.modulus * self.modulus**a
-        return ids
+            ids += (ones & (slot == a)).sum(axis=0, dtype=np.int64) % self.modulus * self.modulus**a
+        return ids.reshape(words.shape[:-1])
 
     def dense_table(self, n: int, m: int) -> np.ndarray:
         """Incremental table over packed indices.

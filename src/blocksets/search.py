@@ -600,7 +600,8 @@ def _extend(table: WordTable, lower: Hits, t: Template, z: int, lengths: range, 
     rows = np.array([[1] + [rank.get(letter, 0) for letter in a[:-1]] for a in arrangements], float)
     rows[np.arange(len(rows)), 1 + carrier] = 0
     z_digits = [rank[letter] for letter in arrangements[:, -1].tolist()]
-    below = (np.int64(1) << np.arange(lengths[-1] + 1, dtype=np.int64)) - 1  # the coordinates below each
+    # entries and coordinate masks fit int32 (an alphabet table has fewer than 2^31 entries), which moves less memory
+    below = (np.int32(1) << np.arange(lengths[-1] + 1, dtype=np.int32)) - 1  # the coordinates below each
     # every lower hit, by length in turn and padded with 0s (no letter, on no block): its blocks' coordinates
     # as bit masks, and its entry for each arrangement, SLAB_ENTRIES hits at a time
     widths = [k for k in sorted(lower) if len(lower[k][0])]
@@ -609,8 +610,8 @@ def _extend(table: WordTable, lower: Hits, t: Template, z: int, lengths: range, 
     low = np.zeros((sum(len(lower[k][0]) for k in widths), width), np.int8)
     for k in widths:
         low[first[k] : first[k] + len(lower[k][0]), :k] = lower[k][0]
-    ends = np.repeat(widths, [len(lower[k][0]) for k in widths])  # each one's length
-    points, masks = np.empty((len(arrangements), len(low)), np.int64), np.empty((t.s - 1, len(low)), np.int64)
+    ends = np.repeat(np.array(widths, np.int32), [len(lower[k][0]) for k in widths])  # each one's length
+    points, masks = np.empty((len(arrangements), len(low)), np.int32), np.empty((t.s - 1, len(low)), np.int32)
     weights = np.column_stack([2.0 ** (bits * np.arange(width)), 2.0 ** np.arange(width)])
     for lo in range(0, len(low), SLAB_ENTRIES):
         chunk, at = low[lo : lo + SLAB_ENTRIES], slice(lo, lo + SLAB_ENTRIES)
@@ -620,14 +621,14 @@ def _extend(table: WordTable, lower: Hits, t: Template, z: int, lengths: range, 
         # the reference digits and each block's coordinates as fields (exact products), and as bits
         packed = np.stack([digits] + [chunk == b for b in range(m + 1, label)]) @ weights
         masks[:, at] = packed[1:, :, 1]
-        point, left = (rows @ packed[:, :, 0]).astype(np.int64), masks[carrier, at]
+        point, left = (rows @ packed[:, :, 0]).astype(np.int32), masks[carrier, at]
         for gone in range(int(np.bitwise_count(left).max(initial=0))):  # B's coordinates deleted, lowest first
             lowest = left & -left
             keep = (lowest >> gone) ** bits - 1  # the fields below that coordinate's, or all when it is none
             point = point & keep | point >> bits & ~keep
             left ^= lowest
         # and the mark past the word's last field: its length less B's
-        points[:, at] = point + (np.int64(1) << bits * (ends[at] - np.bitwise_count(masks[carrier, at]).astype(np.int64)))
+        points[:, at] = point + (np.int32(1) << bits * (ends[at] - np.bitwise_count(masks[carrier, at])))
     # longest first, as `_scan` returns them: listed so, the hits peak lower (247 vs 266 MB at pq 0,1 n=11)
     out = {n: ([np.empty((0, n), np.int8)], [np.empty(0, np.int64)]) for n in lengths[::-1]}
     lifts = list(_lifts(lower, label, lengths, sizes))
@@ -635,33 +636,33 @@ def _extend(table: WordTable, lower: Hits, t: Template, z: int, lengths: range, 
         parts = [(n, *lower[n - k], counts) for n, size, _, counts in lifts if size == k]  # n, words, colours, counts
         sets = [len(zs) for _, size, zs, _ in lifts if size == k]
         zs, last = np.concatenate([zs for _, size, zs, _ in lifts if size == k]), np.cumsum(sets)  # by length in turn
-        places = (zs - np.arange(k))[:, ::-1].T.copy()  # the lower coordinate before which each of Z's goes, descending
+        places = (zs - np.arange(k))[:, ::-1].T.astype(np.int32)  # the lower coordinate before which each of Z's goes
         for slab in _slabs(counts + n - k for n, *_, counts in parts):  # as `_scan` counts a working set
             starts = np.cumsum([0] + [hi - lo for _, lo, hi in slab]).tolist()
             counts = np.concatenate([parts[part][3][lo:hi] for part, lo, hi in slab])
             hit, zi = _pairs(counts, np.repeat([last[part] for part, _, _ in slab], np.diff(starts)))
             colour = np.concatenate([parts[part][2][lo:hi] for part, lo, hi in slab])[hit]
-            # the slab's lower hits, as rows of `low`, `points` and `masks`
-            rows_at = np.concatenate([np.arange(lo, hi) + first[parts[part][0] - k] for part, lo, hi in slab])
-            slab_points, slab_masks = points[:, rows_at], masks[:, rows_at]
+            # the slab's lower hits: consecutive rows of `low`, `points` and `masks`, since its parts are the
+            # consecutive lengths with hits
+            rows = slice(first[parts[slab[0][0]][0] - k] + slab[0][1], None)
             for a, j in enumerate(carrier.tolist()):
                 if not len(hit):
                     break
-                point, mask = slab_points[a][hit], slab_masks[j][hit]
-                for place in places:  # the highest first, each at its place in the word so far
+                point, mask = points[a, rows][hit], masks[j, rows][hit]
+                for place in places:  # Z's digits inserted, the highest first, each at its field in the word so far:
                     place = place[zi]
-                    field = place - np.bitwise_count(mask & below[place])
+                    field = place - np.bitwise_count(mask & below[place])  # its lower coordinate less B's below it
                     if bits > 1:
                         field *= bits
                     point += (point >> field << field) * (table.base - 1)
                     if z_digits[a]:
-                        point += np.int64(z_digits[a]) << field
+                        point += np.int32(z_digits[a]) << field
                 keep = table.ids[point] == colour
                 hit, zi, colour = hit[keep], zi[keep], colour[keep]
             cuts = np.searchsorted(hit, starts).tolist()
             for (part, _, _), a, b in zip(slab, cuts, cuts[1:]):  # each length's survivors, lifted into it
                 n = parts[part][0]
-                words = low[rows_at[hit[a:b]], : n - k]
+                words = low[rows][hit[a:b], : n - k]
                 out[n][0].append(_lift(words, zs[zi[a:b]], np.full((b - a, k), label, np.int8)))
                 out[n][1].append(colour[a:b])
     return {n: (np.concatenate(words), np.concatenate(colours)) for n, (words, colours) in out.items()}
