@@ -95,8 +95,8 @@ class Colouring:
         entries; those of no word hold -1.  Subclasses may override with a
         per-length recurrence; the generic path walks every word.
         """
-        words = ([self.colour_id(Word(w[::-1], m)) for w in itertools.product(letters, repeat=k)] for k in range(n + 1))
-        return _alphabet_table(list(words), len(letters))
+        words = [itertools.product(letters, repeat=k) for k in range(n + 1)]
+        return _alphabet_table([[self.colour_id(Word(w[::-1], m)) for w in length] for length in words], len(letters))
 
 
 def alphabet_base(letters: int) -> int:
@@ -105,15 +105,17 @@ def alphabet_base(letters: int) -> int:
 
 
 def _alphabet_table(slices: Sequence, letters: int) -> np.ndarray:
-    """The alphabet table (see `Colouring.alphabet_table`) of each length's ids in packed order, length 0 first."""
+    """The alphabet table (see `Colouring.alphabet_table`) of each length's ids in packed order, length 0 first.
+
+    The entries of length k, from base^k, are a k-dimensional array of side
+    `base` whose axis c is coordinate c + 1; the ids fill its corner of side
+    `letters`.
+    """
     base = alphabet_base(letters)
     table = np.full(2 * base ** (len(slices) - 1), -1, np.int64)
     for k, ids in enumerate(slices):
-        if letters < base:  # a length's words are not contiguous: lay them out in base `base`
-            index = sum(np.indices((letters,) * k)[c] * base**c for c in range(k)) if k else np.zeros((), int)
-            table[base**k + index.ravel(order="F")] = ids
-        else:
-            table[base**k : base**k + letters**k] = ids
+        words = table[base**k : 2 * base**k].reshape((base,) * k, order="F")
+        words[(slice(letters),) * k] = np.reshape(ids, (letters,) * k, order="F")
     return table
 
 
@@ -188,7 +190,7 @@ class ModularCountColouring(Colouring):
         return table
 
     def alphabet_table(self, n: int, m: int, letters: tuple[int, ...]) -> np.ndarray:
-        """Per-length recurrence: the words of length k + 1 are those of length k with each letter appended as coordinate k + 1."""
+        """Per-length recurrence: each word of length k + 1 is one of length k with a letter appended."""
         tables = [np.zeros(1, dtype=np.int64)]
         for _ in range(n):
             bumped = (tables[-1] + 1) % self.modulus

@@ -644,17 +644,18 @@ def _extend(table: WordTable, lower: Hits, t: Template, z: int, lengths: range, 
             colour = np.concatenate([parts[part][2][lo:hi] for part, lo, hi in slab])[hit]
             # the slab's lower hits: consecutive rows of `low`, `points` and `masks`, since its parts are the
             # consecutive lengths with hits
-            rows = slice(first[parts[slab[0][0]][0] - k] + slab[0][1], None)
+            span = slice(first[parts[slab[0][0]][0] - k] + slab[0][1], None)
             for a, j in enumerate(carrier.tolist()):
                 if not len(hit):
                     break
-                point, mask = points[a, rows][hit], masks[j, rows][hit]
+                point, mask = points[a, span][hit], masks[j, span][hit]
                 for place in places:  # Z's digits inserted, the highest first, each at its field in the word so far:
                     place = place[zi]
                     field = place - np.bitwise_count(mask & below[place])  # its lower coordinate less B's below it
                     if bits > 1:
                         field *= bits
-                    point += (point >> field << field) * (table.base - 1)
+                    high = point >> field << field  # the fields from there up, which move up one
+                    point += high * (table.base - 1) if bits > 1 else high
                     if z_digits[a]:
                         point += np.int32(z_digits[a]) << field
                 keep = table.ids[point] == colour
@@ -662,7 +663,7 @@ def _extend(table: WordTable, lower: Hits, t: Template, z: int, lengths: range, 
             cuts = np.searchsorted(hit, starts).tolist()
             for (part, _, _), a, b in zip(slab, cuts, cuts[1:]):  # each length's survivors, lifted into it
                 n = parts[part][0]
-                words = low[rows][hit[a:b], : n - k]
+                words = low[span][hit[a:b], : n - k]
                 out[n][0].append(_lift(words, zs[zi[a:b]], np.full((b - a, k), label, np.int8)))
                 out[n][1].append(colour[a:b])
     return {n: (np.concatenate(words), np.concatenate(colours)) for n, (words, colours) in out.items()}
@@ -929,10 +930,10 @@ def verify_absence(
     if climb:
         scanned = tuple(z for z in symbols if z not in neutral)
         # the climb reads words over the scanned symbols and the letters of t without z
-        letters = tuple(sorted({*scanned, *(a for a in range(1, t.m + 1) if t.counts[a - 1] and a != climb)}))
-        base = alphabet_base(len(letters))
-        words = ", ".join(map(str, letters))
-        check_entries(f"a scan of the words over {{{words}}} up to length {longest}", 2 * base**longest)
+        alphabet = tuple(sorted({*scanned, *(a for a in range(1, t.m + 1) if t.counts[a - 1] and a != climb)}))
+        base = alphabet_base(len(alphabet))
+        over = "{" + ", ".join(map(str, alphabet)) + "}"
+        check_entries(f"a scan of the words over {over} up to length {longest}", 2 * base**longest)
     else:
         check_entries(f"a scan of [{t.m}]^{n}", t.m**n)
     # too few coordinates are refused before a table is built; more than 62 only with hits to list
@@ -940,7 +941,7 @@ def verify_absence(
         raise AmbientTooSmall(f"n={n} cannot hold {t.s} disjoint blocks of size >= {sizemode.min_size}")
     if climb:
         examined = placement_count(n, t, sizemode, len(symbols))
-        table = WordTable(colouring.alphabet_table(longest, t.m, letters), letters, base, 1)
+        table = WordTable(colouring.alphabet_table(longest, t.m, alphabet), alphabet, base, 1)
         hits = _climb(table, t, climb, n, sizemode, scanned, neutral, workers)
     else:
         table = WordTable(colouring.dense_table(n, t.m), tuple(range(1, t.m + 1)), t.m, 0)
@@ -1012,10 +1013,10 @@ def _block_sets(n: int, t: Template, sizemode: SizeMode, reference_domain: Optio
     check_entries(f"a colouring of [{t.m}]^{n}", t.m**n)
     families = block_families(n, t, sizemode)
     points = block_weights(families.blocks, t.m)[families.ids] @ arrangements.T
-    key = np.min_scalar_type(t.m**n - 1)
+    key, digits = np.min_scalar_type(t.m**n - 1), tuple(symbol - 1 for symbol in symbols)
     rows = [
         (bases[:, :, None] + points[fams, None, :]).reshape(-1, len(arrangements)).astype(key)
-        for _, fams, bases in _reference_bases(families.masks, families.totals, n, t.m, tuple(s - 1 for s in symbols), {})
+        for _, fams, bases in _reference_bases(families.masks, families.totals, n, t.m, digits, {})
     ]
     sets = np.sort(np.concatenate(rows), axis=1)
     sets = sets[np.lexsort(sets.T[::-1])]

@@ -20,6 +20,7 @@ from blocksets.colourings import (
     NotSlotWord,
     SubstitutionMismatch,
     TableColouring,
+    alphabet_base,
     balanced_words,
     contribution_colour,
     flipped_block_word,
@@ -443,6 +444,33 @@ def test_closed_form_colour_ids_match_colour_id(colouring, m, n):
     assert ids.dtype == np.int64 and ids.tolist() == [colouring.colour_id(w) for w in words]
     # leading axes are kept: (points, words, n) -> (points, words)
     assert colouring.colour_ids(np.stack([rows, rows[::-1]])).tolist() == [ids.tolist(), ids[::-1].tolist()]
+
+
+@pytest.mark.parametrize(
+    "colouring, m, letters",
+    [
+        (ContributionColouring(3, 3), 3, (1, 2)),
+        (ContributionColouring(2, 5), 3, (2,)),
+        (ContributionColouring(3, 2), 3, (1, 2, 3)),  # a 3 in the words: the generic walk
+        (ModularCountColouring(1, 3), 3, (1, 2)),
+        (ModularCountColouring(2, 2), 4, (1, 2, 4)),  # three letters lay out in base 4
+        (ModularCountColouring(3, 4), 4, (3,)),  # one letter lays out in base 2
+    ],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_alphabet_table_holds_every_word_over_its_letters(colouring, m, letters):
+    """The word of length k with digits r_c (a letter's rank) is entry b^k + sum r_c b^(c-1); no other entry is a word."""
+    n, base = 5, alphabet_base(len(letters))
+    table = colouring.alphabet_table(n, m, letters)
+    assert table.shape == (2 * base**n,) and table.dtype == np.int64
+    seen = set()
+    for k in range(n + 1):
+        for word in itertools.product(letters, repeat=k):
+            entry = base**k + sum(letters.index(a) * base**c for c, a in enumerate(word))
+            assert table[entry] == colouring.colour_id(Word(word, m))
+            seen.add(entry)
+    assert (np.delete(table, sorted(seen)) == -1).all()
+    assert np.array_equal(table, Colouring.alphabet_table(colouring, n, m, letters))
 
 
 def test_contribution_colour_ids_of_the_degree5_colouring_match_colour_id():
