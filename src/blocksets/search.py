@@ -878,9 +878,10 @@ def verify_absence(
 ) -> SearchReport:
     """Examine the placements in canonical order and report the monochromatic ones.
 
-    Every placement is evaluated through one dense colour table, built once
-    here at the longest length any scan reads, so tables too large to build
-    are refused before any work starts.  The families come as
+    Every placement is evaluated through one colour table (`WordTable`),
+    built once here up to the longest length any scan reads, so tables too
+    large to build, or whose ids could pass 2^62, are refused before any
+    work starts.  The families come as
     `block_families` id rows, already in canonical order, and are cut into
     slabs of about SLAB_ENTRIES working-set entries each (at least one
     family); workers take equal numbers of slabs, so their shares cost about
@@ -891,14 +892,15 @@ def verify_absence(
     J < s copies in t, the most such (see `_climb`): t's hits come from a
     full scan of t with no z (an absence certificate when it has no hit), up
     to n - J*min_size, extended once and joined J - 1 times when J >= 1,
-    through a table of [m]^(n - max(J-1, 0)*min_size).  The climb takes only
+    through the alphabet table of its letters up to n - max(J-1, 0)*min_size
+    letters (`Colouring.alphabet_table`).  The climb takes only
     the references over the domain's other symbols D, at every length n'
     from the smallest admissible one up to n: deleting the r reference
     coordinates that hold a neutral symbol maps each placement at n, one to
     one, onto a placement at n - r with its references in D, and keeps it
     monochromatic or not, so each hit at n' is expanded over its position
     sets and neutral words.
-    `examined` is the closed-form `placement_count`.  The blocks of [n] are
+    `examined` is counted by `placement_count`.  The blocks of [n] are
     read only to sort hits at n, so a climb with none proves absence past
     n = 62 (`candidate_blocks`).
 

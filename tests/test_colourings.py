@@ -459,7 +459,7 @@ def test_closed_form_colour_ids_match_colour_id(colouring, m, n):
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_alphabet_table_holds_every_word_over_its_letters(colouring, m, letters):
-    """The word of length k with digits r_c (a letter's rank) is entry b^k + sum r_c b^(c-1); no other entry is a word."""
+    """The word of length k with digits r_c (letter ranks) is entry b^k + sum r_c b^(c-1); no other entry is a word."""
     n, base = 5, alphabet_base(len(letters))
     table = colouring.alphabet_table(n, m, letters)
     assert table.shape == (2 * base**n,) and table.dtype == np.int64

@@ -456,7 +456,8 @@ def test_scan_working_set_is_bounded_by_the_slab_budget(case):
     compare arrays are as large as the slab's placements.
     """
     colouring, n, t, sizemode, first_only = case()
-    table_bytes = colouring.table.nbytes if isinstance(colouring, PrebuiltTable) else colouring.dense_table(n, t.m).nbytes
+    prebuilt = isinstance(colouring, PrebuiltTable)
+    table_bytes = colouring.table.nbytes if prebuilt else colouring.dense_table(n, t.m).nbytes
     _, enumeration_peak = _traced_peak(lambda: enumerate_block_families(n, t, sizemode))
     report, peak = _traced_peak(lambda: verify_absence(colouring, n, t, sizemode, first_only=first_only))
     assert report.examined == placements_examined_until(n, t, sizemode, None, None, report.found[0] if report.found else None)
@@ -698,7 +699,8 @@ def test_a_scan_over_lengths_matches_one_scan_per_length(data):
     letters = tuple(sorted({*symbols, *(a for a in range(1, 4) if t.counts[a - 1])}))
     # a random 2-colouring of the words over the letters, as an alphabet table lays them out
     rng = np.random.default_rng(data.draw(st.integers(0, 99), "seed"))
-    table = search.WordTable(rng.integers(0, 2, 2 * alphabet_base(len(letters)) ** n), letters, alphabet_base(len(letters)), 1)
+    base = alphabet_base(len(letters))
+    table = search.WordTable(rng.integers(0, 2, 2 * base**n), letters, base, 1)
     workers = data.draw(st.sampled_from([1, 2]), "workers")
     with pytest.MonkeyPatch.context() as patch:  # at 64 entries a slab holds a few families, and often two lengths
         patch.setattr(search, "SLAB_ENTRIES", data.draw(st.sampled_from([64, search.SLAB_ENTRIES]), "slab"))
