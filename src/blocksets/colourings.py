@@ -98,6 +98,10 @@ class Colouring:
         words = [itertools.product(letters, repeat=k) for k in range(n + 1)]
         return _alphabet_table([[self.colour_id(Word(w[::-1], m)) for w in length] for length in words], len(letters))
 
+    def id_bound(self, n: int) -> int:
+        """A bound on the ids of the words of at most n letters: `colour_count`, unless a subclass knows less."""
+        return self.colour_count
+
 
 def alphabet_base(letters: int) -> int:
     """The base of an alphabet table's packed indices: the least power of 2 that is 2 or more and `letters` or more."""
@@ -261,8 +265,9 @@ class ContributionColouring(Colouring):
         rows = np.ascontiguousarray(words.reshape(math.prod(words.shape[:-1]), words.shape[-1]).T)
         ones, counted = rows == 1, rows <= 2
         upto = np.cumsum(counted, axis=0, dtype=np.min_scalar_type(len(rows)))
-        reach = min(self.length, int(upto[-1].max(initial=0)) if len(rows) else 0)
-        if self.modulus**reach > 2**63:
+        most = int(upto[-1].max(initial=0)) if len(rows) else 0
+        reach = min(self.length, most)
+        if self.id_bound(most) > 2**63:  # deleting the 3s leaves a word of at most `most` letters, of the same colour
             raise CapacityExceeded(f"{self.name} ids of words with {reach} or more 1s and 2s pass int64")
         slot = (upto - counted) % self.length
         ids = np.zeros(rows.shape[1:], np.int64)
@@ -296,6 +301,10 @@ class ContributionColouring(Colouring):
             count12[size : 2 * size] = (count12[:size] + 1) % length
             count12[:size] = count12[size : 2 * size]
         return table
+
+    def id_bound(self, n: int) -> int:
+        """A word of n letters reaches only the digits below min(n, length)."""
+        return self.modulus ** min(n, self.length)
 
     def alphabet_table(self, n: int, m: int, letters: tuple[int, ...]) -> np.ndarray:
         """Per-length recurrence over words of 1s and 2s: appending a 1 to a word of k letters adds e_(k mod length).

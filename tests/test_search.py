@@ -733,12 +733,14 @@ def test_extension_matches_the_direct_scan_at_every_length(data):
     n = data.draw(st.integers(t.s * sizemode.min_size, 8), "n")
     symbols = blocks.reference_symbols(t, data.draw(st.sampled_from([None, (1, 2), (3,)]), "domain"))
     table = search.WordTable(colouring.alphabet_table(n, 3, (1, 2, 3)), (1, 2, 3), alphabet_base(3), 1)
+    # with no 3 in the references, the lower scan and the extension read the climbs' own table, over {1, 2}
+    climbed = table if 3 in symbols else search.WordTable(colouring.alphabet_table(n, 3, (1, 2)), (1, 2), 2, 1)
     low, lengths = sizemode.min_size, range(t.s * sizemode.min_size, n + 1)
     with pytest.MonkeyPatch.context() as patch:  # small budgets cut many slabs, which straddle lengths
         patch.setattr(search, "SLAB_ENTRIES", data.draw(st.sampled_from([1, 16, 1 << 14]), "slab"))
-        lower = _scan_hits(table, lower_t, sizemode, range(lower_t.s * low, n - low + 1), symbols)
+        lower = _scan_hits(climbed, lower_t, sizemode, range(lower_t.s * low, n - low + 1), symbols)
         scanned = _scan_hits(table, t, sizemode, lengths, symbols)
-        extended = search._extend(table, lower, t, 3, lengths, sizemode.size_range())
+        extended = search._extend(climbed, lower, t, 3, lengths, sizemode.size_range())
     assert extended.keys() == scanned.keys()
     for k in lengths:
         assert _sorted_hits(*extended[k]) == _sorted_hits(*scanned[k])
@@ -751,6 +753,32 @@ def test_scan_refuses_ids_past_62_bits_before_any_table(monkeypatch):
     message = r"^a scan holds colour ids below 2\*\*62; constant:\d+ has 2,361,183,241,434,822,606,848 colours$"
     with pytest.raises(CapacityExceeded, match=message):
         verify_absence(ConstantColouring(2**70, 2**71), 4, template_from_word("12"), EqualSize(1))
+
+
+def test_a_climb_over_three_or_five_letters_pads_its_table_base_to_a_power_of_2(monkeypatch):
+    """The alphabet table's base is the least power of 2 at or above its letter count (a known cost).
+
+    Under a count of 1s every other symbol is neutral: the climb of 1234
+    deletes its 2 and reads the words over {1, 3, 4} of up to n letters, in
+    base 4, so 2*4^n entries, twice the [4]^n table of a scan at n.  The
+    climb of 123456 reads the words over {1, 3, 4, 5, 6} in base 8: at n=9
+    that is 2*8^9 entries, past the limit, although [6]^9 has 10,077,696.
+    """
+    built, alphabet_table = [], ModularCountColouring.alphabet_table
+
+    def recorded(self, n, m, letters):
+        table = alphabet_table(self, n, m, letters)
+        built.append((letters, len(table)))
+        return table
+
+    monkeypatch.setattr(ModularCountColouring, "alphabet_table", recorded)
+    report = verify_absence(ModularCountColouring(1, 2), 6, template_from_word("1234"), EqualSize(1))
+    assert built == [((1, 3, 4), 2 * 4**6)] and len(report.found) == report.examined > 0
+    over = r"a scan of the words over \{1, 3, 4, 5, 6\} up to length 9"
+    message = f"^{over} needs 268,435,456 entries; the limit is 50,000,000$"
+    with pytest.raises(CapacityExceeded, match=message):
+        verify_absence(ModularCountColouring(1, 2), 9, template_from_word("123456"), EqualSize(1))
+    assert len(built) == 1
 
 
 def test_the_colour_id_guard_reads_the_table_that_the_scan_builds(monkeypatch):
