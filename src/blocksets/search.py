@@ -583,9 +583,8 @@ def _extend(table: WordTable, lower: Hits, t: Template, z: int, lengths: range, 
     the highest first, each at its lower coordinate less the coordinates of
     B below it, which moves the fields above up one.  The candidates of
     every length that share a Z size are checked together, in slabs of about
-    SLAB_ENTRIES entries (`_slabs`: their hits' letters and candidates) that
-    may straddle lengths; each later arrangement only for the candidates
-    still of their hit's colour.  The survivors are split by length only to
+    SLAB_ENTRIES candidates (`_slabs`) that may straddle lengths; each later
+    arrangement only for the candidates still of their hit's colour.  The survivors are split by length only to
     be lifted into label words.  The candidates are at most the placements
     of t a scan would visit, and all of them when every placement without z
     is a hit (a one-block t without z has one arrangement); they are fewer
@@ -638,7 +637,7 @@ def _extend(table: WordTable, lower: Hits, t: Template, z: int, lengths: range, 
         sets = [len(zs) for _, size, zs, _ in lifts if size == k]
         zs, last = np.concatenate([zs for _, size, zs, _ in lifts if size == k]), np.cumsum(sets)  # by length in turn
         places = (zs - np.arange(k))[:, ::-1].T.astype(np.int32)  # the lower coordinate before which each of Z's goes
-        for slab in _slabs(counts + n - k for n, *_, counts in parts):  # as `_scan` counts a working set
+        for slab in _slabs(counts for *_, counts in parts):  # a hit's candidates (`low` holds its letters once)
             starts = np.cumsum([0] + [hi - lo for _, lo, hi in slab]).tolist()
             counts = np.concatenate([parts[part][3][lo:hi] for part, lo, hi in slab])
             hit, zi = _pairs(counts, np.repeat([last[part] for part, _, _ in slab], np.diff(starts)))
