@@ -584,11 +584,11 @@ def _extend(table: WordTable, lower: Hits, t: Template, z: int, lengths: range, 
     B below it, which moves the fields above up one.  The candidates of
     every length that share a Z size are checked together, in slabs of about
     SLAB_ENTRIES candidates (`_slabs`) that may straddle lengths; each later
-    arrangement only for the candidates still of their hit's colour.  The survivors are split by length only to
-    be lifted into label words.  The candidates are at most the placements
-    of t a scan would visit, and all of them when every placement without z
-    is a hit (a one-block t without z has one arrangement); they are fewer
-    as it has fewer hits.
+    arrangement only for the candidates still of their hit's colour.  The
+    survivors are split by length only to be lifted into label words.  The
+    candidates are at most the placements of t a scan would visit, and all
+    of them when every placement without z is a hit (a one-block t without z
+    has one arrangement); they are fewer as it has fewer hits.
     """
     m, label, bits = t.m, t.m + t.s, table.base.bit_length() - 1
     # the template reversed first, as in `_scan`: it breaks the most candidates
